@@ -64,6 +64,23 @@ def _int_list(text: str) -> tuple:
     return tuple(int(tok) for tok in text.split(",") if tok.strip())
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise ValueError("must be at least 1")
+    return value
+
+
+ESTIMATE_ENSEMBLES = ("global_su2", "global_cl2", "subsample_su2")
+
+
+def _estimate_ensemble(text: str) -> str:
+    if text.strip().lower() not in ESTIMATE_ENSEMBLES:
+        raise ValueError("estimate supports the ensembles "
+                         + ", ".join(ESTIMATE_ENSEMBLES))
+    return text
+
+
 def coerce_config(raw: dict, schema: dict, subcommand: str) -> dict:
     unknown = sorted(set(raw) - set(schema))
     if unknown:
@@ -317,6 +334,10 @@ def cmd_estimate(cfg, seed, out_dir, threads) -> int:
 
 
 def cmd_bias_scan(cfg, seed, out_dir, threads) -> int:
+    try:  # the shot-count formula's own range checks on epsilon, delta, M
+        estimator.Budget(cfg["m_observables"], cfg["epsilon"], cfg["delta"], (), ())
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     obs = build_observable(cfg["observable"], cfg["g"], cfg["alpha"])
     n = qcore.num_qubits(obs)
     ens = build_ensemble(cfg["ensemble"], n, cfg["members"],
@@ -405,10 +426,10 @@ SCHEMAS = {
         "alpha": (float, 1.0),
         "n": (int, 0),
         "state": (str, "zero"),
-        "ensemble": (str, "subsample_su2"),
+        "ensemble": (_estimate_ensemble, "subsample_su2"),
         "members": (int, 25),
         "ensemble_seed": (int, 0),
-        "shots": (int, 10_000),
+        "shots": (_positive_int, 10_000),
         "method": (str, "median_of_means"),
         "m_observables": (int, 1),
         "epsilon": (float, 0.1),
@@ -445,9 +466,9 @@ SCHEMAS = {
     "phase-classify": {
         "L": (int, 2),
         "depth": (int, 0),
-        "states_per_phase": (int, 10),
-        "n_rp": (int, 10_000),
-        "n_su2": (int, 1000),
+        "states_per_phase": (_positive_int, 10),
+        "n_rp": (_positive_int, 10_000),
+        "n_su2": (_positive_int, 1000),
         "lam": (float, 0.0),
     },
 }

@@ -46,23 +46,43 @@ LSTSQ_RESIDUAL_TOL = 1e-6
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MeasurementRecord:
-    v: SampledUnitary
-    b: int
-    shot_index: int
-    campaign_id: str
+_BASIS_CODES = np.frombuffer("".join(ensembles.CL2_BASES).encode(), dtype=np.uint8)
+_BASIS_OF_CODE = np.full(128, -1, dtype=np.int8)
+_BASIS_OF_CODE[_BASIS_CODES] = np.arange(len(ensembles.CL2_BASES))
+
+
+def _words_text(bases: np.ndarray) -> list[str]:
+    """Per-site basis indices (N, n) as N letter words over CL2_BASES."""
+    n = bases.shape[1]
+    codes = np.ascontiguousarray(_BASIS_CODES[bases])
+    return codes.view(f"S{n}").ravel().astype(str).tolist()
+
+
+def _words_bases(words: list[str], n: int) -> np.ndarray:
+    """Inverse of _words_text: int8 (N, n) basis indices, validated."""
+    text = np.array(words, dtype=str)
+    if text.dtype.itemsize != 4 * n or (np.char.str_len(text) != n).any():
+        raise ValueError(f"per-site words must have length {n}")
+    codes = text.view(np.uint32).reshape(len(words), n)
+    bases = _BASIS_OF_CODE[np.minimum(codes, _BASIS_OF_CODE.size - 1)]
+    if (bases < 0).any():
+        raise ValueError("per-site words use letters outside X, Y, Z")
+    return bases
 
 
 class Records:
-    """Columnar storage for a shot campaign; behaves like a list of records."""
+    """Columnar storage for a shot campaign.
+
+    LocalClifford words are kept as ``bases``, an int8 (N, n) table of
+    indices into CL2_BASES (site 0 first); ``words`` spells them as text.
+    """
 
     def __init__(self, kind: str, n: int, campaign_id: str, b: np.ndarray,
                  member_idx: np.ndarray | None = None,
                  thetas: np.ndarray | None = None,
                  phis: np.ndarray | None = None,
                  psis: np.ndarray | None = None,
-                 words: list[str] | None = None):
+                 bases: np.ndarray | None = None):
         self.kind = kind
         self.n = n
         self.campaign_id = campaign_id
@@ -71,10 +91,14 @@ class Records:
         self.thetas = thetas
         self.phis = phis
         self.psis = psis
-        self.words = words
+        self.bases = bases
 
     def __len__(self) -> int:
         return self.b.size
+
+    @property
+    def words(self) -> list[str] | None:
+        return None if self.bases is None else _words_text(self.bases)
 
     def unitary(self, i: int) -> SampledUnitary:
         if self.kind == KIND_GLOBAL_SU2:
@@ -88,15 +112,8 @@ class Records:
             return SampledUnitary(self.kind, self.n,
                                   basis=ensembles.CL2_BASES[int(self.member_idx[i])],
                                   index=int(self.member_idx[i]))
-        return SampledUnitary(self.kind, self.n, word=self.words[i])
-
-    def __getitem__(self, i: int) -> MeasurementRecord:
-        if not 0 <= i < len(self):
-            raise IndexError(i)
-        return MeasurementRecord(self.unitary(i), int(self.b[i]), i, self.campaign_id)
-
-    def __iter__(self):
-        return (self[i] for i in range(len(self)))
+        return SampledUnitary(self.kind, self.n,
+                              word=_words_text(self.bases[i : i + 1])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -159,8 +176,8 @@ def _site_bits(b: np.ndarray, n: int) -> np.ndarray:
     return (b[:, None] >> shifts[None, :]) & 1
 
 
-def _su2_closure_values(inv_op: np.ndarray, thetas, psis, b, n: int) -> np.ndarray:
-    """<b|V A V†|b> for a batch of global rotations: phi_b† A phi_b."""
+def _su2_phi(thetas, psis, b, n: int) -> np.ndarray:
+    """(N, 2^n) rows phi = V†|b> for a batch of global rotations and outcomes."""
     u = _su2_rotations(np.asarray(thetas), np.asarray(psis))
     bits = _site_bits(np.asarray(b), n)
     count = u.shape[0]
@@ -169,6 +186,12 @@ def _su2_closure_values(inv_op: np.ndarray, thetas, psis, b, n: int) -> np.ndarr
     for site in range(n):
         rows = np.conj(u[idx, bits[:, site], :])  # V†|b> factors
         phi = (phi[:, :, None] * rows[:, None, :]).reshape(count, -1)
+    return phi
+
+
+def _su2_closure_values(inv_op: np.ndarray, thetas, psis, b, n: int) -> np.ndarray:
+    """<b|V A V†|b> for a batch of global rotations: phi_b† A phi_b."""
+    phi = _su2_phi(thetas, psis, b, n)
     return np.real(np.einsum("ni,ij,nj->n", phi.conj(), inv_op, phi))
 
 
@@ -284,26 +307,72 @@ def _su2_chunk(rho, n, count, rng):
     return thetas, phis, psis, b
 
 
+_CL2_GATES = np.stack([ensembles.basis_rotation(ch) for ch in ensembles.CL2_BASES])
+
+
+def _rotate_site(t: np.ndarray, site: int, g: np.ndarray) -> None:
+    """In place: row r of t (rows, 2^sites) gets the 2x2 gate g[r] on `site`.
+
+    t must be C-contiguous, so that the reshape below is a view of it.
+    """
+    v = t.reshape(t.shape[0], 1 << site, 2, -1)
+    v0, v1 = v[:, :, 0], v[:, :, 1]
+    g = g[:, :, :, None, None]
+    out0 = v0 * g[:, 0, 0]
+    out0 += v1 * g[:, 0, 1]
+    v1 *= g[:, 1, 1]
+    v1 += v0 * g[:, 1, 0]
+    v0[...] = out0
+
+
+def _local_clifford_probs(rho: np.ndarray, words: np.ndarray) -> np.ndarray:
+    """Normalized outcome distribution of rho for each row of `words`.
+
+    Shots whose words share a prefix share the rotated state up to that
+    site: at site s only the distinct base-3 prefixes words[:, :s+1] are
+    rotated, each from its parent prefix, in the same site order and with
+    the same 2x2 products as a per-shot loop. A density matrix runs as the
+    2n-site vector vec(rho) with its row and column bit of each site side
+    by side, g on the row bit and conj(g) on the column bit. At most one
+    (distinct prefixes x row length) array is live between sites.
+    """
+    count, n = words.shape
+    density = rho.ndim == 2
+    t = np.asarray(rho, dtype=complex)
+    if density:
+        row_col = np.arange(2 * n).reshape(2, n).T.ravel()  # r0, c0, r1, c1, ...
+        t = t.reshape((2,) * 2 * n).transpose(row_col)
+    t = t.reshape(1, -1)
+    key = np.zeros(count, dtype=np.int64)
+    row = np.zeros(count, dtype=np.intp)  # row of t holding each shot's prefix
+    for site in range(n):
+        key = 3 * key + words[:, site]
+        _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+        t = t[row[first]]
+        g = _CL2_GATES[words[first, site]]
+        _rotate_site(t, site, g)
+        if density:
+            _rotate_site(t, site + 1, g.conj())
+            # Later gates never touch this site and only the diagonal of
+            # V rho V† is measured, so off-diagonal bits here can go: the
+            # row length halves at every site, from 4^n down to 2^n.
+            t = t.reshape(first.size, 1 << site, 2, 2, -1)[:, :, [0, 1], [0, 1]]
+            t = t.reshape(first.size, -1)
+        row = inverse
+    if density:
+        probs = np.clip(t.real, 0.0, None)
+    else:
+        probs = np.abs(t)
+        probs **= 2
+    del t
+    probs /= probs.sum(axis=1, keepdims=True)
+    return probs[row]
+
+
 def _local_clifford_chunk(rho, n, count, rng):
     words = rng.integers(0, 3, size=(count, n))
-    gates = np.stack([ensembles.basis_rotation(ch) for ch in ensembles.CL2_BASES])
-    if rho.ndim == 1:
-        t = np.broadcast_to(rho.reshape((1,) + (2,) * n), (count,) + (2,) * n).copy()
-        for site in range(n):
-            u = gates[words[:, site]]
-            moved = np.moveaxis(t, 1 + site, -1)
-            rotated = np.einsum("n...b,nab->n...a", moved, u)
-            t = np.moveaxis(rotated, -1, 1 + site)
-        probs = np.abs(t.reshape(count, -1)) ** 2
-    else:
-        probs = np.empty((count, rho.shape[0]))
-        for i in range(count):
-            u = qcore.kron_all(gates[w] for w in words[i])
-            probs[i] = np.real(np.diag(u @ rho @ u.conj().T))
-        probs = np.clip(probs, 0.0, None)
-    probs /= probs.sum(axis=1, keepdims=True)
-    b = qcore.sample_bits(probs, rng)
-    return words, b
+    b = qcore.sample_bits(_local_clifford_probs(rho, words), rng)
+    return words.astype(np.int8), b
 
 
 def run_campaign(rho: np.ndarray, ens: Ensemble, shots: int, rng,
@@ -374,10 +443,9 @@ def run_campaign(rho: np.ndarray, ens: Ensemble, shots: int, rng,
         b = np.concatenate([r[3] for r in results])
         return Records(ens.kind, n, campaign_id, b, thetas=thetas, phis=phis,
                        psis=psis)
-    words_num = np.concatenate([r[0] for r in results])
+    bases = np.concatenate([r[0] for r in results])
     b = np.concatenate([r[1] for r in results])
-    words = ["".join(ensembles.CL2_BASES[j] for j in row) for row in words_num]
-    return Records(ens.kind, n, campaign_id, b, words=words)
+    return Records(ens.kind, n, campaign_id, b, bases=bases)
 
 
 # ---------------------------------------------------------------------------
@@ -468,6 +536,12 @@ class Budget:
     def __post_init__(self):
         if not 0 < self.epsilon <= 1 or not 0 < self.delta <= 1:
             raise ValueError("epsilon and delta must lie in (0, 1]")
+        if self.m_observables < 1:
+            raise ValueError("need at least one observable")
+        if self.delta >= self.m_observables / 2.0:
+            raise ValueError(f"delta={self.delta} must be below M/2 = "
+                             f"{self.m_observables / 2.0:g}: the factor "
+                             f"ln(M / 2 delta) is not positive there")
         if not self.biases:
             self.biases = tuple(0.0 for _ in self.var_bounds)
         if len(self.var_bounds) != len(self.q_values) or len(self.biases) != len(self.var_bounds):
@@ -553,9 +627,12 @@ def records_to_csv(records: Records, metadata: dict | None = None) -> str:
     buf.write(f"# n={records.n}\n")
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["campaign_id", "shot_index", "ensemble_kind", "v_params", "b"])
-    for i in range(len(records)):
-        v = records.unitary(i)
-        writer.writerow([records.campaign_id, i, records.kind, v.params_text(),
+    if records.kind == KIND_LOCAL_CLIFFORD:
+        params = records.words
+    else:
+        params = [records.unitary(i).params_text() for i in range(len(records))]
+    for i, text in enumerate(params):
+        writer.writerow([records.campaign_id, i, records.kind, text,
                          format(int(records.b[i]), f"0{records.n}b")])
     return buf.getvalue()
 
@@ -574,12 +651,18 @@ def records_from_csv(text: str) -> tuple[Records, dict]:
     if header != ["campaign_id", "shot_index", "ensemble_kind", "v_params", "b"]:
         raise ValueError("unrecognized record CSV header")
     n = int(metadata["n"])
-    units, bs, campaign_id, kind = [], [], "c0", None
+    params, bs, campaign_id, kind = [], [], "c0", None
     for row in reader:
-        campaign_id, _, kind, params, b_text = row
-        units.append(SampledUnitary.from_params_text(kind, n, params))
+        campaign_id, _, kind, text, b_text = row
+        params.append(text)
         bs.append(int(b_text, 2))
+    if kind is None:
+        raise ValueError("record CSV holds a header but no records")
     b = np.asarray(bs, dtype=np.int64)
+    if kind == KIND_LOCAL_CLIFFORD:
+        return Records(kind, n, campaign_id, b,
+                       bases=_words_bases(params, n)), metadata
+    units = [SampledUnitary.from_params_text(kind, n, text) for text in params]
     if kind in (KIND_GLOBAL_SU2, KIND_DISCRETE_SUBSAMPLE):
         thetas = np.array([u.theta for u in units])
         phis = np.array([u.phi for u in units])
@@ -589,10 +672,8 @@ def records_from_csv(text: str) -> tuple[Records, dict]:
             member_idx = np.array([u.index for u in units], dtype=np.int64)
         recs = Records(kind, n, campaign_id, b, member_idx=member_idx,
                        thetas=thetas, phis=phis, psis=psis)
-    elif kind == KIND_GLOBAL_CL2:
+    else:
         member_idx = np.array([ensembles.CL2_BASES.index(u.basis) for u in units],
                               dtype=np.int64)
         recs = Records(kind, n, campaign_id, b, member_idx=member_idx)
-    else:
-        recs = Records(kind, n, campaign_id, b, words=[u.word for u in units])
     return recs, metadata

@@ -217,15 +217,11 @@ def patch_rdms(lat: EdgeLattice, state: np.ndarray, n_rp: int,
     n = lat.n_qubits
     ens = ensembles.local_clifford(n)
     records = estimator.run_campaign(state, ens, n_rp, rng, threads=threads)
-    letters = {c: i for i, c in enumerate(ensembles.CL2_BASES)}
-    words = np.array([[letters[c] for c in w] for w in records.words],
-                     dtype=np.int8)
-    bits = np.array([[(b >> (n - 1 - q)) & 1 for q in range(n)]
-                     for b in records.b], dtype=np.int8)
+    bits = estimator._site_bits(records.b, n)
     snap = _snapshot_factors()
     out = []
     for sites in lat.patches():
-        factors = [snap[words[:, q], bits[:, q]] for q in sites]
+        factors = [snap[records.bases[:, q], bits[:, q]] for q in sites]
         rho = np.einsum("nab,ncd,nef->acebdf", *factors).reshape(8, 8)
         rho /= len(records)
         rho = 0.5 * (rho + rho.conj().T)
@@ -250,10 +246,12 @@ def psd_project(rho: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=4)
-def _patch_inverse_ops(n: int = 3) -> tuple:
-    """M^{-1}(B_S) for the fixed enumeration of visible basis elements."""
-    return tuple(channels.inverse_msu2(visible.build_B(s))
-                 for s in visible.enumerate_sets(n))
+def _patch_inverse_ops(n: int = 3) -> np.ndarray:
+    """M^{-1}(B_S) stacked (read-only) in the fixed visible-basis order."""
+    ops = np.stack([channels.inverse_msu2(visible.build_B(s))
+                    for s in visible.enumerate_sets(n)])
+    ops.flags.writeable = False
+    return ops
 
 
 def feature_count(n: int = 3) -> int:
@@ -265,25 +263,18 @@ def patch_features(rdm: np.ndarray, n_su2: int, rng,
     """Estimates of tr(rho B_S) for all 38 visible basis elements of a patch.
 
     One global-SU(2) campaign is shared by every feature; each B_S is read
-    out through its own inverted-channel kernel.
+    out through its own inverted-channel kernel. The shot mean of
+    phi† M^{-1}(B_S) phi is taken for all features at once as the contraction
+    of the stacked M^{-1}(B_S) with the shot-averaged outer product phi* phi^T.
     """
     n = qcore.num_qubits(rdm)
     rho = psd_project(rdm)
     ens = ensembles.global_su2(n)
     records = estimator.run_campaign(rho, ens, n_su2, rng, threads=threads)
-    u = estimator._su2_rotations(records.thetas, records.psis)
-    bits = estimator._site_bits(records.b, n)
-    count = len(records)
-    phi = np.ones((count, 1), dtype=complex)
-    idx = np.arange(count)
-    for site in range(n):
-        rows = np.conj(u[idx, bits[:, site], :])
-        phi = (phi[:, :, None] * rows[:, None, :]).reshape(count, -1)
-    feats = np.empty(feature_count(n))
-    for f, inv_op in enumerate(_patch_inverse_ops(n)):
-        feats[f] = float(np.real(
-            np.einsum("ni,ij,nj->n", phi.conj(), inv_op, phi)).mean())
-    return feats
+    phi = estimator._su2_phi(records.thetas, records.psis, records.b, n)
+    outer = phi.conj().T @ phi / len(records)
+    ops = _patch_inverse_ops(n)
+    return np.real(ops.reshape(len(ops), -1) @ outer.ravel())
 
 
 # ---------------------------------------------------------------------------

@@ -106,6 +106,31 @@ def test_unrepresentable_subsample_exits_3(tmp_path):
     assert rc == 3
 
 
+@pytest.mark.parametrize("sub, text", [
+    ("estimate", "shots = 0\n"),
+    ("estimate", "shots = -5\n"),
+    ("phase-classify", "n_rp = 0\n"),
+    ("phase-classify", "n_su2 = 0\n"),
+    ("phase-classify", "states_per_phase = 0\n"),
+    ("bias-scan", "delta = 0.9\n"),
+    ("bias-scan", "m_observables = 0\n"),
+])
+def test_out_of_range_values_exit_2(tmp_path, sub, text):
+    cfg = write_config(tmp_path, text)
+    rc = cli.main([sub, "--config", cfg, "--out", str(tmp_path)])
+    assert rc == 2
+
+
+def test_estimate_local_clifford_exits_2_naming_ensembles(tmp_path, capsys):
+    cfg = write_config(tmp_path, "observable = XX\nensemble = local_clifford\n"
+                                 "shots = 50\n")
+    rc = cli.main(["estimate", "--config", cfg, "--out", str(tmp_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    for name in ("global_su2", "global_cl2", "subsample_su2"):
+        assert name in err
+
+
 # ---------------------------------------------------------------------------
 # Subcommands end to end
 # ---------------------------------------------------------------------------

@@ -59,6 +59,20 @@ def test_budget_validation():
         estimator.Budget(1, 0.0, 0.05, (1.0,), (1.0,))
     with pytest.raises(ValueError):
         estimator.Budget(1, 0.1, 0.05, (1.0, 2.0), (1.0,))
+    with pytest.raises(ValueError):
+        estimator.Budget(0, 0.1, 0.05, (1.0,), (1.0,))
+
+
+@pytest.mark.parametrize("m, delta", [(1, 0.9), (1, 0.5), (1, 1.0)])
+def test_budget_rejects_delta_at_or_above_half_m(m, delta):
+    # ln(M / 2 delta) <= 0 there, which made theorem1_shots return -121
+    with pytest.raises(ValueError):
+        estimator.theorem1_shots(estimator.Budget(m, 0.1, delta, (1.0,), (1.0,)))
+
+
+def test_budget_keeps_delta_below_half_m():
+    b = estimator.Budget(2, 0.1, 0.9, (1.0,), (1.0,))
+    assert estimator.theorem1_shots(b) > 0
 
 
 def test_default_batches():
@@ -244,6 +258,82 @@ def test_su2_campaign_agrees_with_kernel_evaluate():
                                                    int(records.b[i])), abs=1e-12)
 
 
+def reference_local_clifford_chunk(rho, n, count, rng):
+    """The per-shot algorithm the prefix-shared kernel replaced."""
+    words = rng.integers(0, 3, size=(count, n))
+    gates = np.stack([ensembles.basis_rotation(ch) for ch in ensembles.CL2_BASES])
+    if rho.ndim == 1:
+        t = np.broadcast_to(rho.reshape((1,) + (2,) * n), (count,) + (2,) * n).copy()
+        for site in range(n):
+            u = gates[words[:, site]]
+            moved = np.moveaxis(t, 1 + site, -1)
+            rotated = np.einsum("n...b,nab->n...a", moved, u)
+            t = np.moveaxis(rotated, -1, 1 + site)
+        probs = np.abs(t.reshape(count, -1)) ** 2
+    else:
+        probs = np.empty((count, rho.shape[0]))
+        for i in range(count):
+            u = qcore.kron_all(gates[w] for w in words[i])
+            probs[i] = np.real(np.diag(u @ rho @ u.conj().T))
+        probs = np.clip(probs, 0.0, None)
+    probs /= probs.sum(axis=1, keepdims=True)
+    b = qcore.sample_bits(probs, rng)
+    return words, b
+
+
+def random_state(n, rng):
+    psi = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+    return psi / np.linalg.norm(psi)
+
+
+@pytest.mark.parametrize("n", [1, 3, 5])
+@pytest.mark.parametrize("density", [False, True])
+@pytest.mark.parametrize("count", [1, 700])
+def test_local_clifford_chunk_matches_per_shot_reference(n, density, count):
+    rng = np.random.default_rng(11 + n)
+    state = random_density(n, rng) if density else random_state(n, rng)
+    want_words, want_b = reference_local_clifford_chunk(
+        state, n, count, np.random.default_rng(4))
+    words, b = estimator._local_clifford_chunk(
+        state, n, count, np.random.default_rng(4))
+    assert words.dtype == np.int8
+    assert np.array_equal(words, want_words)
+    assert np.array_equal(b, want_b)
+
+
+def test_local_clifford_probs_match_dense_rotation():
+    n, count = 5, 400
+    psi = random_state(n, np.random.default_rng(8))
+    words = np.random.default_rng(9).integers(0, 3, size=(count, n))
+    gates = np.stack([ensembles.basis_rotation(ch) for ch in ensembles.CL2_BASES])
+    want = np.stack([
+        np.abs(qcore.kron_all(gates[w] for w in row) @ psi) ** 2 for row in words])
+    want /= want.sum(axis=1, keepdims=True)
+    got = estimator._local_clifford_probs(psi, words)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
+
+
+def test_local_clifford_pure_density_matches_vector():
+    n = 4
+    psi = random_state(n, np.random.default_rng(6))
+    ens = ensembles.local_clifford(n)
+    vec = estimator.run_campaign(psi, ens, 3000, np.random.default_rng(2))
+    rho = estimator.run_campaign(qcore.pure_density(psi), ens, 3000,
+                                 np.random.default_rng(2))
+    assert np.array_equal(vec.bases, rho.bases)
+    assert np.array_equal(vec.b, rho.b)
+
+
+def test_local_clifford_campaign_keeps_numeric_words():
+    ens = ensembles.local_clifford(3)
+    records = estimator.run_campaign(qcore.basis_state(3, 0), ens, 10,
+                                     np.random.default_rng(1))
+    assert records.bases.shape == (10, 3) and records.bases.dtype == np.int8
+    assert records.words == ["".join(ensembles.CL2_BASES[j] for j in row)
+                             for row in records.bases]
+    assert records.unitary(4).word == records.words[4]
+
+
 # ---------------------------------------------------------------------------
 # CSV round trip
 # ---------------------------------------------------------------------------
@@ -288,3 +378,30 @@ def test_records_csv_roundtrip(kind, rng):
 def test_records_csv_rejects_foreign_header():
     with pytest.raises(ValueError):
         estimator.records_from_csv("# n=2\na,b,c\n1,2,3\n")
+
+
+def test_records_csv_roundtrip_numeric_words():
+    bases = np.random.default_rng(3).integers(0, 3, size=(40, 5)).astype(np.int8)
+    b = np.arange(40) % 32
+    records = estimator.Records(ensembles.KIND_LOCAL_CLIFFORD, 5, "c7", b,
+                                bases=bases)
+    text = estimator.records_to_csv(records)
+    back, _ = estimator.records_from_csv(text)
+    assert back.bases.dtype == np.int8
+    assert np.array_equal(back.bases, bases)
+    assert np.array_equal(back.b, b) and back.campaign_id == "c7"
+    assert text.splitlines()[2].split(",")[3] == records.words[0]
+
+
+@pytest.mark.parametrize("word", ["XYQ", "XY", "XYZZ"])
+def test_records_csv_rejects_bad_local_words(word):
+    text = ("# n=3\ncampaign_id,shot_index,ensemble_kind,v_params,b\n"
+            f"c0,0,LocalClifford,XYZ,000\nc0,1,LocalClifford,{word},000\n")
+    with pytest.raises(ValueError):
+        estimator.records_from_csv(text)
+
+
+def test_records_csv_rejects_header_only():
+    with pytest.raises(ValueError):
+        estimator.records_from_csv(
+            "# n=2\ncampaign_id,shot_index,ensemble_kind,v_params,b\n")

@@ -201,6 +201,24 @@ def test_maximally_mixed_features_vanish(rng):
         assert abs(feats[i]) < 5.0 * sigma
 
 
+def test_patch_features_match_per_feature_einsum(lat, toric):
+    rdm = phases.patch_rdms(lat, toric, 800, np.random.default_rng(1))[0]
+    feats = phases.patch_features(rdm, 300, np.random.default_rng(5))
+    records = estimator.run_campaign(phases.psd_project(rdm),
+                                     ensembles.global_su2(3), 300,
+                                     np.random.default_rng(5))
+    u = estimator._su2_rotations(records.thetas, records.psis)
+    bits = estimator._site_bits(records.b, 3)
+    idx = np.arange(len(records))
+    phi = np.ones((len(records), 1), dtype=complex)
+    for site in range(3):
+        rows = np.conj(u[idx, bits[:, site], :])
+        phi = (phi[:, :, None] * rows[:, None, :]).reshape(len(records), -1)
+    want = [np.real(np.einsum("ni,ij,nj->n", phi.conj(), op, phi)).mean()
+            for op in phases._patch_inverse_ops(3)]
+    np.testing.assert_allclose(feats, want, rtol=0, atol=1e-12)
+
+
 def test_features_track_exact_patch_values(lat, toric):
     exact_rdm = qcore.partial_trace(qcore.pure_density(toric), lat.patch(0), 8)
     n_shots = 4000
