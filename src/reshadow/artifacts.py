@@ -1,0 +1,33 @@
+"""Metadata headers of the package's text artifacts.
+
+Every CSV artifact opens with ``# key=value`` lines (seed, config hash,
+library versions, ...) ahead of its column header.
+"""
+
+from __future__ import annotations
+
+
+def metadata_header(metadata: dict | None) -> str:
+    """One ``# key=value`` line per item, in order, each ending in a newline."""
+    return "".join(f"# {key}={value}\n" for key, value in (metadata or {}).items())
+
+
+def read_metadata_header(text: str) -> tuple[dict, str]:
+    """The leading ``#`` lines of text as a dict, and the text after them.
+
+    Blank lines among the header lines are skipped. Keys are stripped;
+    values keep everything after the first ``=`` except trailing space.
+    """
+    metadata: dict = {}
+    pos = 0
+    while pos < len(text):
+        end = text.find("\n", pos)
+        end = len(text) if end < 0 else end
+        line = text[pos:end].strip()
+        if line and not line.startswith("#"):
+            break
+        if line:
+            key, _, value = line[1:].strip().partition("=")
+            metadata[key.strip()] = value
+        pos = end + 1
+    return metadata, text[pos:]

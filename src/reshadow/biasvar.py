@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import ensembles, estimator, qcore
+from . import artifacts, ensembles, estimator, qcore
 from .ensembles import Ensemble
 from .errors import ConvergenceError, DimensionCapError
 from .estimator import Budget, KernelTable
@@ -98,8 +98,7 @@ def shots_at(r: BiasScanResult, epsilon: float, delta: float,
 def scan_to_csv(rows: list, epsilon: float, delta: float, m_observables: int,
                 metadata: dict | None = None, q_variant: str = "theorem") -> str:
     buf = io.StringIO()
-    for key, value in (metadata or {}).items():
-        buf.write(f"# {key}={value}\n")
+    buf.write(artifacts.metadata_header(metadata))
     buf.write("lambda_or_alpha,bias,var_bound,error_bound,shots_at\n")
     for r in rows:
         n_shots = shots_at(r, epsilon, delta, m_observables, q_variant)

@@ -21,7 +21,7 @@ import sys
 import numpy as np
 import scipy
 
-from . import __version__, biasvar, channels, ensembles, estimator, lgt
+from . import __version__, artifacts, biasvar, channels, ensembles, estimator, lgt
 from . import phases, qcore, visible
 from .errors import ConfigError, ReshadowError
 
@@ -71,14 +71,16 @@ def _positive_int(text: str) -> int:
     return value
 
 
-ESTIMATE_ENSEMBLES = ("global_su2", "global_cl2", "subsample_su2")
+def _ensemble_choice(subcommand: str, *names: str):
+    """Config caster accepting only the ensembles a subcommand can solve."""
 
+    def cast(text: str) -> str:
+        if text.strip().lower() not in names:
+            raise ValueError(f"{subcommand} supports the ensembles "
+                             + ", ".join(names))
+        return text
 
-def _estimate_ensemble(text: str) -> str:
-    if text.strip().lower() not in ESTIMATE_ENSEMBLES:
-        raise ValueError("estimate supports the ensembles "
-                         + ", ".join(ESTIMATE_ENSEMBLES))
-    return text
+    return cast
 
 
 def coerce_config(raw: dict, schema: dict, subcommand: str) -> dict:
@@ -119,11 +121,11 @@ def _write(out_dir: pathlib.Path, name: str, content: str) -> None:
 
 
 def _report_csv(rows: list, metadata: dict) -> str:
-    lines = [f"# {k}={v}" for k, v in metadata.items()]
-    lines.append("check,observed,reference,tolerance,pass")
+    lines = [artifacts.metadata_header(metadata),
+             "check,observed,reference,tolerance,pass\n"]
     for name, observed, reference, tol, ok in rows:
-        lines.append(f"{name},{observed!r},{reference!r},{tol!r},{ok}")
-    return "\n".join(lines) + "\n"
+        lines.append(f"{name},{observed!r},{reference!r},{tol!r},{ok}\n")
+    return "".join(lines)
 
 
 # ---------------------------------------------------------------------------
@@ -426,7 +428,8 @@ SCHEMAS = {
         "alpha": (float, 1.0),
         "n": (int, 0),
         "state": (str, "zero"),
-        "ensemble": (_estimate_ensemble, "subsample_su2"),
+        "ensemble": (_ensemble_choice("estimate", "global_su2", "global_cl2",
+                                      "subsample_su2"), "subsample_su2"),
         "members": (int, 25),
         "ensemble_seed": (int, 0),
         "shots": (_positive_int, 10_000),
@@ -439,7 +442,8 @@ SCHEMAS = {
         "observable": (str, "link"),
         "g": (float, 1.0),
         "alpha": (float, 1.0),
-        "ensemble": (str, "subsample_su2"),
+        "ensemble": (_ensemble_choice("bias-scan", "global_cl2", "subsample_su2"),
+                     "subsample_su2"),
         "members": (int, 6),
         "ensemble_seed": (int, 0),
         "mode": (str, "lambda"),
@@ -454,7 +458,8 @@ SCHEMAS = {
     "lgt-energy": {
         "triangles": (_int_list, (2,)),
         "s_max": (int, 2),
-        "ensemble": (str, "subsample_su2"),
+        "ensemble": (_ensemble_choice("lgt-energy", "global_cl2", "subsample_su2"),
+                     "subsample_su2"),
         "members": (int, 25),
         "ensemble_seed": (int, 1),
         "epsilon": (float, 0.1),

@@ -166,9 +166,6 @@ class Ensemble:
         members = [replace(m, n=n) for m in self.members]
         return Ensemble(self.kind, n, members, None if self.weights is None else self.weights.copy())
 
-    def sample(self, rng: np.random.Generator) -> SampledUnitary:
-        return self.sample_batch(1, rng)[0]
-
     def sample_batch(self, count: int, rng: np.random.Generator) -> list[SampledUnitary]:
         if self.kind == KIND_GLOBAL_SU2:
             thetas, phis, psis = haar_su2_angles(count, rng)

@@ -17,15 +17,14 @@ chunks.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from . import channels, ensembles, qcore
+from . import artifacts, channels, ensembles, qcore
 from .ensembles import (
     KIND_DISCRETE_SUBSAMPLE,
     KIND_GLOBAL_CL2,
@@ -46,6 +45,9 @@ LSTSQ_RESIDUAL_TOL = 1e-6
 # ---------------------------------------------------------------------------
 
 
+KINDS = (KIND_GLOBAL_SU2, KIND_GLOBAL_CL2, KIND_LOCAL_CLIFFORD,
+         KIND_DISCRETE_SUBSAMPLE)
+
 _BASIS_CODES = np.frombuffer("".join(ensembles.CL2_BASES).encode(), dtype=np.uint8)
 _BASIS_OF_CODE = np.full(128, -1, dtype=np.int8)
 _BASIS_OF_CODE[_BASIS_CODES] = np.arange(len(ensembles.CL2_BASES))
@@ -58,23 +60,13 @@ def _words_text(bases: np.ndarray) -> list[str]:
     return codes.view(f"S{n}").ravel().astype(str).tolist()
 
 
-def _words_bases(words: list[str], n: int) -> np.ndarray:
-    """Inverse of _words_text: int8 (N, n) basis indices, validated."""
-    text = np.array(words, dtype=str)
-    if text.dtype.itemsize != 4 * n or (np.char.str_len(text) != n).any():
-        raise ValueError(f"per-site words must have length {n}")
-    codes = text.view(np.uint32).reshape(len(words), n)
-    bases = _BASIS_OF_CODE[np.minimum(codes, _BASIS_OF_CODE.size - 1)]
-    if (bases < 0).any():
-        raise ValueError("per-site words use letters outside X, Y, Z")
-    return bases
-
-
 class Records:
     """Columnar storage for a shot campaign.
 
     LocalClifford words are kept as ``bases``, an int8 (N, n) table of
     indices into CL2_BASES (site 0 first); ``words`` spells them as text.
+    The campaign id is printable ASCII without ``,``, ``;`` or ``"``, so
+    that it is a plain field of the record CSV.
     """
 
     def __init__(self, kind: str, n: int, campaign_id: str, b: np.ndarray,
@@ -83,6 +75,12 @@ class Records:
                  phis: np.ndarray | None = None,
                  psis: np.ndarray | None = None,
                  bases: np.ndarray | None = None):
+        if kind not in KINDS:
+            raise ValueError(f"unknown ensemble kind {kind!r}")
+        if (not (campaign_id.isascii() and campaign_id.isprintable())
+                or any(ch in campaign_id for ch in ',;"')):
+            raise ValueError(f"campaign_id {campaign_id!r} must be printable "
+                             f"ASCII without ',', ';' or '\"'")
         self.kind = kind
         self.n = n
         self.campaign_id = campaign_id
@@ -325,23 +323,71 @@ def _rotate_site(t: np.ndarray, site: int, g: np.ndarray) -> None:
     v0[...] = out0
 
 
-def _local_clifford_probs(rho: np.ndarray, words: np.ndarray) -> np.ndarray:
-    """Normalized outcome distribution of rho for each row of `words`.
+def _local_clifford_probs(rho: np.ndarray, words: np.ndarray):
+    """Normalized outcome distributions of rho for the distinct rows of `words`.
 
-    Shots whose words share a prefix share the rotated state up to that
-    site: at site s only the distinct base-3 prefixes words[:, :s+1] are
-    rotated, each from its parent prefix, in the same site order and with
-    the same 2x2 products as a per-shot loop. A density matrix runs as the
-    2n-site vector vec(rho) with its row and column bit of each site side
-    by side, g on the row bit and conj(g) on the column bit. At most one
-    (distinct prefixes x row length) array is live between sites.
+    Returns (probs, row): one row of probs per distinct word, and for each
+    shot the row of probs that holds its word. Shots whose words share a
+    prefix share the rotated state up to that site: at site s only the
+    distinct base-3 prefixes words[:, :s+1] are rotated, each from its
+    parent prefix, in the same site order and with the same 2x2 products as
+    a per-shot loop.
+    """
+    if rho.ndim == 2:
+        return _local_clifford_density_probs(rho, words)
+    count, n = words.shape
+    size = rho.size
+    # One row per distinct prefix, in a table sized for the distinct words.
+    # At each site a prefix's first child takes over its row and the other
+    # children are copied from it into fresh rows; then all rows rotate in
+    # place, a block at a time. At the last site each block's |amp|^2 is
+    # written over the first half of its own rows, so probs is a view of t
+    # and no second table is ever made.
+    distinct = np.unique(words @ 3 ** np.arange(n - 1, -1, -1)).size
+    t = np.empty((distinct, size), dtype=complex)
+    t[0] = rho
+    probs = t.view(np.float64)[:, :size]
+    step = max(1, (1 << 16) // size)
+    key = np.zeros(count, dtype=np.int64)
+    row = np.zeros(count, dtype=np.intp)  # row of t holding each shot's prefix
+    used = 1
+    for site in range(n):
+        key = 3 * key + words[:, site]
+        _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+        dest = row[first]  # row of t for each distinct prefix
+        younger = np.ones(first.size, dtype=bool)
+        younger[np.unique(dest, return_index=True)[1]] = False
+        src = dest[younger]
+        for start in range(0, src.size, step):  # copy in blocks: no big temporary
+            parents = src[start : start + step]
+            t[used + start : used + start + parents.size] = t[parents]
+        dest[younger] = np.arange(used, used + src.size)
+        used += src.size
+        g = np.empty((used, 2, 2), dtype=complex)
+        g[dest] = _CL2_GATES[words[first, site]]
+        for start in range(0, used, step):
+            rows = slice(start, min(start + step, used))
+            _rotate_site(t[rows], site, g[rows])
+            if site == n - 1:
+                amp = np.abs(t[rows])
+                amp **= 2
+                probs[rows] = amp
+        row = dest[inverse]
+    probs /= probs.sum(axis=1, keepdims=True)
+    return probs, row
+
+
+def _local_clifford_density_probs(rho: np.ndarray, words: np.ndarray):
+    """_local_clifford_probs for a density matrix.
+
+    rho runs as the 2n-site vector vec(rho) with its row and column bit of
+    each site side by side, g on the row bit and conj(g) on the column bit.
+    At most one (distinct prefixes x row length) array is live between
+    sites.
     """
     count, n = words.shape
-    density = rho.ndim == 2
-    t = np.asarray(rho, dtype=complex)
-    if density:
-        row_col = np.arange(2 * n).reshape(2, n).T.ravel()  # r0, c0, r1, c1, ...
-        t = t.reshape((2,) * 2 * n).transpose(row_col)
+    row_col = np.arange(2 * n).reshape(2, n).T.ravel()  # r0, c0, r1, c1, ...
+    t = np.asarray(rho, dtype=complex).reshape((2,) * 2 * n).transpose(row_col)
     t = t.reshape(1, -1)
     key = np.zeros(count, dtype=np.int64)
     row = np.zeros(count, dtype=np.intp)  # row of t holding each shot's prefix
@@ -351,28 +397,24 @@ def _local_clifford_probs(rho: np.ndarray, words: np.ndarray) -> np.ndarray:
         t = t[row[first]]
         g = _CL2_GATES[words[first, site]]
         _rotate_site(t, site, g)
-        if density:
-            _rotate_site(t, site + 1, g.conj())
-            # Later gates never touch this site and only the diagonal of
-            # V rho V† is measured, so off-diagonal bits here can go: the
-            # row length halves at every site, from 4^n down to 2^n.
-            t = t.reshape(first.size, 1 << site, 2, 2, -1)[:, :, [0, 1], [0, 1]]
-            t = t.reshape(first.size, -1)
+        _rotate_site(t, site + 1, g.conj())
+        # Later gates never touch this site and only the diagonal of
+        # V rho V† is measured, so off-diagonal bits here can go: the
+        # row length halves at every site, from 4^n down to 2^n.
+        t = t.reshape(first.size, 1 << site, 2, 2, -1)[:, :, [0, 1], [0, 1]]
+        t = t.reshape(first.size, -1)
         row = inverse
-    if density:
-        probs = np.clip(t.real, 0.0, None)
-    else:
-        probs = np.abs(t)
-        probs **= 2
+    probs = np.clip(t.real, 0.0, None)
     del t
     probs /= probs.sum(axis=1, keepdims=True)
-    return probs[row]
+    return probs, row
 
 
 def _local_clifford_chunk(rho, n, count, rng):
     words = rng.integers(0, 3, size=(count, n))
-    b = qcore.sample_bits(_local_clifford_probs(rho, words), rng)
-    return words.astype(np.int8), b
+    cdf, row = _local_clifford_probs(rho, words)
+    np.cumsum(cdf, axis=1, out=cdf)
+    return words.astype(np.int8), qcore.sample_cdf(cdf, rng, row)
 
 
 def run_campaign(rho: np.ndarray, ens: Ensemble, shots: int, rng,
@@ -400,7 +442,7 @@ def run_campaign(rho: np.ndarray, ens: Ensemble, shots: int, rng,
         def work(args):
             count, child = args
             idx = child.choice(len(ens.members), size=count, p=weights)
-            b = qcore.sample_bits(tables[idx], child)
+            b = qcore.sample_cdf(np.cumsum(tables, axis=1), child, idx)
             return idx, b
 
     elif ens.kind == KIND_GLOBAL_SU2:
@@ -618,62 +660,226 @@ def reconstruct(k: KernelTable) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # CSV round trip
 # ---------------------------------------------------------------------------
+#
+# One row per shot under ``# key=value`` metadata and a ``# n=`` line:
+# campaign_id,shot_index,ensemble_kind,v_params,b. v_params is the basis
+# word (LocalClifford), the basis letter (GlobalCl2), theta;phi;psi
+# (GlobalSU2) or index;theta;phi;psi (DiscreteSubsample), angles as Python
+# repr; b is the outcome as n binary digits, site 0 first. Both directions
+# are columnar: a column is a NUL-padded (rows, width) byte table, and
+# neither direction builds a Python object per row.
+
+RECORD_COLUMNS = "campaign_id,shot_index,ensemble_kind,v_params,b"
+
+_NEWLINE, _COMMA, _SEMICOLON, _ZERO = b"\n,;0"
+
+
+def _field(raw: np.ndarray, start: np.ndarray, stop: np.ndarray) -> np.ndarray:
+    """raw[start:stop] of every row as a NUL-padded (rows, width) table."""
+    length = stop - start
+    width = int(length.max())
+    if width == 0:
+        return np.zeros((start.size, 0), dtype=np.uint8)
+    if start.max() + width > raw.size:
+        raw = np.concatenate([raw, np.zeros(width, dtype=np.uint8)])
+    cells = sliding_window_view(raw, width)[start]
+    cells *= np.arange(width) < length[:, None]
+    return cells
+
+
+def _ascii(text: str) -> np.ndarray:
+    return np.frombuffer(text.encode("ascii"), dtype=np.uint8)[None, :]
+
+
+def _float_cells(values: np.ndarray) -> np.ndarray:
+    """repr of each float, formatted once per distinct bit pattern."""
+    bits = np.ascontiguousarray(values, dtype=np.float64).view(np.uint64)
+    distinct, inverse = np.unique(bits, return_inverse=True)
+    text = ",".join(map(repr, distinct.view(np.float64).tolist())) + ","
+    raw = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
+    stop = np.flatnonzero(raw == _COMMA)
+    return _field(raw, np.r_[0, stop[:-1] + 1], stop)[inverse]
+
+
+def _int_cells(values: np.ndarray) -> np.ndarray:
+    """Decimal text of non-negative integers."""
+    values = np.asarray(values, dtype=np.int64)
+    if values.min() < 0:
+        raise ValueError("member indices must be non-negative")
+    width = len(str(int(values.max())))
+    power = 10 ** np.arange(width - 1, -1, -1)
+    digits = (values[:, None] // power % 10 + _ZERO).astype(np.uint8)
+    skip = width - np.maximum((values[:, None] >= power).sum(axis=1), 1)
+    at = np.arange(width) + skip[:, None]  # left-align: drop leading zeros
+    return np.take_along_axis(digits, np.minimum(at, width - 1), axis=1) * (at < width)
+
+
+def _join_cells(cells: list) -> bytes:
+    """Rows laid out as the concatenation of their NUL-padded cells."""
+    rows = max(c.shape[0] for c in cells)
+    table = np.concatenate([np.broadcast_to(c, (rows, c.shape[1])) for c in cells],
+                           axis=1)
+    return table[table != 0].tobytes()
 
 
 def records_to_csv(records: Records, metadata: dict | None = None) -> str:
-    buf = io.StringIO()
-    for key, value in (metadata or {}).items():
-        buf.write(f"# {key}={value}\n")
-    buf.write(f"# n={records.n}\n")
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["campaign_id", "shot_index", "ensemble_kind", "v_params", "b"])
-    if records.kind == KIND_LOCAL_CLIFFORD:
-        params = records.words
-    else:
-        params = [records.unitary(i).params_text() for i in range(len(records))]
-    for i, text in enumerate(params):
-        writer.writerow([records.campaign_id, i, records.kind, text,
-                         format(int(records.b[i]), f"0{records.n}b")])
-    return buf.getvalue()
+    n, count = records.n, len(records)
+    if count and not 0 <= records.b.min() <= records.b.max() < 1 << n:
+        raise ValueError(f"outcomes must lie in [0, 2^{n})")
+    parts = [artifacts.metadata_header(metadata), f"# n={n}\n{RECORD_COLUMNS}\n"]
+    lead = _ascii(f"{records.campaign_id},")
+    kind = _ascii(f",{records.kind},")
+    comma, semicolon, newline = _ascii(","), _ascii(";"), _ascii("\n")
+    for start in range(0, count, CHUNK):
+        rows = slice(start, min(start + CHUNK, count))
+        if records.kind == KIND_LOCAL_CLIFFORD:
+            params = [_BASIS_CODES[records.bases[rows]]]
+        elif records.kind == KIND_GLOBAL_CL2:
+            params = [_BASIS_CODES[records.member_idx[rows]][:, None]]
+        else:
+            theta, phi, psi = (_float_cells(a[rows])
+                               for a in (records.thetas, records.phis, records.psis))
+            params = [theta, semicolon, phi, semicolon, psi]
+            if records.kind == KIND_DISCRETE_SUBSAMPLE:
+                params = [_int_cells(records.member_idx[rows]), semicolon] + params
+        bits = (_site_bits(records.b[rows], n) + _ZERO).astype(np.uint8)
+        cells = [lead, _int_cells(np.arange(rows.start, rows.stop)), kind,
+                 *params, comma, bits, newline]
+        parts.append(_join_cells(cells).decode("ascii"))
+    return "".join(parts)
+
+
+def _marks_per_row(marks, low, high, per_row: int) -> np.ndarray | None:
+    """The sorted positions `marks` as a (rows, per_row) table, or None
+    unless each row holds exactly per_row of them strictly inside
+    (low, high). Rows are disjoint and in order, so it is enough that the
+    count is right and each row's block of per_row marks lies inside it."""
+    if marks.size != per_row * low.size:
+        return None
+    marks = marks.reshape(low.size, per_row)
+    if (marks[:, 0] <= low).any() or (marks[:, -1] >= high).any():
+        return None
+    return marks
+
+
+def _same_text(cells: np.ndarray, what: str) -> str:
+    if (cells != cells[0]).any():
+        raise ValueError(f"record rows disagree on {what}")
+    return cells[0].tobytes().rstrip(b"\0").decode("ascii")
+
+
+def _check_chars(cells: np.ndarray, alphabet: str, what: str) -> None:
+    allowed = np.zeros(256, dtype=bool)
+    allowed[list((alphabet + "\0").encode())] = True
+    if cells.shape[1] == 0 or not (allowed[cells].all() and cells[:, 0].all()):
+        raise ValueError(f"{what} must be a non-empty string over {alphabet!r}")
+
+
+def _decimal(cells: np.ndarray, what: str) -> np.ndarray:
+    """Non-negative decimal integers from NUL-padded digit cells."""
+    _check_chars(cells, "0123456789", what)
+    if cells.shape[1] > 18:
+        raise ValueError(f"{what} has more than 18 digits")
+    length = (cells != 0).sum(axis=1)
+    power = length[:, None] - 1 - np.arange(cells.shape[1])
+    digits = cells.astype(np.int64) - _ZERO
+    return np.where(power >= 0, digits * 10 ** np.maximum(power, 0), 0).sum(axis=1)
+
+
+def _fixed(raw, start, stop, width: int, what: str) -> np.ndarray:
+    """(rows, width) table of a field that must be exactly `width` bytes long."""
+    if (stop - start != width).any():
+        raise ValueError(f"{what} must be exactly {width} characters")
+    return raw[start[:, None] + np.arange(width)]
 
 
 def records_from_csv(text: str) -> tuple[Records, dict]:
-    metadata: dict = {}
-    rows = []
-    for line in text.splitlines():
-        if line.startswith("#"):
-            key, _, value = line[1:].strip().partition("=")
-            metadata[key.strip()] = value
-        elif line:
-            rows.append(line)
-    reader = csv.reader(rows)
-    header = next(reader)
-    if header != ["campaign_id", "shot_index", "ensemble_kind", "v_params", "b"]:
+    """Inverse of records_to_csv, validating every row.
+
+    Raises ValueError on a foreign header, a missing ``# n=`` line, rows
+    without exactly 5 fields, rows that disagree on campaign_id or
+    ensemble_kind, shot indices other than 0, 1, 2, ..., outcomes that are
+    not n binary digits, and malformed v_params.
+    """
+    if "\r" in text:
+        text = text.replace("\r\n", "\n")
+    metadata, body = artifacts.read_metadata_header(text)
+    header, _, body = body.partition("\n")
+    if header.rstrip() != RECORD_COLUMNS:
         raise ValueError("unrecognized record CSV header")
-    n = int(metadata["n"])
-    params, bs, campaign_id, kind = [], [], "c0", None
-    for row in reader:
-        campaign_id, _, kind, text, b_text = row
-        params.append(text)
-        bs.append(int(b_text, 2))
-    if kind is None:
+    try:
+        n = int(metadata["n"])
+    except KeyError:
+        raise ValueError("record CSV has no '# n=' line") from None
+    if not 1 <= n <= qcore.N_CAP:
+        raise ValueError(f"record CSV has n={n}, outside 1..{qcore.N_CAP}")
+    if not body:
         raise ValueError("record CSV holds a header but no records")
-    b = np.asarray(bs, dtype=np.int64)
+    if not body.endswith("\n"):
+        body += "\n"
+    raw = np.frombuffer(body.encode("ascii"), dtype=np.uint8)
+    if not raw.all():
+        raise ValueError("record CSV holds a NUL byte")
+
+    ends = np.flatnonzero(raw == _NEWLINE)
+    count = ends.size
+    begins = np.r_[0, ends[:-1] + 1]
+    commas = np.flatnonzero(raw == _COMMA)
+    commas_by_row = _marks_per_row(commas, begins - 1, ends, 4)
+    if commas_by_row is None:
+        fields = np.bincount(np.searchsorted(ends, commas), minlength=count) + 1
+        bad = int(np.flatnonzero(fields != 5)[0])
+        raise ValueError(f"record row {bad} has {fields[bad]} fields, not 5")
+    # field f of a row spans cut[:, f] + 1 .. cut[:, f + 1]
+    cut = np.column_stack([begins - 1, commas_by_row, ends])
+    start, stop = cut[:, :-1] + 1, cut[:, 1:]
+
+    campaign_id = _same_text(_field(raw, start[:, 0], stop[:, 0]), "campaign_id")
+    kind = _same_text(_field(raw, start[:, 2], stop[:, 2]), "ensemble_kind")
+    if kind not in KINDS:
+        raise ValueError(f"unknown ensemble kind {kind!r}")
+    index = _decimal(_field(raw, start[:, 1], stop[:, 1]), "shot_index")
+    if not np.array_equal(index, np.arange(count)):
+        raise ValueError("shot_index must number the rows 0, 1, 2, ...")
+    bits = _fixed(raw, start[:, 4], stop[:, 4], n, "b")
+    _check_chars(bits, "01", "b")
+    b = (bits - _ZERO).astype(np.int64) @ (1 << np.arange(n - 1, -1, -1))
+
+    p_start, p_stop = start[:, 3], stop[:, 3]
     if kind == KIND_LOCAL_CLIFFORD:
+        bases = _BASIS_OF_CODE[_fixed(raw, p_start, p_stop, n, "v_params")]
+        if (bases < 0).any():
+            raise ValueError("per-site words use letters outside X, Y, Z")
+        return Records(kind, n, campaign_id, b, bases=bases), metadata
+    if kind == KIND_GLOBAL_CL2:
+        member_idx = _BASIS_OF_CODE[_fixed(raw, p_start, p_stop, 1, "v_params")[:, 0]]
+        if (member_idx < 0).any():
+            raise ValueError("Cl(2) bases must be X, Y or Z")
         return Records(kind, n, campaign_id, b,
-                       bases=_words_bases(params, n)), metadata
-    units = [SampledUnitary.from_params_text(kind, n, text) for text in params]
-    if kind in (KIND_GLOBAL_SU2, KIND_DISCRETE_SUBSAMPLE):
-        thetas = np.array([u.theta for u in units])
-        phis = np.array([u.phi for u in units])
-        psis = np.array([u.psi for u in units])
-        member_idx = None
-        if kind == KIND_DISCRETE_SUBSAMPLE:
-            member_idx = np.array([u.index for u in units], dtype=np.int64)
-        recs = Records(kind, n, campaign_id, b, member_idx=member_idx,
-                       thetas=thetas, phis=phis, psis=psis)
-    else:
-        member_idx = np.array([ensembles.CL2_BASES.index(u.basis) for u in units],
-                              dtype=np.int64)
-        recs = Records(kind, n, campaign_id, b, member_idx=member_idx)
-    return recs, metadata
+                       member_idx=member_idx.astype(np.int64)), metadata
+
+    # [index;]theta;phi;psi. The campaign id holds no ';' (Records checks it
+    # below) and the other fields are checked above, so every ';' in the
+    # body must sit in a v_params field.
+    parts = 3 if kind == KIND_GLOBAL_SU2 else 4
+    semis = _marks_per_row(np.flatnonzero(raw == _SEMICOLON), p_start - 1, p_stop,
+                           parts - 1)
+    if semis is None or ";" in campaign_id:
+        raise ValueError(f"{kind} v_params need {parts} ';'-separated parts")
+    cut = np.column_stack([p_start - 1, semis, p_stop])
+    member_idx, spread = None, slice(None)
+    if kind == KIND_DISCRETE_SUBSAMPLE:
+        member_idx = _decimal(_field(raw, cut[:, 0] + 1, cut[:, 1]), "member index")
+        _, first, inverse = np.unique(member_idx, return_index=True, return_inverse=True)
+        params = _field(raw, p_start, p_stop)
+        if np.array_equal(params, params[first[inverse]]):
+            # every row of a member repeats its text: read its angles once
+            cut, spread = cut[first], inverse
+    start, stop = cut[:, -4:-1].T.ravel() + 1, cut[:, -3:].T.ravel()
+    if (stop <= start).any():
+        raise ValueError("empty angle in v_params")
+    angles = _field(raw, start, stop)
+    angles = angles.view(f"S{angles.shape[1]}").ravel().astype(np.float64)
+    thetas, phis, psis = angles.reshape(3, -1)[:, spread]
+    return Records(kind, n, campaign_id, b, member_idx=member_idx, thetas=thetas,
+                   phis=phis, psis=psis), metadata

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import adaptive, biasvar, estimator, qcore, visible
+from . import adaptive, artifacts, biasvar, estimator, qcore, visible
 from .ensembles import Ensemble
 from .estimator import Budget, KernelTable
 
@@ -331,8 +331,7 @@ def energy_budget_comparison(lats, ens: Ensemble, epsilon: float = 0.1,
 
 def budget_to_csv(rows: list, metadata: dict | None = None) -> str:
     buf = io.StringIO()
-    for key, value in (metadata or {}).items():
-        buf.write(f"# {key}={value}\n")
+    buf.write(artifacts.metadata_header(metadata))
     buf.write("strategy,n_qubits,M_terms,epsilon,delta,var_bound_link,"
               "Q_variant,N_shots\n")
     for r in rows:

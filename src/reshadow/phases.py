@@ -19,7 +19,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import channels, ensembles, estimator, qcore, visible
+from . import artifacts, channels, ensembles, estimator, qcore, visible
 from .errors import NumericalDegeneracyError
 
 
@@ -403,8 +403,7 @@ def result_to_json(result: PhaseRunResult, metadata: dict | None = None) -> str:
 
 def kernel_to_csv(k: PhaseKernel, metadata: dict | None = None) -> str:
     buf = io.StringIO()
-    for key, value in (metadata or {}).items():
-        buf.write(f"# {key}={value}\n")
+    buf.write(artifacts.metadata_header(metadata))
     buf.write(f"# lambda={k.lam!r}\n")
     s = k.matrix.shape[0]
     buf.write(",".join(f"s{j}" for j in range(s)) + "\n")

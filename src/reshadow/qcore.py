@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, DimensionCapError, NumericalDegeneracyError
+from .errors import DimensionCapError, NumericalDegeneracyError
 
 N_CAP = 14
 
@@ -52,11 +52,6 @@ def num_qubits(a: np.ndarray) -> int:
     return check_qubit_count(n)
 
 
-def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product; dims multiply."""
-    return np.kron(a, b)
-
-
 def kron_all(factors) -> np.ndarray:
     out = np.array([[1.0 + 0.0j]])
     for f in factors:
@@ -66,23 +61,6 @@ def kron_all(factors) -> np.ndarray:
 
 def is_hermitian(a: np.ndarray, tol: float = 1e-12) -> bool:
     return bool(np.max(np.abs(a - a.conj().T)) <= tol)
-
-
-def is_unitary(a: np.ndarray, tol: float = 1e-10) -> bool:
-    d = a.shape[0]
-    return bool(np.max(np.abs(a.conj().T @ a - np.eye(d))) <= tol)
-
-
-def check_density(rho: np.ndarray, tol: float = 1e-10) -> np.ndarray:
-    """Validate unit trace, Hermiticity and positivity (within tol)."""
-    if abs(np.trace(rho) - 1.0) > 1e-10:
-        raise ValueError(f"density trace {np.trace(rho)} != 1")
-    if not is_hermitian(rho, 1e-10):
-        raise ValueError("density matrix is not Hermitian")
-    evals = np.linalg.eigvalsh(rho)
-    if evals.min() < -tol:
-        raise ValueError(f"density matrix has negative eigenvalue {evals.min()}")
-    return rho
 
 
 def pure_density(psi: np.ndarray) -> np.ndarray:
@@ -248,43 +226,34 @@ def born_probabilities(rho: np.ndarray, v: np.ndarray) -> np.ndarray:
     return probs / probs.sum()
 
 
-def born_sample(rho: np.ndarray, v: np.ndarray, rng: np.random.Generator) -> int:
-    """Draw one computational-basis outcome of measuring V rho V†."""
-    if not is_unitary(v):
-        raise ValueError("measurement rotation is not unitary")
-    probs = born_probabilities(rho, v)
-    return int(rng.choice(probs.size, p=probs))
-
-
 def sample_bits(probs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Vectorized sampling: one outcome per row of a (batch, dim) prob table."""
-    cdf = np.cumsum(probs, axis=1)
-    cdf /= cdf[:, -1:]
-    u = rng.random(probs.shape[0])
-    return (cdf < u[:, None]).sum(axis=1)
+    return sample_cdf(np.cumsum(probs, axis=1), rng)
 
 
-def spectral_norm(a: np.ndarray, tol: float = 1e-9, max_iter: int = 10_000) -> float:
-    """Largest singular value via power iteration on A†A."""
-    dim = a.shape[0]
-    gram_vec = None
-    rng = np.random.default_rng(0x5EED)
-    v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-    v /= np.linalg.norm(v)
-    ah = a.conj().T
-    prev = np.inf
-    for _ in range(max_iter):
-        w = ah @ (a @ v)
-        norm_w = np.linalg.norm(w)
-        if norm_w < 1e-300:
-            return 0.0
-        v = w / norm_w
-        cur = np.sqrt(norm_w)
-        if abs(cur - prev) <= tol * max(cur, 1e-30):
-            return float(cur)
-        prev = cur
-        gram_vec = v
-    raise ConvergenceError("power iteration did not converge", best=gram_vec)
+def sample_cdf(cdf: np.ndarray, rng: np.random.Generator,
+               rows: np.ndarray | None = None) -> np.ndarray:
+    """sample_bits on the running sums of the table, normalized here in place.
+
+    With ``rows``, one outcome per entry of ``rows`` from the table row it
+    names: the same draws as ``sample_bits(probs[rows], rng)``, without the
+    per-entry copy of the table.
+    """
+    cdf /= cdf[:, -1:].copy()  # a view of cdf would make numpy copy all of cdf
+    count = cdf.shape[0] if rows is None else rows.size
+    u = rng.random(count)
+    out = np.empty(count, dtype=np.intp)
+    step = max(1, (1 << 18) // cdf.shape[1])
+    for start in range(0, count, step):
+        block = slice(start, start + step)
+        table = cdf[block] if rows is None else cdf[rows[block]]
+        out[block] = (table < u[block, None]).sum(axis=1)
+    return out
+
+
+def spectral_norm(a: np.ndarray) -> float:
+    """Largest singular value (exact, from the SVD)."""
+    return float(np.linalg.norm(a, 2))
 
 
 def partial_trace(rho: np.ndarray, keep, n: int | None = None) -> np.ndarray:

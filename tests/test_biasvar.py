@@ -59,14 +59,16 @@ def test_ridge_kernel_vanishes_at_huge_lambda(link, ens):
 
 
 def test_lambda_scan_has_interior_minimum(link, ens):
-    # frozen reference: 6-member seed-0 subsample, 1000 shots, M=1, delta=0.1
+    # frozen reference: 6-member seed-0 subsample, 1000 shots, M=1, delta=0.1;
+    # the bias in it is the exact spectral norm (numpy.linalg.eigvalsh gives
+    # 0.1090640927419873 for this kernel)
     grid = biasvar.default_lambda_grid()
     assert grid[0] == 0.0
     rows = biasvar.ridge_scan(link, ens, grid, 1000, 1, 0.1)
     best = min(range(len(rows)), key=lambda i: rows[i].error_bound)
     assert 0 < best < len(rows) - 1
     assert rows[best].lambda_or_alpha == pytest.approx(3.1622776601683794e-3)
-    assert rows[best].error_bound == pytest.approx(0.16932424495378978, rel=1e-9)
+    assert rows[best].error_bound == pytest.approx(0.16932424574682342, rel=1e-9)
     margin = min(rows[0].error_bound, rows[-1].error_bound) / rows[best].error_bound - 1.0
     assert margin > 0.55  # measured 0.598
 

@@ -131,6 +131,17 @@ def test_estimate_local_clifford_exits_2_naming_ensembles(tmp_path, capsys):
         assert name in err
 
 
+@pytest.mark.parametrize("sub", ["bias-scan", "lgt-energy"])
+@pytest.mark.parametrize("ensemble", ["global_su2", "local_clifford"])
+def test_unsolvable_ensemble_exits_2_naming_ensembles(tmp_path, capsys, sub,
+                                                      ensemble):
+    cfg = write_config(tmp_path, f"ensemble = {ensemble}\n")
+    rc = cli.main([sub, "--config", cfg, "--out", str(tmp_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "global_cl2" in err and "subsample_su2" in err
+
+
 # ---------------------------------------------------------------------------
 # Subcommands end to end
 # ---------------------------------------------------------------------------

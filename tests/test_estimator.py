@@ -301,6 +301,35 @@ def test_local_clifford_chunk_matches_per_shot_reference(n, density, count):
     assert np.array_equal(b, want_b)
 
 
+@pytest.mark.parametrize("n", [8, 10])
+def test_local_clifford_blocked_last_site_matches_per_shot_reference(n):
+    # enough distinct words that the last site rotates in several row blocks
+    psi = random_state(n, np.random.default_rng(n))
+    want_words, want_b = reference_local_clifford_chunk(
+        psi, n, 700, np.random.default_rng(5))
+    words, b = estimator._local_clifford_chunk(psi, n, 700, np.random.default_rng(5))
+    assert np.array_equal(words, want_words)
+    assert np.array_equal(b, want_b)
+
+
+@settings(max_examples=25)
+@given(n=st.integers(1, 10), count=st.integers(1, 600), density=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+def test_local_clifford_chunk_samples_like_gathered_table(n, count, density, seed):
+    """The distinct-word CDF draws what sample_bits draws on the per-shot table."""
+    n = min(n, 5) if density else n
+    rng = np.random.default_rng(seed)
+    state = random_density(n, rng) if density else random_state(n, rng)
+    draw = np.random.default_rng(seed + 1)
+    words = draw.integers(0, 3, size=(count, n))
+    probs, row = estimator._local_clifford_probs(state, words)
+    want_b = qcore.sample_bits(probs[row], draw)
+    got_words, got_b = estimator._local_clifford_chunk(
+        state, n, count, np.random.default_rng(seed + 1))
+    assert np.array_equal(got_words, words)
+    assert np.array_equal(got_b, want_b)
+
+
 def test_local_clifford_probs_match_dense_rotation():
     n, count = 5, 400
     psi = random_state(n, np.random.default_rng(8))
@@ -309,8 +338,8 @@ def test_local_clifford_probs_match_dense_rotation():
     want = np.stack([
         np.abs(qcore.kron_all(gates[w] for w in row) @ psi) ** 2 for row in words])
     want /= want.sum(axis=1, keepdims=True)
-    got = estimator._local_clifford_probs(psi, words)
-    np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
+    probs, row = estimator._local_clifford_probs(psi, words)
+    np.testing.assert_allclose(probs[row], want, rtol=0, atol=1e-14)
 
 
 def test_local_clifford_pure_density_matches_vector():

@@ -107,6 +107,33 @@ def test_spectral_norm_matches_eigh(rng):
                       np.abs(np.linalg.eigvalsh(a)).max(), atol=1e-7)
 
 
+def test_spectral_norm_is_exact_on_near_degenerate_spectrum():
+    # power iteration stalled at 0.99999990 here: |1| and |-0.9999999| are
+    # too close for its stopping rule
+    a = np.diag([1.0, -0.9999999, 0.3]).astype(complex)
+    assert qcore.spectral_norm(a) == pytest.approx(1.0, rel=1e-15)
+
+
+def test_spectral_norm_matches_largest_singular_value():
+    rng = np.random.default_rng(5)
+    a = rng.normal(size=(64, 64)) + 1j * rng.normal(size=(64, 64))
+    want = np.linalg.svd(a, compute_uv=False).max()
+    assert qcore.spectral_norm(a) == pytest.approx(want, rel=1e-13)
+    assert qcore.spectral_norm(np.zeros((4, 4))) == 0.0
+
+
+@given(rows=st.integers(1, 9), dim_bits=st.integers(1, 12),
+       shots=st.integers(1, 3000), seed=st.integers(0, 2**32 - 1))
+def test_sample_cdf_with_rows_matches_gathered_table(rows, dim_bits, shots, seed):
+    rng = np.random.default_rng(seed)
+    probs = rng.random((rows, 1 << dim_bits)) ** 4
+    probs /= probs.sum(axis=1, keepdims=True)
+    pick = rng.integers(0, rows, size=shots)
+    want = qcore.sample_bits(probs[pick], np.random.default_rng(9))
+    got = qcore.sample_cdf(np.cumsum(probs, axis=1), np.random.default_rng(9), pick)
+    assert np.array_equal(got, want)
+
+
 def test_entropy_vn():
     assert np.isclose(qcore.entropy_vn(np.eye(4) / 4.0), 2.0)
     assert np.isclose(qcore.entropy_vn(qcore.pure_density(qcore.basis_state(2, 1))),
