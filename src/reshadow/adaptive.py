@@ -51,15 +51,22 @@ def q_optimal(k: KernelTable) -> np.ndarray:
     return w / total
 
 
+def _members(k: KernelTable) -> list:
+    return [(m.theta, m.phi, m.psi, m.basis) for m in k.ens.members]
+
+
 def q_multi(ks: list) -> np.ndarray:
-    """Shared density for several observables: q ∝ p max over kernels and b."""
+    """Shared density for several observables: q ∝ p max over kernels and b.
+
+    The kernels may live on different supports (register sizes) as long as
+    they share the ensemble's members and weights.
+    """
     if not ks:
         raise ValueError("need at least one kernel")
     first = ks[0]
     values = [_require_table(k) for k in ks]
     for k in ks[1:]:
-        if (k.ens.kind != first.ens.kind or k.ens.n != first.ens.n
-                or tuple(k.ens.members) != tuple(first.ens.members)
+        if (k.ens.kind != first.ens.kind or _members(k) != _members(first)
                 or not np.allclose(k.density, first.density)):
             raise ValueError("kernels do not share an ensemble")
     peak = np.max([np.abs(v).max(axis=1) for v in values], axis=0)

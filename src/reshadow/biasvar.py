@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import artifacts, ensembles, estimator, qcore
+from . import artifacts, estimator, qcore
 from .ensembles import Ensemble
 from .errors import ConvergenceError, DimensionCapError
 from .estimator import Budget, KernelTable
@@ -56,7 +56,8 @@ def cost(k: KernelTable, o: np.ndarray, shots: int, m_observables: int,
          delta: float, alpha: float) -> float:
     """alpha-weighted bias plus the mixed-state statistical error at N shots."""
     bias = qcore.spectral_norm(o - estimator.reconstruct(k))
-    stat = 2.0 * mixed_variance(k) * math.log(m_observables / (2.0 * delta)) / shots
+    stat = (2.0 * mixed_variance(k) * estimator.confidence_log(m_observables, delta)
+            / shots)
     return alpha * bias + math.sqrt(max(stat, 0.0))
 
 
@@ -80,7 +81,7 @@ def _assemble(param: float, k: KernelTable, o: np.ndarray, shots: int,
     bias = qcore.spectral_norm(o - estimator.reconstruct(k))
     var_bound = estimator.var_max_bound(k)
     error_bound = bias + math.sqrt(
-        2.0 * var_bound * math.log(m_observables / (2.0 * delta)) / shots)
+        2.0 * var_bound * estimator.confidence_log(m_observables, delta) / shots)
     return BiasScanResult(param, k, bias, var_bound, error_bound)
 
 
@@ -160,7 +161,7 @@ def _minimize_alpha(o, ens, alpha, shots, m_observables, delta, y0,
     """Subgradient descent with backtracking on the convex alpha-cost."""
     a, b, sqrt_p = estimator.stacked_system(o, ens)
     dim = 1 << ens.n
-    c_var = 2.0 * math.log(m_observables / (2.0 * delta)) / shots
+    c_var = 2.0 * estimator.confidence_log(m_observables, delta) / shots
     # tr(O~)/2^n is linear in y; the column for member j, outcome b carries
     # trace sqrt(p_j) (projector trace 1)
     g = np.repeat(sqrt_p, dim) / dim
@@ -341,25 +342,3 @@ def local_to_kernel(lp: LocalParam, ens: Ensemble) -> KernelTable:
     else:
         b_local = np.zeros(1 << lp.n, dtype=int)
     return KernelTable(ens, values=k_local[:, b_local], residual=lp.residual)
-
-
-def reconstruct_local(lp: LocalParam, ens: Ensemble) -> np.ndarray:
-    """sum_V p(V) sum_P J(V,P) V† P V as a dense operator."""
-    n = lp.n
-    dim = 1 << n
-    out = np.zeros((dim, dim), dtype=complex)
-    z_globals = []
-    for z in range(1 << lp.width):
-        z_g = 0
-        for pos, site in enumerate(lp.support):
-            if (z >> (lp.width - 1 - pos)) & 1:
-                z_g |= 1 << (n - 1 - site)
-        z_globals.append(z_g)
-    for j, member in enumerate(ens.members):
-        u = ensembles.realize(member)
-        for z, z_g in enumerate(z_globals):
-            if abs(lp.values[j, z]) < 1e-15:
-                continue
-            p_dense = qcore.pauli_dense(n, 0, z_g)
-            out += ens.weights[j] * lp.values[j, z] * (u.conj().T @ p_dense @ u)
-    return out

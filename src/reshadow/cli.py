@@ -21,8 +21,8 @@ import sys
 import numpy as np
 import scipy
 
-from . import __version__, artifacts, biasvar, channels, ensembles, estimator, lgt
-from . import phases, qcore, visible
+from . import __version__, artifacts, biasvar, channels, ensembles, estimator, gates
+from . import lgt, phases, qcore, visible
 from .errors import ConfigError, ReshadowError
 
 CHANNEL_CHUNK = 20_000
@@ -64,10 +64,22 @@ def _int_list(text: str) -> tuple:
     return tuple(int(tok) for tok in text.split(",") if tok.strip())
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise ValueError("must be at least 1")
+def _at_least(low: int):
+    """Config caster for an integer of at least `low`."""
+
+    def cast(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise ValueError(f"must be at least {low}")
+        return value
+
+    return cast
+
+
+def _probability(text: str) -> float:
+    value = float(text)
+    if not 0 < value <= 1:
+        raise ValueError("must lie in (0, 1]")
     return value
 
 
@@ -208,11 +220,7 @@ def _mc_msu2(a: np.ndarray, samples: int, rng) -> tuple:
     while done < samples:
         count = min(CHANNEL_CHUNK, samples - done)
         thetas, _, psis = ensembles.haar_su2_angles(count, rng)
-        u = estimator._su2_rotations(thetas, psis)
-        big = u
-        for _ in range(n - 1):
-            big = np.einsum("nab,ncd->nacbd", big, u).reshape(
-                count, big.shape[1] * 2, big.shape[2] * 2)
+        big = gates.rows(ensembles.su2_matrix(thetas, 0.0, psis), n)
         diag = np.einsum("nbi,ij,nbj->nb", big, a, big.conj())
         contrib = np.einsum("nb,nbi,nbj->nij", diag, big.conj(), big)
         s1 += contrib.sum(axis=0)
@@ -277,9 +285,8 @@ def cmd_basis_audit(cfg, seed, out_dir, threads) -> int:
     perps = [visible.build_Bperp(s, k)
              for s in sets_n if s.size > 1 for k in range(1, s.size)]
     for _ in range(cfg["draws"]):
-        theta, phi, psi = (float(x[0]) for x in ensembles.haar_su2_angles(1, rng))
-        v = ensembles.realize(ensembles.SampledUnitary(
-            ensembles.KIND_GLOBAL_SU2, n, theta=theta, phi=phi, psi=psi))
+        theta, _, psi = (float(x[0]) for x in ensembles.haar_su2_angles(1, rng))
+        v = gates.rows(ensembles.su2_matrix(theta, 0.0, psi)[None], n)[0]
         b = int(rng.integers(1 << n))
         row = v[b, :]
         for bp in perps:
@@ -416,11 +423,11 @@ def cmd_phase_classify(cfg, seed, out_dir, threads) -> int:
 SCHEMAS = {
     "channel-check": {
         "n": (int, 2),
-        "mc_samples": (int, 200_000),
+        "mc_samples": (_at_least(1), 200_000),
     },
     "basis-audit": {
         "n": (int, 2),
-        "draws": (int, 200),
+        "draws": (_at_least(1), 200),
     },
     "estimate": {
         "observable": (str, "link"),
@@ -430,13 +437,13 @@ SCHEMAS = {
         "state": (str, "zero"),
         "ensemble": (_ensemble_choice("estimate", "global_su2", "global_cl2",
                                       "subsample_su2"), "subsample_su2"),
-        "members": (int, 25),
+        "members": (_at_least(1), 25),
         "ensemble_seed": (int, 0),
-        "shots": (_positive_int, 10_000),
+        "shots": (_at_least(1), 10_000),
         "method": (str, "median_of_means"),
-        "m_observables": (int, 1),
-        "epsilon": (float, 0.1),
-        "delta": (float, 0.1),
+        "m_observables": (_at_least(1), 1),
+        "epsilon": (_probability, 0.1),
+        "delta": (_probability, 0.1),
     },
     "bias-scan": {
         "observable": (str, "link"),
@@ -444,36 +451,36 @@ SCHEMAS = {
         "alpha": (float, 1.0),
         "ensemble": (_ensemble_choice("bias-scan", "global_cl2", "subsample_su2"),
                      "subsample_su2"),
-        "members": (int, 6),
+        "members": (_at_least(1), 6),
         "ensemble_seed": (int, 0),
         "mode": (str, "lambda"),
         "lambda_grid": (_float_list, ()),
         "alpha_grid": (_float_list, ()),
-        "shots": (int, 1000),
-        "m_observables": (int, 1),
-        "epsilon": (float, 0.1),
-        "delta": (float, 0.1),
+        "shots": (_at_least(1), 1000),
+        "m_observables": (_at_least(1), 1),
+        "epsilon": (_probability, 0.1),
+        "delta": (_probability, 0.1),
         "q_variant": (str, "theorem"),
     },
     "lgt-energy": {
         "triangles": (_int_list, (2,)),
-        "s_max": (int, 2),
+        "s_max": (_at_least(2), 2),
         "ensemble": (_ensemble_choice("lgt-energy", "global_cl2", "subsample_su2"),
                      "subsample_su2"),
-        "members": (int, 25),
+        "members": (_at_least(1), 25),
         "ensemble_seed": (int, 1),
-        "epsilon": (float, 0.1),
-        "delta": (float, 0.1),
+        "epsilon": (_probability, 0.1),
+        "delta": (_probability, 0.1),
         "g": (float, 1.0),
         "alpha": (float, 1.0),
         "q_variant": (str, "max_abs_k"),
     },
     "phase-classify": {
-        "L": (int, 2),
-        "depth": (int, 0),
-        "states_per_phase": (_positive_int, 10),
-        "n_rp": (_positive_int, 10_000),
-        "n_su2": (_positive_int, 1000),
+        "L": (_at_least(2), 2),
+        "depth": (_at_least(0), 0),
+        "states_per_phase": (_at_least(1), 10),
+        "n_rp": (_at_least(1), 10_000),
+        "n_su2": (_at_least(1), 1000),
         "lam": (float, 0.0),
     },
 }

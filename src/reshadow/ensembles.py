@@ -38,13 +38,19 @@ CL2_BASES = ("X", "Y", "Z")
 SUBSAMPLE_RETRY_CAP = 100
 
 
-def su2_matrix(theta: float, phi: float, psi: float = 0.0) -> np.ndarray:
-    """2x2 Euler rotation e^{i Z phi/2} e^{i Y theta/2} e^{i Z psi/2}."""
+def su2_matrix(theta, phi, psi=0.0) -> np.ndarray:
+    """2x2 Euler rotation e^{i Z phi/2} e^{i Y theta/2} e^{i Z psi/2}, or a
+    (..., 2, 2) stack of them for arrays of angles."""
+    theta = np.asarray(theta)
     ct, st = np.cos(theta / 2.0), np.sin(theta / 2.0)
-    rot_y = np.array([[ct, st], [-st, ct]], dtype=complex)
-    left = np.diag([np.exp(1j * phi / 2.0), np.exp(-1j * phi / 2.0)])
-    right = np.diag([np.exp(1j * psi / 2.0), np.exp(-1j * psi / 2.0)])
-    return left @ rot_y @ right
+    left = np.exp(1j * np.asarray(phi) / 2.0)
+    right = np.exp(1j * np.asarray(psi) / 2.0)
+    u = np.empty(np.broadcast(ct, left, right).shape + (2, 2), dtype=complex)
+    u[..., 0, 0] = left * ct * right
+    u[..., 0, 1] = left * st * np.conj(right)
+    u[..., 1, 0] = -np.conj(left) * st * right
+    u[..., 1, 1] = np.conj(left) * ct * np.conj(right)
+    return u
 
 
 def basis_rotation(basis: str) -> np.ndarray:
@@ -71,53 +77,27 @@ class SampledUnitary:
     word: str = ""  # per-site basis letters for LocalClifford
     index: int = -1  # member index for DiscreteSubsample
 
-    def single_qubit(self, canonical_phase: bool = True) -> np.ndarray:
+    def single_qubit(self) -> np.ndarray:
+        """The 2x2 rotation on every site, phi canonicalized to 0."""
         if self.kind in (KIND_GLOBAL_SU2, KIND_DISCRETE_SUBSAMPLE):
-            phi = 0.0 if canonical_phase else self.phi
-            return su2_matrix(self.theta, phi, self.psi)
+            return su2_matrix(self.theta, 0.0, self.psi)
         if self.kind == KIND_GLOBAL_CL2:
             return basis_rotation(self.basis)
         raise ValueError(f"{self.kind} has no single global rotation")
 
-    def params_text(self) -> str:
-        """Semicolon-joined parameter text (round-trips exactly)."""
-        if self.kind in (KIND_GLOBAL_SU2, KIND_DISCRETE_SUBSAMPLE):
-            angles = ";".join(repr(float(a)) for a in (self.theta, self.phi, self.psi))
-            if self.kind == KIND_DISCRETE_SUBSAMPLE:
-                return f"{self.index};{angles}"
-            return angles
-        if self.kind == KIND_GLOBAL_CL2:
-            return self.basis
-        return self.word
-
-    @classmethod
-    def from_params_text(cls, kind: str, n: int, text: str) -> "SampledUnitary":
-        if kind == KIND_GLOBAL_SU2:
-            theta, phi, psi = (float(t) for t in text.split(";"))
-            return cls(kind, n, theta=theta, phi=phi, psi=psi)
-        if kind == KIND_DISCRETE_SUBSAMPLE:
-            idx, theta, phi, psi = text.split(";")
-            return cls(kind, n, theta=float(theta), phi=float(phi), psi=float(psi),
-                       index=int(idx))
-        if kind == KIND_GLOBAL_CL2:
-            return cls(kind, n, basis=text)
-        if kind == KIND_LOCAL_CLIFFORD:
-            return cls(kind, n, word=text)
-        raise ValueError(f"unknown ensemble kind {kind!r}")
-
 
 def realize(v: SampledUnitary) -> np.ndarray:
-    """Dense 2^n x 2^n unitary for a sampled member."""
+    """Dense 2^n x 2^n unitary for a sampled member.
+
+    The package applies product rotations with `gates`; this is the dense
+    reference its tests compare against.
+    """
     qcore.check_qubit_count(v.n)
     if v.kind == KIND_LOCAL_CLIFFORD:
         if len(v.word) != v.n:
             raise ValueError("per-site word length != n")
         return qcore.kron_all(basis_rotation(ch) for ch in v.word)
-    u = v.single_qubit()
-    out = np.array([[1.0 + 0.0j]])
-    for _ in range(v.n):
-        out = np.kron(out, u)
-    return out
+    return qcore.kron_all([v.single_qubit()] * v.n)
 
 
 @dataclass

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from . import artifacts, channels, ensembles, qcore
+from . import artifacts, channels, ensembles, gates, qcore
 from .ensembles import (
     KIND_DISCRETE_SUBSAMPLE,
     KIND_GLOBAL_CL2,
@@ -33,7 +33,7 @@ from .ensembles import (
     Ensemble,
     SampledUnitary,
 )
-from .errors import RepresentabilityError
+from .errors import NumericalDegeneracyError, RepresentabilityError
 
 CHUNK = 4096
 
@@ -98,21 +98,6 @@ class Records:
     def words(self) -> list[str] | None:
         return None if self.bases is None else _words_text(self.bases)
 
-    def unitary(self, i: int) -> SampledUnitary:
-        if self.kind == KIND_GLOBAL_SU2:
-            return SampledUnitary(self.kind, self.n, theta=float(self.thetas[i]),
-                                  phi=float(self.phis[i]), psi=float(self.psis[i]))
-        if self.kind == KIND_DISCRETE_SUBSAMPLE:
-            return SampledUnitary(self.kind, self.n, theta=float(self.thetas[i]),
-                                  phi=float(self.phis[i]), psi=float(self.psis[i]),
-                                  index=int(self.member_idx[i]))
-        if self.kind == KIND_GLOBAL_CL2:
-            return SampledUnitary(self.kind, self.n,
-                                  basis=ensembles.CL2_BASES[int(self.member_idx[i])],
-                                  index=int(self.member_idx[i]))
-        return SampledUnitary(self.kind, self.n,
-                              word=_words_text(self.bases[i : i + 1])[0])
-
 
 # ---------------------------------------------------------------------------
 # Kernel tables
@@ -141,31 +126,14 @@ class KernelTable:
     def n(self) -> int:
         return self.ens.n
 
-    def evaluate(self, v: SampledUnitary, b: int) -> float:
-        if self.values is not None:
-            return float(self.values[v.index, b])
-        u = ensembles.realize(v)
-        return float(np.real(u @ self.inv_op @ u.conj().T)[b, b])
-
     def evaluate_records(self, records: Records) -> np.ndarray:
         if records.n != self.n or records.kind != self.ens.kind:
             raise ValueError("records were drawn from a different ensemble")
         if self.values is not None:
             return self.values[records.member_idx, records.b]
-        return _su2_closure_values(self.inv_op, records.thetas, records.psis,
-                                   records.b, self.n)
-
-
-def _su2_rotations(thetas: np.ndarray, psis: np.ndarray) -> np.ndarray:
-    """Batch of single-qubit Euler rotations with phi canonicalized to 0."""
-    ct, st = np.cos(thetas / 2.0), np.sin(thetas / 2.0)
-    right = np.exp(1j * psis / 2.0)
-    u = np.empty((thetas.size, 2, 2), dtype=complex)
-    u[:, 0, 0] = right * ct
-    u[:, 0, 1] = np.conj(right) * st
-    u[:, 1, 0] = -right * st
-    u[:, 1, 1] = np.conj(right) * ct
-    return u
+        # <b|V A V†|b> = phi_b† A phi_b
+        phi = _su2_phi(records.thetas, records.psis, records.b, self.n)
+        return np.real(np.einsum("ni,ij,nj->n", phi.conj(), self.inv_op, phi))
 
 
 def _site_bits(b: np.ndarray, n: int) -> np.ndarray:
@@ -176,21 +144,11 @@ def _site_bits(b: np.ndarray, n: int) -> np.ndarray:
 
 def _su2_phi(thetas, psis, b, n: int) -> np.ndarray:
     """(N, 2^n) rows phi = V†|b> for a batch of global rotations and outcomes."""
-    u = _su2_rotations(np.asarray(thetas), np.asarray(psis))
-    bits = _site_bits(np.asarray(b), n)
-    count = u.shape[0]
-    phi = np.ones((count, 1), dtype=complex)
-    idx = np.arange(count)
-    for site in range(n):
-        rows = np.conj(u[idx, bits[:, site], :])  # V†|b> factors
-        phi = (phi[:, :, None] * rows[:, None, :]).reshape(count, -1)
-    return phi
-
-
-def _su2_closure_values(inv_op: np.ndarray, thetas, psis, b, n: int) -> np.ndarray:
-    """<b|V A V†|b> for a batch of global rotations: phi_b† A phi_b."""
-    phi = _su2_phi(thetas, psis, b, n)
-    return np.real(np.einsum("ni,ij,nj->n", phi.conj(), inv_op, phi))
+    u = ensembles.su2_matrix(thetas, 0.0, psis)
+    b = np.asarray(b)
+    start = np.zeros((b.size, 1 << n), dtype=complex)
+    start[np.arange(b.size), b] = 1.0
+    return gates.rows(np.conj(np.swapaxes(u, 1, 2)), n, start)
 
 
 # ---------------------------------------------------------------------------
@@ -198,8 +156,9 @@ def _su2_closure_values(inv_op: np.ndarray, thetas, psis, b, n: int) -> np.ndarr
 # ---------------------------------------------------------------------------
 
 
-def _member_unitaries(ens: Ensemble) -> list[np.ndarray]:
-    return [ensembles.realize(m) for m in ens.members]
+def _member_gates(ens: Ensemble) -> np.ndarray:
+    """(members, 2, 2) single-qubit rotation of each member of a global ensemble."""
+    return np.stack([m.single_qubit() for m in ens.members])
 
 
 def stacked_system(o: np.ndarray, ens: Ensemble):
@@ -214,15 +173,12 @@ def stacked_system(o: np.ndarray, ens: Ensemble):
     n = qcore.num_qubits(o)
     if n != ens.n:
         raise ValueError("operator/ensemble dimension mismatch")
-    dim = 1 << n
-    m = len(ens.members)
-    cols = np.empty((m * dim, dim * dim), dtype=complex)
     sqrt_p = np.sqrt(ens.weights)
-    for j, u in enumerate(_member_unitaries(ens)):
-        rows = u  # row b of V is <b|V
-        # vec(V†|b><b|V) = conj(row_b) outer row_b, flattened row-major
-        outer = rows.conj()[:, :, None] * rows[:, None, :]
-        cols[j * dim : (j + 1) * dim, :] = sqrt_p[j] * outer.reshape(dim, -1)
+    v = gates.rows(_member_gates(ens), n)  # row b of V_j is <b|V_j
+    # vec(V†|b><b|V) = conj(row_b) outer row_b, flattened row-major
+    cols = v.conj()[:, :, :, None] * v[:, :, None, :]
+    cols *= sqrt_p[:, None, None, None]
+    cols = cols.reshape(-1, 1 << 2 * n)
     a_real = np.concatenate([cols.real, cols.imag], axis=1).T
     b_real = np.concatenate([o.ravel().real, o.ravel().imag])
     return a_real, b_real, sqrt_p
@@ -259,11 +215,7 @@ def kernel_cs(o: np.ndarray, ens: Ensemble) -> KernelTable:
         inv = channels.inverse_msu2(o)
         return KernelTable(ens, inv_op=inv)
     if ens.kind == KIND_GLOBAL_CL2:
-        inv = channels.inverse_mcl2(o)
-        values = np.stack([
-            np.real(np.diag(u @ inv @ u.conj().T))
-            for u in _member_unitaries(ens)
-        ])
+        values = gates.diagonal(channels.inverse_mcl2(o), _member_gates(ens))
         return KernelTable(ens, values=values)
     raise ValueError("kernel_cs needs an analytic channel (GlobalSU2 or GlobalCl2)")
 
@@ -273,54 +225,31 @@ def kernel_cs(o: np.ndarray, ens: Ensemble) -> KernelTable:
 # ---------------------------------------------------------------------------
 
 
-def _born_tables(rho: np.ndarray, ens: Ensemble) -> np.ndarray:
-    """P(b | member) rows for every member of a discrete ensemble."""
-    rows = []
-    for u in _member_unitaries(ens):
-        rows.append(qcore.born_probabilities(rho, u))
-    return np.stack(rows)
+def _born_tables(rho: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """P(b | V) rows of a state vector or density matrix for the product
+    rotations V of g (as in gates.rows)."""
+    n = qcore.num_qubits(rho)
+    if rho.ndim == 1:
+        probs = np.abs(gates.rows(g, n, rho)) ** 2
+    else:
+        probs = gates.diagonal(rho, g)
+    total = probs.sum(axis=1)
+    worst = int(np.abs(total - 1.0).argmax())
+    if abs(total[worst] - 1.0) > 1e-8:
+        raise NumericalDegeneracyError(f"outcome probabilities sum to {total[worst]}")
+    np.clip(probs, 0.0, None, out=probs)
+    probs /= probs.sum(axis=1, keepdims=True)
+    return probs
 
 
 def _su2_chunk(rho, n, count, rng):
     thetas, phis, psis = ensembles.haar_su2_angles(count, rng)
-    u = _su2_rotations(thetas, psis)
-    if rho.ndim == 1:
-        t = np.broadcast_to(rho.reshape((1,) + (2,) * n), (count,) + (2,) * n).copy()
-        for site in range(n):
-            moved = np.moveaxis(t, 1 + site, -1)
-            rotated = np.einsum("n...b,nab->n...a", moved, u)
-            t = np.moveaxis(rotated, -1, 1 + site)
-        probs = np.abs(t.reshape(count, -1)) ** 2
-    else:
-        dim = rho.shape[0]
-        v = np.ones((count, 1, 1), dtype=complex)
-        for _ in range(n):
-            d = v.shape[1]
-            v = np.einsum("nij,nab->niajb", v, u).reshape(count, d * 2, d * 2)
-        probs = np.real(np.einsum("nij,jk,nik->ni", v, rho, v.conj()))
-        del v
-        probs = np.clip(probs, 0.0, None)
-    probs /= probs.sum(axis=1, keepdims=True)
-    b = qcore.sample_bits(probs, rng)
-    return thetas, phis, psis, b
+    cdf = _born_tables(rho, ensembles.su2_matrix(thetas, 0.0, psis))
+    np.cumsum(cdf, axis=1, out=cdf)
+    return thetas, phis, psis, qcore.sample_cdf(cdf, rng)
 
 
 _CL2_GATES = np.stack([ensembles.basis_rotation(ch) for ch in ensembles.CL2_BASES])
-
-
-def _rotate_site(t: np.ndarray, site: int, g: np.ndarray) -> None:
-    """In place: row r of t (rows, 2^sites) gets the 2x2 gate g[r] on `site`.
-
-    t must be C-contiguous, so that the reshape below is a view of it.
-    """
-    v = t.reshape(t.shape[0], 1 << site, 2, -1)
-    v0, v1 = v[:, :, 0], v[:, :, 1]
-    g = g[:, :, :, None, None]
-    out0 = v0 * g[:, 0, 0]
-    out0 += v1 * g[:, 0, 1]
-    v1 *= g[:, 1, 1]
-    v1 += v0 * g[:, 1, 0]
-    v0[...] = out0
 
 
 def _local_clifford_probs(rho: np.ndarray, words: np.ndarray):
@@ -342,12 +271,16 @@ def _local_clifford_probs(rho: np.ndarray, words: np.ndarray):
     # children are copied from it into fresh rows; then all rows rotate in
     # place, a block at a time. At the last site each block's |amp|^2 is
     # written over the first half of its own rows, so probs is a view of t
-    # and no second table is ever made.
+    # and no second table is ever made. The table's rows are rounded up to
+    # whole blocks, so that campaigns of about the same size ask for one
+    # table size: the allocator then maps and returns each table whole,
+    # where a table a few rows shorter would be carved from the heap and
+    # stay resident after it is freed (+8 MB peak RSS on `phase` runs).
     distinct = np.unique(words @ 3 ** np.arange(n - 1, -1, -1)).size
-    t = np.empty((distinct, size), dtype=complex)
+    step = max(1, gates.BLOCK // size)
+    t = np.empty((-(-distinct // step) * step, size), dtype=complex)
     t[0] = rho
-    probs = t.view(np.float64)[:, :size]
-    step = max(1, (1 << 16) // size)
+    probs = t.view(np.float64)[:distinct, :size]
     key = np.zeros(count, dtype=np.int64)
     row = np.zeros(count, dtype=np.intp)  # row of t holding each shot's prefix
     used = 1
@@ -367,7 +300,7 @@ def _local_clifford_probs(rho: np.ndarray, words: np.ndarray):
         g[dest] = _CL2_GATES[words[first, site]]
         for start in range(0, used, step):
             rows = slice(start, min(start + step, used))
-            _rotate_site(t[rows], site, g[rows])
+            gates.rotate_site(t[rows], site, g[rows])
             if site == n - 1:
                 amp = np.abs(t[rows])
                 amp **= 2
@@ -380,29 +313,18 @@ def _local_clifford_probs(rho: np.ndarray, words: np.ndarray):
 def _local_clifford_density_probs(rho: np.ndarray, words: np.ndarray):
     """_local_clifford_probs for a density matrix.
 
-    rho runs as the 2n-site vector vec(rho) with its row and column bit of
-    each site side by side, g on the row bit and conj(g) on the column bit.
-    At most one (distinct prefixes x row length) array is live between
-    sites.
+    rho runs as the 2n-site vector of gates.vectorized, measured one site at
+    a time. At most one (distinct prefixes x row length) array is live
+    between sites.
     """
     count, n = words.shape
-    row_col = np.arange(2 * n).reshape(2, n).T.ravel()  # r0, c0, r1, c1, ...
-    t = np.asarray(rho, dtype=complex).reshape((2,) * 2 * n).transpose(row_col)
-    t = t.reshape(1, -1)
+    t = gates.vectorized(rho)
     key = np.zeros(count, dtype=np.int64)
     row = np.zeros(count, dtype=np.intp)  # row of t holding each shot's prefix
     for site in range(n):
         key = 3 * key + words[:, site]
         _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
-        t = t[row[first]]
-        g = _CL2_GATES[words[first, site]]
-        _rotate_site(t, site, g)
-        _rotate_site(t, site + 1, g.conj())
-        # Later gates never touch this site and only the diagonal of
-        # V rho V† is measured, so off-diagonal bits here can go: the
-        # row length halves at every site, from 4^n down to 2^n.
-        t = t.reshape(first.size, 1 << site, 2, 2, -1)[:, :, [0, 1], [0, 1]]
-        t = t.reshape(first.size, -1)
+        t = gates.measure_site(t[row[first]], site, _CL2_GATES[words[first, site]])
         row = inverse
     probs = np.clip(t.real, 0.0, None)
     del t
@@ -436,40 +358,30 @@ def run_campaign(rho: np.ndarray, ens: Ensemble, shots: int, rng,
     children = rng.spawn(len(sizes))
 
     if ens.is_discrete:
-        tables = _born_tables(rho if rho.ndim == 2 else qcore.pure_density(rho), ens)
-        weights = ens.weights
+        tables = _born_tables(rho, _member_gates(ens))
 
-        def work(args):
-            count, child = args
-            idx = child.choice(len(ens.members), size=count, p=weights)
-            b = qcore.sample_cdf(np.cumsum(tables, axis=1), child, idx)
-            return idx, b
+        def work(count, child):
+            idx = child.choice(len(ens.members), size=count, p=ens.weights)
+            return idx, qcore.sample_cdf(np.cumsum(tables, axis=1), child, idx)
 
-    elif ens.kind == KIND_GLOBAL_SU2:
+    elif ens.kind in (KIND_GLOBAL_SU2, KIND_LOCAL_CLIFFORD):
+        chunk = _su2_chunk if ens.kind == KIND_GLOBAL_SU2 else _local_clifford_chunk
 
-        def work(args):
-            count, child = args
-            return _su2_chunk(rho, n, count, child)
-
-    elif ens.kind == KIND_LOCAL_CLIFFORD:
-
-        def work(args):
-            count, child = args
-            return _local_clifford_chunk(rho, n, count, child)
+        def work(count, child):
+            return chunk(rho, n, count, child)
 
     else:
         raise ValueError(f"cannot run campaigns over {ens.kind}")
 
-    jobs = list(zip(sizes, children))
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(work, jobs))
+            results = list(pool.map(work, sizes, children))
     else:
-        results = [work(j) for j in jobs]
+        results = list(map(work, sizes, children))
+    columns = [np.concatenate(parts) for parts in zip(*results)]
 
     if ens.is_discrete:
-        idx = np.concatenate([r[0] for r in results])
-        b = np.concatenate([r[1] for r in results])
+        idx, b = columns
         thetas = phis = psis = None
         if ens.kind == KIND_DISCRETE_SUBSAMPLE:
             th = np.array([m.theta for m in ens.members])
@@ -479,14 +391,10 @@ def run_campaign(rho: np.ndarray, ens: Ensemble, shots: int, rng,
         return Records(ens.kind, n, campaign_id, b, member_idx=idx,
                        thetas=thetas, phis=phis, psis=psis)
     if ens.kind == KIND_GLOBAL_SU2:
-        thetas = np.concatenate([r[0] for r in results])
-        phis = np.concatenate([r[1] for r in results])
-        psis = np.concatenate([r[2] for r in results])
-        b = np.concatenate([r[3] for r in results])
+        thetas, phis, psis, b = columns
         return Records(ens.kind, n, campaign_id, b, thetas=thetas, phis=phis,
                        psis=psis)
-    bases = np.concatenate([r[0] for r in results])
-    b = np.concatenate([r[1] for r in results])
+    bases, b = columns
     return Records(ens.kind, n, campaign_id, b, bases=bases)
 
 
@@ -519,26 +427,14 @@ def estimate(records: Records, k: KernelTable, method: str = "mean",
 
 def var_max_bound(k: KernelTable) -> float:
     """State-independent variance bound sum_V p(V) max_b K(V,b)^2."""
-    if k.values is not None:
-        return float(np.dot(k.density, (k.values**2).max(axis=1)))
-    nodes, weights = su2_quadrature_angles(k.n)
-    vals = _su2_node_values(k.inv_op, nodes, k.n)
+    _, weights, vals = _terms(k)
     return float(np.dot(weights, (vals**2).max(axis=1)))
 
 
 def var_under_state(k: KernelTable, rho: np.ndarray) -> float:
     """Exact Var[K] under P_rho(V, b) = p(V) <b|V rho V†|b>."""
-    rho = rho if rho.ndim == 2 else qcore.pure_density(rho)
-    if k.values is not None:
-        tables = _born_tables(rho, k.ens)
-        mean = float(np.dot(k.density, (tables * k.values).sum(axis=1)))
-        second = float(np.dot(k.density, (tables * k.values**2).sum(axis=1)))
-        return second - mean**2
-    nodes, weights = su2_quadrature_angles(k.n)
-    vals = _su2_node_values(k.inv_op, nodes, k.n)
-    probs = np.stack([
-        qcore.born_probabilities(rho, _realize_node(node, k.n)) for node in nodes
-    ])
+    g, weights, vals = _terms(k)
+    probs = _born_tables(rho, g)
     mean = float(np.dot(weights, (probs * vals).sum(axis=1)))
     second = float(np.dot(weights, (probs * vals**2).sum(axis=1)))
     return second - mean**2
@@ -550,12 +446,7 @@ def kernel_q(k: KernelTable, variant: str = "theorem") -> float:
     ``theorem`` uses max|K| + the spectral norm of the represented operator;
     ``max_abs_k`` is the bare max|K| variant.
     """
-    if k.values is not None:
-        max_abs = float(np.abs(k.values).max())
-    else:
-        nodes, _ = su2_quadrature_angles(k.n)
-        vals = _su2_node_values(k.inv_op, nodes, k.n)
-        max_abs = float(np.abs(vals).max())
+    max_abs = float(np.abs(_terms(k)[2]).max())
     if variant == "max_abs_k":
         return max_abs
     if variant == "theorem":
@@ -602,7 +493,12 @@ def theorem1_shots(b: Budget) -> int:
             raise ValueError(f"bias {bias} consumes the whole error budget "
                              f"epsilon={b.epsilon}")
         worst = max(worst, (var + slack * q / 3.0) / slack**2)
-    return math.ceil(2.0 * math.log(b.m_observables / (2.0 * b.delta)) * worst)
+    return math.ceil(2.0 * confidence_log(b.m_observables, b.delta) * worst)
+
+
+def confidence_log(m_observables: int, delta: float) -> float:
+    """ln(M / 2 delta), the confidence factor of the shot-count formula."""
+    return math.log(m_observables / (2.0 * delta))
 
 
 # ---------------------------------------------------------------------------
@@ -611,12 +507,8 @@ def theorem1_shots(b: Budget) -> int:
 
 
 def _realize_node(node, n: int) -> np.ndarray:
-    theta, psi = node
-    u = ensembles.su2_matrix(theta, 0.0, psi)
-    out = np.array([[1.0 + 0.0j]])
-    for _ in range(n):
-        out = np.kron(out, u)
-    return out
+    return ensembles.realize(SampledUnitary(KIND_GLOBAL_SU2, n, theta=node[0],
+                                            psi=node[1]))
 
 
 def su2_quadrature_angles(n: int):
@@ -632,27 +524,31 @@ def su2_quadrature_angles(n: int):
     return nodes, weights
 
 
+def _node_gates(nodes) -> np.ndarray:
+    thetas, psis = np.asarray(nodes).T
+    return ensembles.su2_matrix(thetas, 0.0, psis)
+
+
 def _su2_node_values(inv_op: np.ndarray, nodes, n: int) -> np.ndarray:
-    dim = 1 << n
-    out = np.empty((len(nodes), dim))
-    for i, node in enumerate(nodes):
-        v = _realize_node(node, n)
-        out[i] = np.real(np.diag(v @ inv_op @ v.conj().T))
-    return out
+    """K(V, b) = <b|V inv_op V†|b> at each quadrature node (row) and outcome."""
+    return gates.diagonal(inv_op, _node_gates(nodes))
+
+
+def _terms(k: KernelTable):
+    """(gates, weights, K rows) of the sum over V: the members of a discrete
+    kernel, or the quadrature nodes of the continuous one."""
+    if k.values is not None:
+        return _member_gates(k.ens), k.density, k.values
+    nodes, weights = su2_quadrature_angles(k.n)
+    return _node_gates(nodes), weights, _su2_node_values(k.inv_op, nodes, k.n)
 
 
 def reconstruct(k: KernelTable) -> np.ndarray:
     """sum_V p(V) sum_b K(V,b) V†|b><b|V (quadrature for the continuous kind)."""
     dim = 1 << k.n
     out = np.zeros((dim, dim), dtype=complex)
-    if k.values is not None:
-        for j, u in enumerate(_member_unitaries(k.ens)):
-            out += k.density[j] * (u.conj().T * k.values[j]) @ u
-        return out
-    nodes, weights = su2_quadrature_angles(k.n)
-    vals = _su2_node_values(k.inv_op, nodes, k.n)
-    for w, node, row in zip(weights, nodes, vals):
-        v = _realize_node(node, k.n)
+    for gate, w, row in zip(*_terms(k)):
+        v = gates.rows(gate[None], k.n)[0]
         out += w * (v.conj().T * row) @ v
     return out
 

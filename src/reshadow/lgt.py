@@ -242,19 +242,6 @@ def _stats(k: KernelTable, q: np.ndarray | None):
     return var, float(np.abs(table).max())
 
 
-def _shared_density(k_link: KernelTable, k_tri: KernelTable) -> np.ndarray:
-    """q ∝ p · max over both term types and outcomes of |K| (multi-observable
-    optimum; the types live on different supports so the peak is taken on
-    each local table directly)."""
-    peak = np.maximum(np.abs(k_link.values).max(axis=1),
-                      np.abs(k_tri.values).max(axis=1))
-    w = k_link.density * peak
-    total = w.sum()
-    if total <= 0:
-        raise ValueError("kernels are identically zero")
-    return w / total
-
-
 def strategy_candidates(link_op: np.ndarray, tri_op: np.ndarray, ens: Ensemble,
                         lambdas=None) -> dict:
     """Best (var, Q, bias) candidate per strategy, shared across lattice sizes.
@@ -278,14 +265,14 @@ def strategy_candidates(link_op: np.ndarray, tri_op: np.ndarray, ens: Ensemble,
         return _Candidate(var_l, q_l, b_l, var_t, q_t, b_t, lam_l, lam_t)
 
     plain = candidate(links[0], tris[0], None)
-    adapt = candidate(links[0], tris[0], _shared_density(links[0][1], tris[0][1]))
+    adapt = candidate(links[0], tris[0], adaptive.q_multi([links[0][1], tris[0][1]]))
     return {
         "plain-CS": [plain],
         "bias-only": [candidate(le, te, None) for le in links for te in tris],
         "adapt-only": [plain, adapt],
         "bias+adapt": [candidate(le, te, density)
                        for le in links for te in tris
-                       for density in (None, _shared_density(le[1], te[1]))],
+                       for density in (None, adaptive.q_multi([le[1], te[1]]))],
     }
 
 
@@ -320,7 +307,7 @@ def energy_budget_comparison(lats, ens: Ensemble, epsilon: float = 0.1,
         m = lat.n_terms
         for strategy in STRATEGIES:
             worst, by_link, c = picks[strategy]
-            shots = math.ceil(2.0 * math.log(m / (2.0 * delta)) * worst)
+            shots = math.ceil(2.0 * estimator.confidence_log(m, delta) * worst)
             rows.append(BudgetRow(
                 strategy=strategy, n_qubits=lat.n_qubits, m_terms=m,
                 epsilon=epsilon, delta=delta, var_bound_link=c.var_link,

@@ -19,7 +19,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import artifacts, channels, ensembles, estimator, qcore, visible
+from . import artifacts, channels, ensembles, estimator, gates, qcore, visible
 from .errors import NumericalDegeneracyError
 
 
@@ -164,31 +164,21 @@ def two_qubit_cliffords() -> tuple:
     return members
 
 
-def _embed_two(gate: np.ndarray, a: int, b: int, n: int) -> np.ndarray:
-    """Dense n-qubit operator acting with `gate` on sites (a, b)."""
-    rest = [q for q in range(n) if q not in (a, b)]
-    order = [a, b] + rest
-    big = np.kron(gate, np.eye(1 << (n - 2), dtype=complex))
-    t = big.reshape([2] * (2 * n))
-    inv = np.argsort(order)
-    t = t.transpose(list(inv) + [n + k for k in inv])
-    return t.reshape(1 << n, 1 << n)
-
-
 def random_lowdepth_circuit(lat: EdgeLattice, depth: int,
-                            rng: np.random.Generator) -> np.ndarray:
-    """`depth` layers of random 2-qubit Cliffords on alternating matchings."""
+                            rng: np.random.Generator,
+                            state: np.ndarray) -> np.ndarray:
+    """`state` after `depth` layers of random 2-qubit Cliffords on
+    alternating matchings (gates act on the state; no circuit matrix)."""
     if depth < 0:
         raise ValueError("depth must be non-negative")
-    n = lat.n_qubits
-    qcore.check_qubit_count(n)
-    u = np.eye(1 << n, dtype=complex)
+    qcore.check_qubit_count(lat.n_qubits)
+    t = np.array(state, dtype=complex).reshape(1, -1)
     cliffords = two_qubit_cliffords()
     for layer in range(depth):
         for a, b in lat.matching(layer):
             gate = cliffords[int(rng.integers(len(cliffords)))]
-            u = _embed_two(gate, a, b, n) @ u
-    return u
+            gates.rotate_pair(t, a, b, gate)
+    return t[0]
 
 
 # ---------------------------------------------------------------------------
@@ -378,8 +368,7 @@ def run_phase_classification(L: int = 2, depth: int = 0,
         state_rng = rng.spawn(1)[0]
         psi = bases[label]
         if depth > 0:
-            circuit = random_lowdepth_circuit(lat, depth, state_rng)
-            psi = circuit @ psi
+            psi = random_lowdepth_circuit(lat, depth, state_rng, psi)
         rdms = patch_rdms(lat, psi, n_rp, state_rng, threads=threads)
         feats = np.stack([patch_features(r, n_su2, state_rng, threads=threads)
                           for r in rdms])

@@ -122,6 +122,19 @@ def test_q_multi_shared_density(setup, rng):
         assert worst_shared <= 2.0 * worst_other + 1e-10
 
 
+def test_q_multi_across_supports_matches_shared_peak():
+    # link (n = 2) and triangle (n = 3) kernels over the same members
+    link, tri = lgt.link_local(1.0, 1.0), lgt.triangle_local(1.0)
+    ens = ensembles.subsample_su2(25, np.random.default_rng(1), targets=(link, tri),
+                                  n=3)
+    k_link = estimator.kernel_least_squares(link, ens.with_n(2))
+    k_tri = estimator.kernel_least_squares(tri, ens.with_n(3))
+    peak = np.maximum(np.abs(k_link.values).max(axis=1),
+                      np.abs(k_tri.values).max(axis=1))
+    want = k_link.density * peak / (k_link.density * peak).sum()
+    assert np.array_equal(adaptive.q_multi([k_link, k_tri]), want)
+
+
 def test_q_multi_rejects_mismatched_ensembles(setup):
     link, ens, k = setup
     other_ens = ensembles.subsample_su2(6, np.random.default_rng(5), n=2)

@@ -149,8 +149,7 @@ def test_local_solve_matches_full_kernel(embedded):
     k_full = estimator.kernel_least_squares(big, ens5)
     k_loc = biasvar.local_to_kernel(lp, ens5)
     np.testing.assert_allclose(k_loc.values, k_full.values, atol=1e-10)
-    np.testing.assert_allclose(biasvar.reconstruct_local(lp, ens5), big,
-                               atol=1e-10)
+    np.testing.assert_allclose(estimator.reconstruct(k_loc), big, atol=1e-10)
 
 
 def test_full_kernel_depends_only_on_support_bits(embedded):
@@ -168,8 +167,8 @@ def test_local_solve_identity_operator(ens):
     lp = biasvar.local_solve(ident, ens)
     assert lp.support == ()
     np.testing.assert_allclose(lp.values, 0.7)
-    np.testing.assert_allclose(biasvar.reconstruct_local(lp, ens), ident,
-                               atol=1e-12)
+    np.testing.assert_allclose(
+        estimator.reconstruct(biasvar.local_to_kernel(lp, ens)), ident, atol=1e-12)
 
 
 def test_local_solve_support_cap(monkeypatch, link, ens):

@@ -114,6 +114,16 @@ def test_unrepresentable_subsample_exits_3(tmp_path):
     ("phase-classify", "states_per_phase = 0\n"),
     ("bias-scan", "delta = 0.9\n"),
     ("bias-scan", "m_observables = 0\n"),
+    ("lgt-energy", "delta = 5\n"),
+    ("estimate", "epsilon = 7\n"),
+    ("estimate", "delta = -1\n"),
+    ("lgt-energy", "members = 0\n"),
+    ("phase-classify", "L = 0\n"),
+    ("phase-classify", "depth = -1\n"),
+    ("bias-scan", "shots = 0\n"),
+    ("lgt-energy", "s_max = 1\n"),
+    ("channel-check", "mc_samples = 0\n"),
+    ("basis-audit", "draws = 0\n"),
 ])
 def test_out_of_range_values_exit_2(tmp_path, sub, text):
     cfg = write_config(tmp_path, text)

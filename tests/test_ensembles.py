@@ -6,6 +6,8 @@ from hypothesis import strategies as st
 from reshadow import ensembles, lgt, qcore
 from reshadow.errors import RepresentabilityError
 
+from test_records_csv import from_params_text, params_text
+
 angles = st.floats(min_value=-10.0, max_value=10.0,
                    allow_nan=False, allow_infinity=False)
 
@@ -64,8 +66,7 @@ def test_local_clifford_word_realization():
 def test_params_text_roundtrip(rng):
     ens = ensembles.subsample_su2(4, rng)
     for m in ens.members:
-        back = ensembles.SampledUnitary.from_params_text(m.kind, m.n,
-                                                         m.params_text())
+        back = from_params_text(m.kind, m.n, params_text(m))
         assert back == m
 
 

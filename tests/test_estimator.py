@@ -1,5 +1,7 @@
 """Kernel solvers, campaigns, budgets, and the record CSV round trip."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,6 +10,7 @@ from reshadow import channels, ensembles, estimator, lgt, qcore, visible
 from reshadow.errors import RepresentabilityError
 
 from conftest import random_hermitian
+from test_records_csv import member
 
 
 def random_density(n, rng):
@@ -254,8 +257,9 @@ def test_su2_campaign_agrees_with_kernel_evaluate():
         qcore.basis_state(2, 0), ens, 50, np.random.default_rng(5))
     vals = k.evaluate_records(records)
     for i in (0, 17, 49):
-        assert vals[i] == pytest.approx(k.evaluate(records.unitary(i),
-                                                   int(records.b[i])), abs=1e-12)
+        u = ensembles.realize(member(records, i))  # dense per-shot reference
+        want = np.real(u @ k.inv_op @ u.conj().T)[records.b[i], records.b[i]]
+        assert vals[i] == pytest.approx(want, abs=1e-12)
 
 
 def reference_local_clifford_chunk(rho, n, count, rng):
@@ -353,6 +357,21 @@ def test_local_clifford_pure_density_matches_vector():
     assert np.array_equal(vec.b, rho.b)
 
 
+@pytest.mark.parametrize("n", [6, 7])
+def test_su2_density_campaign_memory_is_bounded(n):
+    # the product unitaries of a chunk are never formed: at n = 6 they alone
+    # would take 4096 * 64 * 64 * 16 bytes = 268 MB
+    rho = random_density(n, np.random.default_rng(n))
+    tracemalloc.start()
+    try:
+        estimator.run_campaign(rho, ensembles.global_su2(n), 4096,
+                               np.random.default_rng(0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
+
+
 def test_local_clifford_campaign_keeps_numeric_words():
     ens = ensembles.local_clifford(3)
     records = estimator.run_campaign(qcore.basis_state(3, 0), ens, 10,
@@ -360,7 +379,7 @@ def test_local_clifford_campaign_keeps_numeric_words():
     assert records.bases.shape == (10, 3) and records.bases.dtype == np.int8
     assert records.words == ["".join(ensembles.CL2_BASES[j] for j in row)
                              for row in records.bases]
-    assert records.unitary(4).word == records.words[4]
+    assert member(records, 4).word == records.words[4]
 
 
 # ---------------------------------------------------------------------------

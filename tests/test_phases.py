@@ -8,6 +8,8 @@ import pytest
 from reshadow import channels, ensembles, estimator, phases, qcore, visible
 from reshadow.errors import NumericalDegeneracyError
 
+from test_gates import embed_two
+
 
 @pytest.fixture(scope="module")
 def lat():
@@ -113,25 +115,41 @@ def test_two_qubit_clifford_group_size():
         np.testing.assert_allclose(u @ u.conj().T, np.eye(4), atol=1e-9)
 
 
-def test_embed_two_places_factors():
-    h = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
-    s = np.diag([1.0, 1j])
-    gate = np.kron(h, s)  # h on slot a, s on slot b
-    full = phases._embed_two(gate, 1, 0, 2)
-    np.testing.assert_allclose(full, np.kron(s, h), atol=1e-12)
+def dense_lowdepth_state(lat, depth, rng, psi):
+    """The same RNG draws as random_lowdepth_circuit, as one dense circuit matrix."""
+    n = lat.n_qubits
+    cliffords = phases.two_qubit_cliffords()
+    u = np.eye(1 << n, dtype=complex)
+    for layer in range(depth):
+        for a, b in lat.matching(layer):
+            gate = cliffords[int(rng.integers(len(cliffords)))]
+            u = embed_two(gate, a, b, n) @ u
+    return u @ psi
 
 
-def test_lowdepth_circuit_depth_zero_is_identity(lat):
-    u = phases.random_lowdepth_circuit(lat, 0, np.random.default_rng(0))
-    np.testing.assert_allclose(u, np.eye(1 << lat.n_qubits), atol=1e-12)
+def test_lowdepth_circuit_depth_zero_is_identity(lat, toric):
+    out = phases.random_lowdepth_circuit(lat, 0, np.random.default_rng(0), toric)
+    assert np.array_equal(out, toric)
 
 
-def test_lowdepth_circuit_unitary_and_deterministic(lat):
-    u1 = phases.random_lowdepth_circuit(lat, 2, np.random.default_rng(5))
-    u2 = phases.random_lowdepth_circuit(lat, 2, np.random.default_rng(5))
+@pytest.mark.parametrize("depth", [1, 3])  # depth 2: the test below
+def test_lowdepth_circuit_matches_dense_product(lat, toric, depth):
+    out = phases.random_lowdepth_circuit(lat, depth, np.random.default_rng(depth),
+                                         toric)
+    want = dense_lowdepth_state(lat, depth, np.random.default_rng(depth), toric)
+    np.testing.assert_allclose(out, want, rtol=0, atol=1e-14)
+
+
+def test_lowdepth_circuit_unitary_and_deterministic(lat, toric):
+    rng = np.random.default_rng(5)
+    psi = rng.normal(size=toric.size) + 1j * rng.normal(size=toric.size)
+    psi /= np.linalg.norm(psi)
+    u1 = phases.random_lowdepth_circuit(lat, 2, np.random.default_rng(5), psi)
+    u2 = phases.random_lowdepth_circuit(lat, 2, np.random.default_rng(5), psi)
     assert np.array_equal(u1, u2)
-    dim = 1 << lat.n_qubits
-    np.testing.assert_allclose(u1 @ u1.conj().T, np.eye(dim), atol=1e-9)
+    assert np.linalg.norm(u1) == pytest.approx(1.0, abs=1e-12)
+    want = dense_lowdepth_state(lat, 2, np.random.default_rng(5), psi)
+    np.testing.assert_allclose(u1, want, rtol=0, atol=1e-14)
 
 
 # ---------------------------------------------------------------------------
@@ -207,7 +225,7 @@ def test_patch_features_match_per_feature_einsum(lat, toric):
     records = estimator.run_campaign(phases.psd_project(rdm),
                                      ensembles.global_su2(3), 300,
                                      np.random.default_rng(5))
-    u = estimator._su2_rotations(records.thetas, records.psis)
+    u = ensembles.su2_matrix(records.thetas, 0.0, records.psis)
     bits = estimator._site_bits(records.b, 3)
     idx = np.arange(len(records))
     phi = np.ones((len(records), 1), dtype=complex)

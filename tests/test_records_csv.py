@@ -22,6 +22,47 @@ from reshadow.ensembles import (
 # ---------------------------------------------------------------------------
 
 
+def member(records, i):
+    """The SampledUnitary of shot i."""
+    kind, n = records.kind, records.n
+    if kind == KIND_LOCAL_CLIFFORD:
+        return SampledUnitary(kind, n, word="".join(ensembles.CL2_BASES[j]
+                                                    for j in records.bases[i]))
+    if kind == KIND_GLOBAL_CL2:
+        return SampledUnitary(kind, n,
+                              basis=ensembles.CL2_BASES[int(records.member_idx[i])],
+                              index=int(records.member_idx[i]))
+    index = int(records.member_idx[i]) if kind == KIND_DISCRETE_SUBSAMPLE else -1
+    return SampledUnitary(kind, n, theta=float(records.thetas[i]),
+                          phi=float(records.phis[i]), psi=float(records.psis[i]),
+                          index=index)
+
+
+def params_text(v):
+    """Semicolon-joined parameter text of one member (round-trips exactly)."""
+    if v.kind in (KIND_GLOBAL_SU2, KIND_DISCRETE_SUBSAMPLE):
+        angles = ";".join(repr(float(a)) for a in (v.theta, v.phi, v.psi))
+        if v.kind == KIND_DISCRETE_SUBSAMPLE:
+            return f"{v.index};{angles}"
+        return angles
+    if v.kind == KIND_GLOBAL_CL2:
+        return v.basis
+    return v.word
+
+
+def from_params_text(kind, n, text):
+    if kind == KIND_GLOBAL_SU2:
+        theta, phi, psi = (float(t) for t in text.split(";"))
+        return SampledUnitary(kind, n, theta=theta, phi=phi, psi=psi)
+    if kind == KIND_DISCRETE_SUBSAMPLE:
+        idx, theta, phi, psi = text.split(";")
+        return SampledUnitary(kind, n, theta=float(theta), phi=float(phi),
+                              psi=float(psi), index=int(idx))
+    if kind == KIND_GLOBAL_CL2:
+        return SampledUnitary(kind, n, basis=text)
+    return SampledUnitary(kind, n, word=text)
+
+
 def reference_records_to_csv(records, metadata=None):
     buf = io.StringIO()
     for key, value in (metadata or {}).items():
@@ -32,7 +73,7 @@ def reference_records_to_csv(records, metadata=None):
     if records.kind == KIND_LOCAL_CLIFFORD:
         params = records.words
     else:
-        params = [records.unitary(i).params_text() for i in range(len(records))]
+        params = [params_text(member(records, i)) for i in range(len(records))]
     for i, text in enumerate(params):
         writer.writerow([records.campaign_id, i, records.kind, text,
                          format(int(records.b[i]), f"0{records.n}b")])
@@ -60,7 +101,7 @@ def reference_records_from_csv(text):
         bases = np.array([[ensembles.CL2_BASES.index(ch) for ch in word]
                           for word in params], dtype=np.int8)
         return estimator.Records(kind, n, campaign_id, b, bases=bases), metadata
-    units = [SampledUnitary.from_params_text(kind, n, text) for text in params]
+    units = [from_params_text(kind, n, text) for text in params]
     if kind == KIND_GLOBAL_CL2:
         member_idx = np.array([ensembles.CL2_BASES.index(u.basis) for u in units])
         return estimator.Records(kind, n, campaign_id, b,
