@@ -58,22 +58,25 @@ def _float_list(text: str) -> tuple:
     return tuple(float(tok) for tok in text.split(",") if tok.strip())
 
 
-def _int_list(text: str) -> tuple:
-    if not text:
-        return ()
-    return tuple(int(tok) for tok in text.split(",") if tok.strip())
-
-
-def _at_least(low: int):
-    """Config caster for an integer of at least `low`."""
+def _at_least(low: int, high: int | None = None):
+    """Config caster for an integer of at least `low` (and at most `high`)."""
 
     def cast(text: str) -> int:
         value = int(text)
         if value < low:
             raise ValueError(f"must be at least {low}")
+        if high is not None and value > high:
+            raise ValueError(f"must be at most {high}")
         return value
 
     return cast
+
+
+def _triangle_counts(text: str) -> tuple:
+    counts = tuple(int(tok) for tok in text.split(",") if tok.strip())
+    if not counts or any(t < 2 or t % 2 for t in counts):
+        raise ValueError("needs one or more even triangle counts, each >= 2")
+    return counts
 
 
 def _probability(text: str) -> float:
@@ -422,11 +425,15 @@ def cmd_phase_classify(cfg, seed, out_dir, threads) -> int:
 
 SCHEMAS = {
     "channel-check": {
-        "n": (int, 2),
+        # the Monte-Carlo check holds CHANNEL_CHUNK x 4^n complex entries
+        # per array: about 280 MB of peak RSS at n = 4, 4x more per qubit
+        "n": (_at_least(1, 4), 2),
         "mc_samples": (_at_least(1), 200_000),
     },
     "basis-audit": {
-        "n": (int, 2),
+        # dense Gram matrix of all 2^n (n^2 + 7n + 8) / 8 basis elements:
+        # 45 s and about 300 MB of peak RSS at n = 6
+        "n": (_at_least(1, 6), 2),
         "draws": (_at_least(1), 200),
     },
     "estimate": {
@@ -463,7 +470,7 @@ SCHEMAS = {
         "q_variant": (str, "theorem"),
     },
     "lgt-energy": {
-        "triangles": (_int_list, (2,)),
+        "triangles": (_triangle_counts, (2,)),
         "s_max": (_at_least(2), 2),
         "ensemble": (_ensemble_choice("lgt-energy", "global_cl2", "subsample_su2"),
                      "subsample_su2"),

@@ -252,91 +252,59 @@ def _su2_chunk(rho, n, count, rng):
 _CL2_GATES = np.stack([ensembles.basis_rotation(ch) for ch in ensembles.CL2_BASES])
 
 
-def _local_clifford_probs(rho: np.ndarray, words: np.ndarray):
-    """Normalized outcome distributions of rho for the distinct rows of `words`.
+def _collapse(rho: np.ndarray, words: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Outcome of each shot: rho measured in its basis word, one site at a time.
 
-    Returns (probs, row): one row of probs per distinct word, and for each
-    shot the row of probs that holds its word. Shots whose words share a
-    prefix share the rotated state up to that site: at site s only the
-    distinct base-3 prefixes words[:, :s+1] are rotated, each from its
-    parent prefix, in the same site order and with the same 2x2 products as
-    a per-shot loop.
-    """
-    if rho.ndim == 2:
-        return _local_clifford_density_probs(rho, words)
-    count, n = words.shape
-    size = rho.size
-    # One row per distinct prefix, in a table sized for the distinct words.
-    # At each site a prefix's first child takes over its row and the other
-    # children are copied from it into fresh rows; then all rows rotate in
-    # place, a block at a time. At the last site each block's |amp|^2 is
-    # written over the first half of its own rows, so probs is a view of t
-    # and no second table is ever made. The table's rows are rounded up to
-    # whole blocks, so that campaigns of about the same size ask for one
-    # table size: the allocator then maps and returns each table whole,
-    # where a table a few rows shorter would be carved from the heap and
-    # stay resident after it is freed (+8 MB peak RSS on `phase` runs).
-    distinct = np.unique(words @ 3 ** np.arange(n - 1, -1, -1)).size
-    step = max(1, gates.BLOCK // size)
-    t = np.empty((-(-distinct // step) * step, size), dtype=complex)
-    t[0] = rho
-    probs = t.view(np.float64)[:distinct, :size]
-    key = np.zeros(count, dtype=np.int64)
-    row = np.zeros(count, dtype=np.intp)  # row of t holding each shot's prefix
-    used = 1
-    for site in range(n):
-        key = 3 * key + words[:, site]
-        _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
-        dest = row[first]  # row of t for each distinct prefix
-        younger = np.ones(first.size, dtype=bool)
-        younger[np.unique(dest, return_index=True)[1]] = False
-        src = dest[younger]
-        for start in range(0, src.size, step):  # copy in blocks: no big temporary
-            parents = src[start : start + step]
-            t[used + start : used + start + parents.size] = t[parents]
-        dest[younger] = np.arange(used, used + src.size)
-        used += src.size
-        g = np.empty((used, 2, 2), dtype=complex)
-        g[dest] = _CL2_GATES[words[first, site]]
-        for start in range(0, used, step):
-            rows = slice(start, min(start + step, used))
-            gates.rotate_site(t[rows], site, g[rows])
-            if site == n - 1:
-                amp = np.abs(t[rows])
-                amp **= 2
-                probs[rows] = amp
-        row = dest[inverse]
-    probs /= probs.sum(axis=1, keepdims=True)
-    return probs, row
-
-
-def _local_clifford_density_probs(rho: np.ndarray, words: np.ndarray):
-    """_local_clifford_probs for a density matrix.
-
-    rho runs as the 2n-site vector of gates.vectorized, measured one site at
-    a time. At most one (distinct prefixes x row length) array is live
-    between sites.
+    At each site the shots' distinct (basis prefix, outcome prefix) rows are
+    rotated once and split into their outcome-0 and outcome-1 halves, weighted
+    by squared norm (a density matrix, run as the 2n-site row of
+    gates.vectorized, keeps its (b, b) blocks, weighted by trace). A shot goes
+    to half 1 when offset + p0 < u * total, which bisects the inverse-CDF
+    search of sample_bits bit by bit, and never enters a half of weight 0.
+    Only the chosen halves go on, so rows halve at every site.
     """
     count, n = words.shape
-    t = gates.vectorized(rho)
-    key = np.zeros(count, dtype=np.int64)
-    row = np.zeros(count, dtype=np.intp)  # row of t holding each shot's prefix
+    density = rho.ndim == 2
+    if density:
+        t = gates.vectorized(rho)
+        # the diagonal of a vectorized m-site remainder sits at the first 2^m
+        # entries of trace: each site's (row, column) bit pair is 00 or 11
+        trace = np.zeros(1, dtype=np.intp)
+        for _ in range(n - 1):
+            trace = (4 * trace[:, None] + [0, 3]).ravel()
+    else:
+        t = np.asarray(rho, complex).reshape(1, -1)
+    row = np.zeros(count, dtype=np.intp)  # row of t holding each shot's branch
+    offset = np.zeros(count)
+    b = np.zeros(count, dtype=np.intp)
     for site in range(n):
-        key = 3 * key + words[:, site]
-        _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
-        t = gates.measure_site(t[row[first]], site, _CL2_GATES[words[first, site]])
-        row = inverse
-    probs = np.clip(t.real, 0.0, None)
-    del t
-    probs /= probs.sum(axis=1, keepdims=True)
-    return probs, row
+        _, first, parent = np.unique(3 * row + words[:, site], return_index=True,
+                                     return_inverse=True)
+        t = t[row[first]]
+        g = _CL2_GATES[words[first, site]]
+        gates.rotate_site(t, 0, g)
+        if density:
+            gates.rotate_site(t, 1, g.conj())
+            halves = t.reshape(len(t), 4, -1)[:, ::3]
+            w = halves[..., trace[: 1 << (n - site - 1)]].real.sum(axis=-1)
+        else:
+            halves = t.reshape(len(t), 2, -1)
+            w = np.square(halves.view(np.float64)).sum(axis=-1)
+        np.clip(w, 0.0, None, out=w)
+        p0, p1 = w[parent].T
+        if site == 0:
+            target = u * (p0 + p1)
+        one = (p0 <= 0.0) | ((offset + p0 < target) & (p1 > 0.0))
+        offset += np.where(one, p0, 0.0)
+        b = 2 * b + one
+        child, row = np.unique(2 * parent + one, return_inverse=True)
+        t = halves[child >> 1, child & 1]
+    return b
 
 
 def _local_clifford_chunk(rho, n, count, rng):
     words = rng.integers(0, 3, size=(count, n))
-    cdf, row = _local_clifford_probs(rho, words)
-    np.cumsum(cdf, axis=1, out=cdf)
-    return words.astype(np.int8), qcore.sample_cdf(cdf, rng, row)
+    return words.astype(np.int8), _collapse(rho, words, rng.random(count))
 
 
 def run_campaign(rho: np.ndarray, ens: Ensemble, shots: int, rng,

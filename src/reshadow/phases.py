@@ -128,39 +128,43 @@ def toric_ground(L: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _canonical_phase(u: np.ndarray) -> np.ndarray:
-    flat = u.ravel()
-    idx = int(np.argmax(np.abs(flat) > 1e-8))
-    return u * (np.conj(flat[idx]) / abs(flat[idx]))
-
-
-def _matrix_key(u: np.ndarray) -> bytes:
+def _matrix_keys(u: np.ndarray) -> list:
+    """Bytes of each 4x4 matrix of the stack u, rounded to 9 decimals."""
     # adding 0.0 collapses -0.0 to +0.0 so rounded duplicates share bytes
-    return (np.round(u, 9) + 0.0).tobytes()
+    return [key.tobytes() for key in np.round(u, 9) + 0.0]
 
 
 @lru_cache(maxsize=1)
-def two_qubit_cliffords() -> tuple:
-    """All 11520 two-qubit Cliffords (mod phase) by closure over generators."""
+def two_qubit_cliffords() -> np.ndarray:
+    """All 11520 two-qubit Cliffords (mod phase) by closure over generators.
+
+    Breadth first from the identity: each level is every generator times
+    every new element of the level before, phase-fixed (first entry of
+    modulus > 1e-8 made real positive) and kept on first occurrence in
+    (element, generator) order. Returns a read-only (11520, 4, 4) array.
+    """
     h, s, eye2 = qcore.HADAMARD, qcore.S_GATE, np.eye(2)
     cz = np.diag([1.0, 1.0, 1.0, -1.0]).astype(complex)
-    gens = [np.kron(h, eye2), np.kron(eye2, h), np.kron(s, eye2),
-            np.kron(eye2, s), cz]
-    start = _canonical_phase(np.eye(4, dtype=complex))
-    seen = {_matrix_key(start): start}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for g in gens:
-                cand = _canonical_phase(g @ u)
-                key = _matrix_key(cand)
-                if key not in seen:
-                    seen[key] = cand
-                    nxt.append(cand)
-        frontier = nxt
-    members = tuple(seen.values())
+    gens = np.stack([np.kron(h, eye2), np.kron(eye2, h), np.kron(s, eye2),
+                     np.kron(eye2, s), cz])
+    frontier = np.eye(4, dtype=complex)[None]
+    seen = set(_matrix_keys(frontier))
+    levels = [frontier]
+    while len(frontier):
+        cand = np.matmul(gens[None], frontier[:, None]).reshape(-1, 4, 4)
+        flat = cand.reshape(len(cand), 16)
+        lead = flat[np.arange(len(flat)), np.argmax(np.abs(flat) > 1e-8, axis=1)]
+        cand *= np.array([np.conj(x) / abs(x) for x in lead])[:, None, None]
+        fresh = []
+        for i, key in enumerate(_matrix_keys(cand)):
+            if key not in seen:
+                seen.add(key)
+                fresh.append(i)
+        frontier = cand[fresh]
+        levels.append(frontier)
+    members = np.concatenate(levels)
     assert len(members) == 11520
+    members.flags.writeable = False
     return members
 
 
@@ -197,22 +201,35 @@ def _snapshot_factors() -> np.ndarray:
     return snap
 
 
+@lru_cache(maxsize=1)
+def _patch_snapshots() -> np.ndarray:
+    """(216, 64) read-only table: row 36 c_a + 6 c_b + c_c is the flattened
+    snap_a ⊗ snap_b ⊗ snap_c of one shot, where c = 2 basis + bit per site."""
+    snap = _snapshot_factors().reshape(6, 2, 2)
+    table = np.einsum("iab,jcd,kef->ijkacebdf", snap, snap, snap).reshape(216, 64)
+    table.flags.writeable = False
+    return table
+
+
 def patch_rdms(lat: EdgeLattice, state: np.ndarray, n_rp: int,
                rng, threads: int = 1) -> list:
     """3-qubit RDM estimates for every patch from one random-Pauli campaign.
 
+    Each shot's snapshot of a patch takes one of 6^3 values, so a patch's
+    estimate is its histogram of those values times their table.
     Returned matrices are Hermitized and trace-normalized but NOT projected
     to the PSD cone — project before using them as sampling states.
     """
     n = lat.n_qubits
     ens = ensembles.local_clifford(n)
     records = estimator.run_campaign(state, ens, n_rp, rng, threads=threads)
-    bits = estimator._site_bits(records.b, n)
-    snap = _snapshot_factors()
+    code = 2 * records.bases + estimator._site_bits(records.b, n)
+    patches = np.array(lat.patches())
+    combo = code[:, patches] @ np.array([36, 6, 1]) + 216 * np.arange(len(patches))
+    counts = np.bincount(combo.ravel(), minlength=216 * len(patches))
+    rhos = (counts.reshape(-1, 216) @ _patch_snapshots()).reshape(-1, 8, 8)
     out = []
-    for sites in lat.patches():
-        factors = [snap[records.bases[:, q], bits[:, q]] for q in sites]
-        rho = np.einsum("nab,ncd,nef->acebdf", *factors).reshape(8, 8)
+    for rho in rhos:
         rho /= len(records)
         rho = 0.5 * (rho + rho.conj().T)
         rho /= np.trace(rho).real

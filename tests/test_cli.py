@@ -124,6 +124,16 @@ def test_unrepresentable_subsample_exits_3(tmp_path):
     ("lgt-energy", "s_max = 1\n"),
     ("channel-check", "mc_samples = 0\n"),
     ("basis-audit", "draws = 0\n"),
+    ("lgt-energy", "triangles = 3\n"),
+    ("lgt-energy", "triangles = 0\n"),
+    ("lgt-energy", "triangles = 2, 5\n"),
+    ("lgt-energy", "triangles =\n"),
+    ("basis-audit", "n = 0\n"),
+    ("basis-audit", "n = 7\n"),
+    ("basis-audit", "n = 15\n"),
+    ("channel-check", "n = 0\n"),
+    ("channel-check", "n = 5\n"),
+    ("channel-check", "n = 7\n"),
 ])
 def test_out_of_range_values_exit_2(tmp_path, sub, text):
     cfg = write_config(tmp_path, text)

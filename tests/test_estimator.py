@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from reshadow import channels, ensembles, estimator, lgt, qcore, visible
+from reshadow import channels, ensembles, estimator, gates, lgt, qcore, visible
 from reshadow.errors import RepresentabilityError
 
 from conftest import random_hermitian
@@ -262,14 +262,30 @@ def test_su2_campaign_agrees_with_kernel_evaluate():
         assert vals[i] == pytest.approx(want, abs=1e-12)
 
 
+CL2_GATES = np.stack([ensembles.basis_rotation(ch) for ch in ensembles.CL2_BASES])
+
+
+def table_sampler_probs(rho, words):
+    """Outcome distributions of the distinct words, the table that campaigns
+    sampled from before sequential collapse: (probs, row of probs per shot)."""
+    n = words.shape[1]
+    distinct, row = np.unique(words, axis=0, return_inverse=True)
+    g = CL2_GATES[distinct]
+    if rho.ndim == 1:
+        probs = np.abs(gates.rows(g, n, rho)) ** 2
+    else:
+        probs = np.clip(gates.diagonal(rho, g), 0.0, None)
+    probs /= probs.sum(axis=1, keepdims=True)
+    return probs, row.ravel()
+
+
 def reference_local_clifford_chunk(rho, n, count, rng):
-    """The per-shot algorithm the prefix-shared kernel replaced."""
+    """The per-shot algorithm: every shot rotates its own copy of the state."""
     words = rng.integers(0, 3, size=(count, n))
-    gates = np.stack([ensembles.basis_rotation(ch) for ch in ensembles.CL2_BASES])
     if rho.ndim == 1:
         t = np.broadcast_to(rho.reshape((1,) + (2,) * n), (count,) + (2,) * n).copy()
         for site in range(n):
-            u = gates[words[:, site]]
+            u = CL2_GATES[words[:, site]]
             moved = np.moveaxis(t, 1 + site, -1)
             rotated = np.einsum("n...b,nab->n...a", moved, u)
             t = np.moveaxis(rotated, -1, 1 + site)
@@ -277,7 +293,7 @@ def reference_local_clifford_chunk(rho, n, count, rng):
     else:
         probs = np.empty((count, rho.shape[0]))
         for i in range(count):
-            u = qcore.kron_all(gates[w] for w in words[i])
+            u = qcore.kron_all(CL2_GATES[w] for w in words[i])
             probs[i] = np.real(np.diag(u @ rho @ u.conj().T))
         probs = np.clip(probs, 0.0, None)
     probs /= probs.sum(axis=1, keepdims=True)
@@ -307,7 +323,7 @@ def test_local_clifford_chunk_matches_per_shot_reference(n, density, count):
 
 @pytest.mark.parametrize("n", [8, 10])
 def test_local_clifford_blocked_last_site_matches_per_shot_reference(n):
-    # enough distinct words that the last site rotates in several row blocks
+    # long rows: most shots have a branch of their own by the last sites
     psi = random_state(n, np.random.default_rng(n))
     want_words, want_b = reference_local_clifford_chunk(
         psi, n, 700, np.random.default_rng(5))
@@ -320,13 +336,13 @@ def test_local_clifford_blocked_last_site_matches_per_shot_reference(n):
 @given(n=st.integers(1, 10), count=st.integers(1, 600), density=st.booleans(),
        seed=st.integers(0, 2**32 - 1))
 def test_local_clifford_chunk_samples_like_gathered_table(n, count, density, seed):
-    """The distinct-word CDF draws what sample_bits draws on the per-shot table."""
+    """Sequential collapse draws what sample_bits draws on the per-shot table."""
     n = min(n, 5) if density else n
     rng = np.random.default_rng(seed)
     state = random_density(n, rng) if density else random_state(n, rng)
     draw = np.random.default_rng(seed + 1)
     words = draw.integers(0, 3, size=(count, n))
-    probs, row = estimator._local_clifford_probs(state, words)
+    probs, row = table_sampler_probs(state, words)
     want_b = qcore.sample_bits(probs[row], draw)
     got_words, got_b = estimator._local_clifford_chunk(
         state, n, count, np.random.default_rng(seed + 1))
@@ -338,11 +354,10 @@ def test_local_clifford_probs_match_dense_rotation():
     n, count = 5, 400
     psi = random_state(n, np.random.default_rng(8))
     words = np.random.default_rng(9).integers(0, 3, size=(count, n))
-    gates = np.stack([ensembles.basis_rotation(ch) for ch in ensembles.CL2_BASES])
     want = np.stack([
-        np.abs(qcore.kron_all(gates[w] for w in row) @ psi) ** 2 for row in words])
+        np.abs(qcore.kron_all(CL2_GATES[w] for w in row) @ psi) ** 2 for row in words])
     want /= want.sum(axis=1, keepdims=True)
-    probs, row = estimator._local_clifford_probs(psi, words)
+    probs, row = table_sampler_probs(psi, words)
     np.testing.assert_allclose(probs[row], want, rtol=0, atol=1e-14)
 
 
@@ -355,6 +370,35 @@ def test_local_clifford_pure_density_matches_vector():
                                  np.random.default_rng(2))
     assert np.array_equal(vec.bases, rho.bases)
     assert np.array_equal(vec.b, rho.b)
+
+
+@pytest.mark.parametrize("density", [False, True])
+@pytest.mark.parametrize("n", [1, 4])
+def test_local_clifford_collapse_never_draws_zero_weight_outcome(n, density):
+    # all-Z words: |0...0> has one outcome, GHZ two; the uniforms include the
+    # ends of [0, 1) and the GHZ split point
+    u = np.concatenate([[0.0, 0.5, 0.5 - 2**-53, 1.0 - 2**-53],
+                        np.random.default_rng(n).random(500)])
+    words = np.full((u.size, n), ensembles.CL2_BASES.index("Z"))
+    ghz = np.zeros(1 << n)
+    ghz[[0, -1]] = np.sqrt(0.5)
+    for psi, allowed in ((qcore.basis_state(n, 0), {0}), (ghz, {0, (1 << n) - 1})):
+        state = qcore.pure_density(psi) if density else psi
+        b = estimator._collapse(state, words, u)
+        assert set(b.tolist()) <= allowed
+
+
+def test_local_clifford_campaign_memory_is_bounded():
+    # rows halve at every site: no (distinct words x 2^n) table is formed
+    psi = random_state(10, np.random.default_rng(10))
+    tracemalloc.start()
+    try:
+        estimator.run_campaign(psi, ensembles.local_clifford(10), 2000,
+                               np.random.default_rng(0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * 2**20
 
 
 @pytest.mark.parametrize("n", [6, 7])

@@ -103,16 +103,55 @@ def test_product_state_breaks_star_symmetry(lat, toric):
 # ---------------------------------------------------------------------------
 
 
+def _canonical_phase(u):
+    flat = u.ravel()
+    idx = int(np.argmax(np.abs(flat) > 1e-8))
+    return u * (np.conj(flat[idx]) / abs(flat[idx]))
+
+
+def _matrix_key(u):
+    return (np.round(u, 9) + 0.0).tobytes()
+
+
+def reference_two_qubit_cliffords():
+    """The closure one matrix at a time, in (frontier, generator) order."""
+    h, s, eye2 = qcore.HADAMARD, qcore.S_GATE, np.eye(2)
+    cz = np.diag([1.0, 1.0, 1.0, -1.0]).astype(complex)
+    gens = [np.kron(h, eye2), np.kron(eye2, h), np.kron(s, eye2),
+            np.kron(eye2, s), cz]
+    start = _canonical_phase(np.eye(4, dtype=complex))
+    seen = {_matrix_key(start): start}
+    frontier = [start]
+    while frontier:
+        nxt = []
+        for u in frontier:
+            for g in gens:
+                cand = _canonical_phase(g @ u)
+                key = _matrix_key(cand)
+                if key not in seen:
+                    seen[key] = cand
+                    nxt.append(cand)
+        frontier = nxt
+    return np.array(list(seen.values()))
+
+
 def test_two_qubit_clifford_group_size():
     group = phases.two_qubit_cliffords()
-    assert len(group) == 11520
-    key = phases._matrix_key(phases._canonical_phase(np.eye(4, dtype=complex)))
-    assert key in {phases._matrix_key(u) for u in group[:2000]} or any(
-        np.allclose(u, np.eye(4)) for u in group)
+    assert group.shape == (11520, 4, 4)
+    assert not group.flags.writeable
+    assert np.array_equal(group[0], np.eye(4))
+    assert len(set(phases._matrix_keys(group))) == 11520
     rng = np.random.default_rng(0)
     for idx in rng.integers(0, 11520, size=5):
         u = group[idx]
         np.testing.assert_allclose(u @ u.conj().T, np.eye(4), atol=1e-9)
+
+
+def test_two_qubit_cliffords_match_one_at_a_time_closure():
+    group = phases.two_qubit_cliffords()
+    want = reference_two_qubit_cliffords()
+    assert np.array_equal(group, want)
+    assert group.tobytes() == want.tobytes()  # signed zeros too
 
 
 def dense_lowdepth_state(lat, depth, rng, psi):
@@ -167,6 +206,21 @@ def test_patch_rdm_estimates_converge(lat, toric):
         assert qcore.is_hermitian(est)
         exact = qcore.partial_trace(rho_full, sites, 8)
         assert trace_distance(est, exact) < 0.15
+
+
+def test_patch_rdms_match_per_shot_snapshot_sum(lat, toric):
+    psi = phases.random_lowdepth_circuit(lat, 2, np.random.default_rng(5), toric)
+    rdms = phases.patch_rdms(lat, psi, 900, np.random.default_rng(2))
+    records = estimator.run_campaign(psi, ensembles.local_clifford(lat.n_qubits),
+                                     900, np.random.default_rng(2))
+    bits = estimator._site_bits(records.b, lat.n_qubits)
+    snap = phases._snapshot_factors()
+    for sites, got in zip(lat.patches(), rdms):
+        factors = [snap[records.bases[:, q], bits[:, q]] for q in sites]
+        want = np.einsum("nab,ncd,nef->acebdf", *factors).reshape(8, 8) / 900
+        want = 0.5 * (want + want.conj().T)
+        want /= np.trace(want).real
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
 
 
 def test_psd_projection_improves_noisy_estimate(lat, toric):
