@@ -279,29 +279,15 @@ class LocalParam:
 
 def _operator_support(o: np.ndarray, tol: float = 1e-12) -> tuple:
     n = qcore.num_qubits(o)
-    coeffs = qcore.pauli_decompose(o)
-    xs, zs = np.nonzero(np.abs(coeffs) > tol)
-    sites = set()
-    for x, z in zip(xs, zs):
-        occupied = int(x) | int(z)
-        for i in range(n):
-            if (occupied >> (n - 1 - i)) & 1:
-                sites.add(i)
-    return tuple(sorted(sites))
+    xs, zs = np.nonzero(np.abs(qcore.pauli_decompose(o)) > tol)
+    occupied = int(np.bitwise_or.reduce(xs | zs, initial=0))
+    return tuple(i for i in range(n) if (occupied >> (n - 1 - i)) & 1)
 
 
 def _reduce_to_support(o: np.ndarray, support: tuple) -> np.ndarray:
     """o = o_L (x) identity -> o_L on the support sites, in site order."""
     n = qcore.num_qubits(o)
-    l = len(support)
-    coeffs = qcore.pauli_decompose(o)
-    local = np.zeros((1 << l, 1 << l), dtype=complex)
-    xs, zs = np.nonzero(np.abs(coeffs) > 1e-14)
-    for x, z in zip(xs, zs):
-        x_l = qcore.bits_of(int(x), n, support)
-        z_l = qcore.bits_of(int(z), n, support)
-        local += coeffs[x, z] * qcore.pauli_dense(l, x_l, z_l)
-    return local
+    return qcore.partial_trace(o, support, n) / (1 << (n - len(support)))
 
 
 def local_solve(o: np.ndarray, ens: Ensemble) -> LocalParam:

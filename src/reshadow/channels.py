@@ -111,58 +111,45 @@ def inverse_msu2(a: np.ndarray, tol: float = 1e-8) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _family_masks(n: int, x: np.ndarray, z: np.ndarray):
-    """Boolean masks over flat Pauli indices for the three single-letter families."""
-    fam_x = z == 0
-    fam_y = x == z
-    fam_z = x == 0
-    return fam_x, fam_y, fam_z
+@lru_cache(maxsize=8)
+def _cl2_inverse_scale(n: int) -> np.ndarray:
+    """Eigenvalue of the inverse Cl(2) channel on every Pauli word, indexed [x, z].
 
-
-def _flat_xz(n: int):
+    1 on the identity, 3 on the other words of the X (z = 0), Y (x = z) and
+    Z (x = 0) families, 0 on the invisible words. Dividing by it applies the
+    channel and multiplying inverts it, each with one rounding per entry.
+    """
     dim = 1 << n
-    x = np.repeat(np.arange(dim), dim)
-    z = np.tile(np.arange(dim), dim)
-    return x, z
+    scale = 3.0 * np.eye(dim)
+    scale[:, 0] = scale[0, :] = 3.0
+    scale[0, 0] = 1.0
+    scale.flags.writeable = False
+    return scale
 
 
 def apply_mcl2(a: np.ndarray) -> np.ndarray:
     """Cl(2) channel: identity kept, single-letter family words scaled by 1/3."""
-    n = qcore.num_qubits(a)
-    dim = 1 << n
-    coeffs = qcore.pauli_decompose(a).ravel()
-    x, z = _flat_xz(n)
-    fam_x, fam_y, fam_z = _family_masks(n, x, z)
-    in_family = fam_x | fam_y | fam_z
-    out = np.zeros_like(coeffs)
-    out[in_family] = coeffs[in_family] / 3.0
-    out[0] = coeffs[0]  # identity word sits in all three families
-    return qcore.pauli_recompose(out.reshape(dim, dim))
+    scale = _cl2_inverse_scale(qcore.num_qubits(a))
+    coeffs = qcore.pauli_decompose(a)
+    out = np.divide(coeffs, scale, out=np.zeros_like(coeffs), where=scale > 0)
+    return qcore.pauli_recompose(out)
 
 
 def inverse_mcl2(a: np.ndarray, tol: float = 1e-8) -> np.ndarray:
     """Inverse Cl(2) channel; errors when the input leaves the visible space."""
     n = qcore.num_qubits(a)
-    dim = 1 << n
-    coeffs = qcore.pauli_decompose(a).ravel()
-    x, z = _flat_xz(n)
-    fam_x, fam_y, fam_z = _family_masks(n, x, z)
-    in_family = fam_x | fam_y | fam_z
-    outside = np.linalg.norm(coeffs[~in_family]) * np.sqrt(dim)
+    scale = _cl2_inverse_scale(n)
+    coeffs = qcore.pauli_decompose(a)
+    outside = np.linalg.norm(coeffs[scale == 0]) * np.sqrt(1 << n)
     if outside > tol * max(1.0, qcore.hs_norm(a)):
         raise NotVisibleError(
             f"operator has Cl(2)-invisible component of norm {outside:.3e}")
-    out = np.zeros_like(coeffs)
-    out[in_family] = coeffs[in_family] * 3.0
-    out[0] = coeffs[0]
-    return qcore.pauli_recompose(out.reshape(dim, dim))
+    return qcore.pauli_recompose(coeffs * scale)
 
 
 def cl2_visible_dimension(n: int) -> int:
     """Rank of the Cl(2) channel: the three families share only the identity."""
-    x, z = _flat_xz(n)
-    fam_x, fam_y, fam_z = _family_masks(n, x, z)
-    return int((fam_x | fam_y | fam_z).sum())
+    return int(np.count_nonzero(_cl2_inverse_scale(n)))
 
 
 def shadow_map_cl2(o: np.ndarray) -> np.ndarray:
@@ -173,13 +160,13 @@ def shadow_map_cl2(o: np.ndarray) -> np.ndarray:
     """
     n = qcore.num_qubits(o)
     dim = 1 << n
-    coeffs = qcore.pauli_decompose(o).ravel()  # tr(P O) / 2^n
-    x, z = _flat_xz(n)
+    coeffs = qcore.pauli_decompose(o)  # tr(P O) / 2^n
+    words = np.arange(dim)
     out = np.zeros((dim, dim), dtype=complex)
-    for fam in _family_masks(n, x, z):
+    for xs, zs in ((words, 0), (words, words), (0, words)):  # X, Y, Z families
         fam_coeffs = np.zeros_like(coeffs)
-        fam_coeffs[fam] = coeffs[fam]
-        g = qcore.pauli_recompose(fam_coeffs.reshape(dim, dim))
+        fam_coeffs[xs, zs] = coeffs[xs, zs]
+        g = qcore.pauli_recompose(fam_coeffs)
         out += g @ g
     return out / 3.0
 

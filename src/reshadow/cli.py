@@ -86,13 +86,15 @@ def _probability(text: str) -> float:
     return value
 
 
-def _ensemble_choice(subcommand: str, *names: str):
-    """Config caster accepting only the ensembles a subcommand can solve."""
+def _choice(*names: str, fold_case: bool = False):
+    """Config caster accepting only `names`, up to case and blanks if `fold_case`.
+
+    The text is returned as written, so the config hash does not change.
+    """
 
     def cast(text: str) -> str:
-        if text.strip().lower() not in names:
-            raise ValueError(f"{subcommand} supports the ensembles "
-                             + ", ".join(names))
+        if (text.strip().lower() if fold_case else text) not in names:
+            raise ValueError("must be one of " + ", ".join(names))
         return text
 
     return cast
@@ -278,22 +280,25 @@ def cmd_basis_audit(cfg, seed, out_dir, threads) -> int:
         rows.append((f"set_count_n{m}", got, expected, 0, got == expected))
 
     n = cfg["n"]
+    dim = 1 << n
     sets_n = visible.enumerate_sets(n)
-    mats = [visible.build_B(s) for s in sets_n]
-    gram = np.array([[np.trace(a.conj().T @ b).real for b in mats] for a in mats])
+    mats = np.array([visible.build_B(s) for s in sets_n]).reshape(len(sets_n), -1)
+    gram = (mats.conj() @ mats.T).real
     dev = np.abs(gram - np.eye(len(mats))).max()
     rows.append((f"orthonormal_n{n}", float(dev), 0.0, 1e-10, dev < 1e-10))
 
-    worst = 0.0
-    perps = [visible.build_Bperp(s, k)
-             for s in sets_n if s.size > 1 for k in range(1, s.size)]
+    projectors = []  # |row><row| of every draw, flattened
     for _ in range(cfg["draws"]):
         theta, _, psi = (float(x[0]) for x in ensembles.haar_su2_angles(1, rng))
         v = gates.rows(ensembles.su2_matrix(theta, 0.0, psi)[None], n)[0]
-        b = int(rng.integers(1 << n))
-        row = v[b, :]
-        for bp in perps:
-            worst = max(worst, abs(row.conj() @ (bp @ row)))
+        row = v[int(rng.integers(dim)), :]
+        projectors.append(np.outer(row.conj(), row).ravel())
+    projectors = np.array(projectors).T
+    worst = 0.0
+    for s in sets_n:  # <row| Bperp |row> of one family's Bperp for every draw
+        perps = [visible.build_Bperp(s, k).ravel() for k in range(1, s.size)]
+        if perps:
+            worst = max(worst, float(np.abs(np.array(perps) @ projectors).max()))
     rows.append((f"invisibility_n{n}_{cfg['draws']}draws", float(worst), 0.0,
                  1e-10, worst < 1e-10))
 
@@ -358,13 +363,11 @@ def cmd_bias_scan(cfg, seed, out_dir, threads) -> int:
         grid = cfg["lambda_grid"] or tuple(biasvar.default_lambda_grid())
         rows = biasvar.ridge_scan(obs, ens, grid, cfg["shots"],
                                   cfg["m_observables"], cfg["delta"])
-    elif cfg["mode"] == "alpha":
+    else:
         grid = cfg["alpha_grid"] or tuple(np.logspace(-2, 2, 9))
         rows = list(biasvar.alpha_scan(obs, ens, cfg["shots"],
                                        cfg["m_observables"], cfg["delta"],
                                        grid).scan)
-    else:
-        raise ConfigError(f"unknown mode {cfg['mode']!r} (lambda, alpha)")
     csv = biasvar.scan_to_csv(rows, cfg["epsilon"], cfg["delta"],
                               cfg["m_observables"], metadata_for(seed, cfg),
                               q_variant=cfg["q_variant"])
@@ -431,8 +434,8 @@ SCHEMAS = {
         "mc_samples": (_at_least(1), 200_000),
     },
     "basis-audit": {
-        # dense Gram matrix of all 2^n (n^2 + 7n + 8) / 8 basis elements:
-        # 45 s and about 300 MB of peak RSS at n = 6
+        # dense Gram matrix and invisibility check of all 4^n basis
+        # elements: about 2.5 s and 134 MB of peak RSS at n = 6
         "n": (_at_least(1, 6), 2),
         "draws": (_at_least(1), 200),
     },
@@ -442,12 +445,12 @@ SCHEMAS = {
         "alpha": (float, 1.0),
         "n": (int, 0),
         "state": (str, "zero"),
-        "ensemble": (_ensemble_choice("estimate", "global_su2", "global_cl2",
-                                      "subsample_su2"), "subsample_su2"),
+        "ensemble": (_choice("global_su2", "global_cl2", "subsample_su2",
+                             fold_case=True), "subsample_su2"),
         "members": (_at_least(1), 25),
         "ensemble_seed": (int, 0),
         "shots": (_at_least(1), 10_000),
-        "method": (str, "median_of_means"),
+        "method": (_choice("mean", "median_of_means"), "median_of_means"),
         "m_observables": (_at_least(1), 1),
         "epsilon": (_probability, 0.1),
         "delta": (_probability, 0.1),
@@ -456,23 +459,23 @@ SCHEMAS = {
         "observable": (str, "link"),
         "g": (float, 1.0),
         "alpha": (float, 1.0),
-        "ensemble": (_ensemble_choice("bias-scan", "global_cl2", "subsample_su2"),
+        "ensemble": (_choice("global_cl2", "subsample_su2", fold_case=True),
                      "subsample_su2"),
         "members": (_at_least(1), 6),
         "ensemble_seed": (int, 0),
-        "mode": (str, "lambda"),
+        "mode": (_choice("lambda", "alpha"), "lambda"),
         "lambda_grid": (_float_list, ()),
         "alpha_grid": (_float_list, ()),
         "shots": (_at_least(1), 1000),
         "m_observables": (_at_least(1), 1),
         "epsilon": (_probability, 0.1),
         "delta": (_probability, 0.1),
-        "q_variant": (str, "theorem"),
+        "q_variant": (_choice("theorem", "max_abs_k"), "theorem"),
     },
     "lgt-energy": {
         "triangles": (_triangle_counts, (2,)),
         "s_max": (_at_least(2), 2),
-        "ensemble": (_ensemble_choice("lgt-energy", "global_cl2", "subsample_su2"),
+        "ensemble": (_choice("global_cl2", "subsample_su2", fold_case=True),
                      "subsample_su2"),
         "members": (_at_least(1), 25),
         "ensemble_seed": (int, 1),
@@ -480,7 +483,8 @@ SCHEMAS = {
         "delta": (_probability, 0.1),
         "g": (float, 1.0),
         "alpha": (float, 1.0),
-        "q_variant": (str, "max_abs_k"),
+        # the budgets always price Q as max|K| (lgt._stats)
+        "q_variant": (_choice("max_abs_k"), "max_abs_k"),
     },
     "phase-classify": {
         "L": (_at_least(2), 2),

@@ -146,22 +146,6 @@ class Ensemble:
         members = [replace(m, n=n) for m in self.members]
         return Ensemble(self.kind, n, members, None if self.weights is None else self.weights.copy())
 
-    def sample_batch(self, count: int, rng: np.random.Generator) -> list[SampledUnitary]:
-        if self.kind == KIND_GLOBAL_SU2:
-            thetas, phis, psis = haar_su2_angles(count, rng)
-            return [
-                SampledUnitary(self.kind, self.n, theta=t, phi=f, psi=p)
-                for t, f, p in zip(thetas, phis, psis)
-            ]
-        if self.kind == KIND_LOCAL_CLIFFORD:
-            picks = rng.integers(0, 3, size=(count, self.n))
-            return [
-                SampledUnitary(self.kind, self.n, word="".join(CL2_BASES[j] for j in row))
-                for row in picks
-            ]
-        idx = rng.choice(len(self.members), size=count, p=self.weights)
-        return [self.members[i] for i in idx]
-
 
 def haar_su2_angles(count: int, rng: np.random.Generator):
     """Haar-correct Euler angles: cos(theta) uniform, phi and psi uniform."""

@@ -116,20 +116,13 @@ def term_dense_full(term: HamTerm, n: int) -> np.ndarray:
     """Embed the local term operator into the full register."""
     qcore.check_qubit_count(n)
     l = len(term.sites)
-    coeffs = qcore.pauli_decompose(term.operator)
-    dim = 1 << n
-    out = np.zeros((dim, dim), dtype=complex)
-    xs, zs = np.nonzero(np.abs(coeffs) > 1e-14)
-    for x, z in zip(xs, zs):
-        x_g = z_g = 0
-        for pos, site in enumerate(term.sites):
-            bit = n - 1 - site
-            if (int(x) >> (l - 1 - pos)) & 1:
-                x_g |= 1 << bit
-            if (int(z) >> (l - 1 - pos)) & 1:
-                z_g |= 1 << bit
-        out += coeffs[x, z] * qcore.pauli_dense(n, x_g, z_g)
-    return out
+    local = np.arange(1 << l)
+    # register mask of every local mask: local bit `pos` lands on its site
+    spread = sum(((local >> (l - 1 - pos)) & 1) << (n - 1 - site)
+                 for pos, site in enumerate(term.sites))
+    coeffs = np.zeros((1 << n, 1 << n), dtype=complex)
+    coeffs[spread[:, None], spread[None, :]] = qcore.pauli_decompose(term.operator)
+    return qcore.pauli_recompose(coeffs)
 
 
 def total_hamiltonian(lat: TriLattice, g: float = 1.0, alpha: float = 1.0) -> np.ndarray:

@@ -180,33 +180,36 @@ def _fwht(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _xor_table(dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, cols) with cols[x, r] = r ^ x: where P_{x,z} has its row-r entry."""
+    rows = np.arange(dim)
+    return rows, rows[None, :] ^ rows[:, None]
+
+
+def _y_phases(rows: np.ndarray) -> np.ndarray:
+    """(-i)^{#Y} of every word, indexed [x, z]."""
+    return (-1.0j) ** np.bitwise_count(rows[:, None] & rows[None, :])
+
+
 def pauli_decompose(a: np.ndarray) -> np.ndarray:
     """Coefficients c[x, z] = tr(P_{x,z} a) / 2^n for every Pauli string.
 
     The returned table satisfies a = sum_{x,z} c[x,z] * P_{x,z}.
     """
-    n = num_qubits(a)
-    dim = 1 << n
-    rows = np.arange(dim)
-    coeffs = np.empty((dim, dim), dtype=complex)
-    for x in range(dim):
-        diag = a[rows ^ x, rows]  # entries hit by P_{x,z} at fixed x
-        wh = _fwht(diag)  # over z: sum_r (-1)^{popcount(r&z)} diag[r]
-        ny = np.bitwise_count(x & np.arange(dim))
-        coeffs[x, :] = wh * ((-1.0j) ** ny)
-    return coeffs / dim
+    dim = 1 << num_qubits(a)
+    rows, cols = _xor_table(dim)
+    # row x gathers the entries P_{x,z} hits; the transform over r gives z
+    coeffs = _fwht(a[cols, rows]) * _y_phases(rows)
+    coeffs /= dim
+    return coeffs
 
 
 def pauli_recompose(coeffs: np.ndarray) -> np.ndarray:
     """Inverse of :func:`pauli_decompose`."""
     dim = coeffs.shape[0]
-    rows = np.arange(dim)
+    rows, cols = _xor_table(dim)
     out = np.zeros((dim, dim), dtype=complex)
-    for x in range(dim):
-        ny = np.bitwise_count(x & np.arange(dim))
-        line = coeffs[x, :] * ((-1.0j) ** ny)
-        vals = _fwht(line)  # over z -> function of r
-        out[rows, rows ^ x] += vals
+    out[rows, cols] += _fwht(coeffs * _y_phases(rows))  # over z -> function of r
     return out
 
 

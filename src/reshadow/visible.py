@@ -145,52 +145,46 @@ def build_Bperp(s: FixedIdSet, k: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=8)
-def _family_index_table(n: int):
-    """For each Pauli index pair (x, z): which family, and family member lists.
+def _family_index_table(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Family id of every Pauli word, and the family sizes.
 
-    Returns (set_id[x, z] table, list of flat Pauli indices per family) with
-    flat index x * 2^n + z.
+    Returns (set_id over the flat index x * 2^n + z, |S| per family), both
+    read-only and in enumerate_sets order.
     """
     sets = enumerate_sets(n)
-    lookup = {s: i for i, s in enumerate(sets)}
-    dim = 1 << n
-    table = np.empty((dim, dim), dtype=np.int64)
-    members: list[list[int]] = [[] for _ in sets]
-    full = dim - 1
-    for x in range(dim):
-        for z in range(dim):
-            r_mask = full & ~(x | z)
-            n_x = int(np.bitwise_count(x & ~z))
-            n_y = int(np.bitwise_count(x & z))
-            n_z = int(np.bitwise_count(z & ~x))
-            sid = lookup[FixedIdSet(n, r_mask, n_x, n_y, n_z)]
-            table[x, z] = sid
-            members[sid].append(x * dim + z)
-    return table, members
+    keys = np.array([(s.r_mask, s.n_x, s.n_y) for s in sets]).T
+    lookup = np.empty((1 << n, n + 1, n + 1), dtype=np.int64)
+    lookup[tuple(keys)] = np.arange(len(sets))
+    x, z = (v.ravel() for v in np.indices((1 << n, 1 << n)))
+    ids = lookup[((1 << n) - 1) & ~(x | z), np.bitwise_count(x & ~z),
+                 np.bitwise_count(x & z)]
+    sizes = np.bincount(ids, minlength=len(sets))
+    ids.flags.writeable = sizes.flags.writeable = False
+    return ids, sizes
+
+
+def _family_sums(n: int, coeffs: np.ndarray) -> np.ndarray:
+    """Sum of a Pauli coefficient table over each family's words."""
+    ids, sizes = _family_index_table(n)
+    flat = coeffs.ravel()
+    sums = np.empty(sizes.size, dtype=complex)
+    sums.real = np.bincount(ids, flat.real, sizes.size)
+    sums.imag = np.bincount(ids, flat.imag, sizes.size)
+    return sums
 
 
 def family_coefficients(a: np.ndarray) -> np.ndarray:
     """tr(B_S a) for every family S, in enumerate_sets order."""
     n = qcore.num_qubits(a)
-    coeffs = qcore.pauli_decompose(a).ravel()
-    table, members = _family_index_table(n)
-    del table
-    dim = 1 << n
-    sets = enumerate_sets(n)
-    out = np.empty(len(sets), dtype=complex)
-    for i, s in enumerate(sets):
-        out[i] = np.sqrt(dim / s.size) * coeffs[members[i]].sum()
-    return out
+    _, sizes = _family_index_table(n)
+    return np.sqrt((1 << n) / sizes) * _family_sums(n, qcore.pauli_decompose(a))
 
 
 def visible_from_family_coefficients(n: int, amps: np.ndarray) -> np.ndarray:
     """Dense operator sum_S amps[S] * B_S."""
     dim = 1 << n
-    sets = enumerate_sets(n)
-    _, members = _family_index_table(n)
-    coeffs = np.zeros(dim * dim, dtype=complex)
-    for i, s in enumerate(sets):
-        coeffs[members[i]] = amps[i] / np.sqrt(dim * s.size)
+    ids, sizes = _family_index_table(n)
+    coeffs = (amps / np.sqrt(dim * sizes))[ids]
     return qcore.pauli_recompose(coeffs.reshape(dim, dim))
 
 
@@ -206,12 +200,9 @@ def project_visible(o: np.ndarray, n: int | None = None) -> np.ndarray:
     elif n != qcore.num_qubits(o):
         raise ValueError("declared n does not match the operator dimension")
     dim = 1 << n
-    coeffs = qcore.pauli_decompose(o).ravel()
-    _, members = _family_index_table(n)
-    out = np.zeros_like(coeffs)
-    for idx in members:
-        out[idx] = coeffs[idx].mean()
-    return qcore.pauli_recompose(out.reshape(dim, dim))
+    ids, sizes = _family_index_table(n)
+    means = _family_sums(n, qcore.pauli_decompose(o)) / sizes
+    return qcore.pauli_recompose(means[ids].reshape(dim, dim))
 
 
 def invisible_norm(o: np.ndarray) -> float:

@@ -134,6 +134,9 @@ def test_unrepresentable_subsample_exits_3(tmp_path):
     ("channel-check", "n = 0\n"),
     ("channel-check", "n = 5\n"),
     ("channel-check", "n = 7\n"),
+    ("estimate", "method = foo\n"),
+    ("bias-scan", "q_variant = foo\n"),
+    ("lgt-energy", "q_variant = theorem\n"),
 ])
 def test_out_of_range_values_exit_2(tmp_path, sub, text):
     cfg = write_config(tmp_path, text)

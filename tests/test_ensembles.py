@@ -95,11 +95,3 @@ def test_ensemble_json_roundtrip(rng):
     assert back.kind == ens.kind and back.n == ens.n
     assert back.members == ens.members
     assert np.allclose(back.weights, ens.weights)
-
-
-def test_sample_batch_respects_weights(rng):
-    ens = ensembles.discrete_subsample(1, [(0.3, 0.0, 0.1), (1.2, 0.0, 2.0)],
-                                       weights=[0.9, 0.1])
-    picks = ens.sample_batch(5000, rng)
-    frac = np.mean([p.index == 0 for p in picks])
-    assert abs(frac - 0.9) < 0.02
