@@ -199,9 +199,7 @@ def pauli_decompose(a: np.ndarray) -> np.ndarray:
     dim = 1 << num_qubits(a)
     rows, cols = _xor_table(dim)
     # row x gathers the entries P_{x,z} hits; the transform over r gives z
-    coeffs = _fwht(a[cols, rows]) * _y_phases(rows)
-    coeffs /= dim
-    return coeffs
+    return _fwht(a[cols, rows]) * _y_phases(rows) / dim
 
 
 def pauli_recompose(coeffs: np.ndarray) -> np.ndarray:
@@ -209,7 +207,9 @@ def pauli_recompose(coeffs: np.ndarray) -> np.ndarray:
     dim = coeffs.shape[0]
     rows, cols = _xor_table(dim)
     out = np.zeros((dim, dim), dtype=complex)
-    out[rows, cols] += _fwht(coeffs * _y_phases(rows))  # over z -> function of r
+    # the transform over z gives a function of r; adding onto zeros leaves no
+    # negative zero in the output
+    out[rows, cols] += _fwht(coeffs * _y_phases(rows))
     return out
 
 

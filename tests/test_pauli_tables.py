@@ -165,10 +165,12 @@ def ref_term_dense_full(term, n):
     return out
 
 
-def random_local_term(n, rng):
-    """A random operator on a random ordered subset of 1..min(n, 4) sites."""
+def random_local_term(n, rng, diagonal):
+    """A random (or random diagonal) operator on 1..min(n, 4) ordered sites."""
     sites = tuple(int(s) for s in rng.permutation(n)[:rng.integers(1, min(n, 4) + 1)])
-    return lgt.HamTerm("link", sites, random_operator(len(sites), rng), 1.0, 1.0)
+    op = random_operator(len(sites), rng)
+    return lgt.HamTerm("link", sites, np.diag(np.diag(op)) if diagonal else op,
+                       1.0, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -227,10 +229,10 @@ def test_cl2_channel_matches_family_masks(n, seed):
 
 
 @settings(max_examples=30)
-@given(n=qubits, seed=seeds)
-def test_support_maps_match_pauli_term_loops(n, seed):
+@given(n=qubits, seed=seeds, diagonal=st.booleans())
+def test_support_maps_match_pauli_term_loops(n, seed, diagonal):
     rng = np.random.default_rng(seed)
-    term = random_local_term(n, rng)
+    term = random_local_term(n, rng, diagonal)
     big = lgt.term_dense_full(term, n)
     tol = 1e-14 * qcore.hs_norm(big)
     assert np.abs(big - ref_term_dense_full(term, n)).max() <= tol
