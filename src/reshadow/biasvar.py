@@ -310,7 +310,7 @@ def local_solve(o: np.ndarray, ens: Ensemble) -> LocalParam:
         [[np.trace(o).real / (1 << n)]], dtype=complex)
     if l:
         k_local = estimator.kernel_least_squares(o_local, ens.with_n(l))
-        values = qcore._fwht(k_local.values) / (1 << l)
+        values = qcore._fwht(k_local.values.copy()) / (1 << l)
         residual = k_local.residual
     else:
         values = np.full((len(ens.members), 1), float(o_local[0, 0].real))
@@ -322,7 +322,7 @@ def local_to_kernel(lp: LocalParam, ens: Ensemble) -> KernelTable:
     """Expand the J table back into a full K(V, b) table (round-trip partner)."""
     if ens.n != lp.n or len(ens.members) != lp.values.shape[0]:
         raise ValueError("ensemble does not match the local parameterization")
-    k_local = qcore._fwht(lp.values)
+    k_local = qcore._fwht(lp.values.copy())
     if lp.support:
         b_local = qcore.bits_of(np.arange(1 << lp.n), lp.n, lp.support)
     else:

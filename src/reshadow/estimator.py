@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -110,7 +111,8 @@ class KernelTable:
 
     ``values`` is the dense table for discrete kinds; for the continuous
     global-SU(2) kind it is None and ``inv_op`` holds M^{-1}(O), evaluated
-    lazily as <b|V inv_op V†|b>.
+    lazily as <b|V inv_op V†|b>. Nothing changes a table once it is made,
+    so its quadrature terms are computed once.
     """
 
     ens: Ensemble
@@ -125,6 +127,16 @@ class KernelTable:
     @property
     def n(self) -> int:
         return self.ens.n
+
+    @cached_property
+    def terms(self) -> tuple:
+        """(gates, weights, K rows) of the sum over V: the members of a
+        discrete kernel, or the quadrature nodes of the continuous one."""
+        if self.values is not None:
+            return _member_gates(self.ens), self.density, self.values
+        nodes, weights = su2_quadrature_angles(self.n)
+        return (_node_gates(nodes), weights,
+                _su2_node_values(self.inv_op, nodes, self.n))
 
     def evaluate_records(self, records: Records) -> np.ndarray:
         if records.n != self.n or records.kind != self.ens.kind:
@@ -156,8 +168,17 @@ def _su2_phi(thetas, psis, b, n: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def _member_angles(ens: Ensemble):
+    """(thetas, phis, psis) arrays over the members of an ensemble."""
+    return tuple(np.array([getattr(m, name) for m in ens.members])
+                 for name in ("theta", "phi", "psi"))
+
+
 def _member_gates(ens: Ensemble) -> np.ndarray:
     """(members, 2, 2) single-qubit rotation of each member of a global ensemble."""
+    if ens.kind in (KIND_GLOBAL_SU2, KIND_DISCRETE_SUBSAMPLE):
+        thetas, _, psis = _member_angles(ens)
+        return ensembles.su2_matrix(thetas, 0.0, psis)
     return np.stack([m.single_qubit() for m in ens.members])
 
 
@@ -352,10 +373,7 @@ def run_campaign(rho: np.ndarray, ens: Ensemble, shots: int, rng,
         idx, b = columns
         thetas = phis = psis = None
         if ens.kind == KIND_DISCRETE_SUBSAMPLE:
-            th = np.array([m.theta for m in ens.members])
-            ph = np.array([m.phi for m in ens.members])
-            ps = np.array([m.psi for m in ens.members])
-            thetas, phis, psis = th[idx], ph[idx], ps[idx]
+            thetas, phis, psis = (a[idx] for a in _member_angles(ens))
         return Records(ens.kind, n, campaign_id, b, member_idx=idx,
                        thetas=thetas, phis=phis, psis=psis)
     if ens.kind == KIND_GLOBAL_SU2:
@@ -395,13 +413,13 @@ def estimate(records: Records, k: KernelTable, method: str = "mean",
 
 def var_max_bound(k: KernelTable) -> float:
     """State-independent variance bound sum_V p(V) max_b K(V,b)^2."""
-    _, weights, vals = _terms(k)
+    _, weights, vals = k.terms
     return float(np.dot(weights, (vals**2).max(axis=1)))
 
 
 def var_under_state(k: KernelTable, rho: np.ndarray) -> float:
     """Exact Var[K] under P_rho(V, b) = p(V) <b|V rho V†|b>."""
-    g, weights, vals = _terms(k)
+    g, weights, vals = k.terms
     probs = _born_tables(rho, g)
     mean = float(np.dot(weights, (probs * vals).sum(axis=1)))
     second = float(np.dot(weights, (probs * vals**2).sum(axis=1)))
@@ -414,7 +432,7 @@ def kernel_q(k: KernelTable, variant: str = "theorem") -> float:
     ``theorem`` uses max|K| + the spectral norm of the represented operator;
     ``max_abs_k`` is the bare max|K| variant.
     """
-    max_abs = float(np.abs(_terms(k)[2]).max())
+    max_abs = float(np.abs(k.terms[2]).max())
     if variant == "max_abs_k":
         return max_abs
     if variant == "theorem":
@@ -502,22 +520,19 @@ def _su2_node_values(inv_op: np.ndarray, nodes, n: int) -> np.ndarray:
     return gates.diagonal(inv_op, _node_gates(nodes))
 
 
-def _terms(k: KernelTable):
-    """(gates, weights, K rows) of the sum over V: the members of a discrete
-    kernel, or the quadrature nodes of the continuous one."""
-    if k.values is not None:
-        return _member_gates(k.ens), k.density, k.values
-    nodes, weights = su2_quadrature_angles(k.n)
-    return _node_gates(nodes), weights, _su2_node_values(k.inv_op, nodes, k.n)
-
-
 def reconstruct(k: KernelTable) -> np.ndarray:
-    """sum_V p(V) sum_b K(V,b) V†|b><b|V (quadrature for the continuous kind)."""
+    """sum_V p(V) sum_b K(V,b) V†|b><b|V (quadrature for the continuous kind).
+
+    The rows <b|V of a block of rotations, at most gates.BLOCK entries, are
+    stacked as X, and the block adds X† (p K ⊙ X) in one product.
+    """
+    g, weights, vals = k.terms
     dim = 1 << k.n
     out = np.zeros((dim, dim), dtype=complex)
-    for gate, w, row in zip(*_terms(k)):
-        v = gates.rows(gate[None], k.n)[0]
-        out += w * (v.conj().T * row) @ v
+    for block in gates.blocks(len(g), dim * dim):
+        x = gates.rows(g[block], k.n).reshape(-1, dim)
+        pk = (weights[block, None] * vals[block]).reshape(-1, 1)
+        out += x.conj().T @ (pk * x)
     return out
 
 

@@ -5,7 +5,8 @@ a global rotation puts one 2x2 gate on every site, a random-Pauli word one
 gate per site, and a low-depth circuit 4x4 gates on site pairs. They act in
 place on (rows, 2^n) tables, one gate per row, site 0 being the most
 significant bit of a column index. A dense V is formed only where its
-entries are needed, by rotating the identity.
+entries are needed, by Kronecker doubling: a (rows, d, d) stack times the
+next site's (rows, 2, 2) gates gives (rows, 2d, 2d).
 
 A measured diagonal diag(V A V†) runs vec(A) as 2n sites with each site's
 row and column bit side by side (g on the row bit, conj(g) on the column
@@ -51,6 +52,13 @@ def _site_gates(g: np.ndarray, site: int) -> np.ndarray:
     return g if g.ndim == 3 else g[:, site]
 
 
+def blocks(count: int, size: int):
+    """Slices over `count` rows of `size` elements each, at most BLOCK
+    elements (and at least one row) per slice."""
+    step = max(1, BLOCK // size)
+    return (slice(start, start + step) for start in range(0, count, step))
+
+
 def rows(g: np.ndarray, n: int, start: np.ndarray | None = None) -> np.ndarray:
     """Product rotations V_r = g[r, 0] ⊗ ... ⊗ g[r, n-1], one per row of g.
 
@@ -59,14 +67,17 @@ def rows(g: np.ndarray, n: int, start: np.ndarray | None = None) -> np.ndarray:
     (rows, 2^n) table of V_r start_r; without, the (rows, 2^n, 2^n) stack of
     the V_r themselves.
     """
-    dim = 1 << n
     if start is not None:
-        t = np.array(np.broadcast_to(start, (len(g), dim)), dtype=complex)
-    else:  # V = V I: rotate the row bits (the first n of 2n sites) of vec(I)
-        t = np.tile(np.eye(dim, dtype=complex).ravel(), (len(g), 1))
+        t = np.array(np.broadcast_to(start, (len(g), 1 << n)), dtype=complex)
+        for site in range(n):
+            rotate_site(t, site, _site_gates(g, site))
+        return t
+    v = np.ones((len(g), 1, 1), dtype=complex)
     for site in range(n):
-        rotate_site(t, site, _site_gates(g, site))
-    return t if start is not None else t.reshape(-1, dim, dim)
+        d = v.shape[1]
+        gate = _site_gates(g, site)[:, None, :, None, :]
+        v = (v[:, :, None, :, None] * gate).reshape(len(g), 2 * d, 2 * d)
+    return v
 
 
 def vectorized(a: np.ndarray) -> np.ndarray:
@@ -99,11 +110,10 @@ def diagonal(a: np.ndarray, g: np.ndarray) -> np.ndarray:
     n = a.shape[0].bit_length() - 1
     vec = vectorized(a)
     out = np.empty((len(g), 1 << n))
-    step = max(1, BLOCK // vec.size)
-    for start in range(0, len(g), step):
-        block = g[start : start + step]
-        t = np.repeat(vec, len(block), axis=0)
+    for block in blocks(len(g), vec.size):
+        part = g[block]
+        t = np.repeat(vec, len(part), axis=0)
         for site in range(n):
-            t = measure_site(t, site, _site_gates(block, site))
-        out[start : start + len(block)] = t.real
+            t = measure_site(t, site, _site_gates(part, site))
+        out[block] = t.real
     return out

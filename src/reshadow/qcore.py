@@ -24,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionCapError, NumericalDegeneracyError
+from .gates import blocks
 
 N_CAP = 14
 
@@ -167,28 +168,35 @@ def pauli_dense(n: int, x: int, z: int) -> np.ndarray:
 
 
 def _fwht(a: np.ndarray) -> np.ndarray:
-    """In-place fast Walsh-Hadamard transform along the last axis (unnormalized)."""
-    a = a.copy()
-    h = 1
+    """In-place fast Walsh-Hadamard transform along the last axis (unnormalized).
+
+    a must be C-contiguous, so that the reshapes below are views of it; it is
+    returned. One half-size buffer holds the differences of a stage.
+    """
     size = a.shape[-1]
+    diff = np.empty(a.size // 2, dtype=a.dtype)
+    h = 1
     while h < size:
-        a = a.reshape(a.shape[:-1] + (size // (2 * h), 2, h))
-        top = a[..., 0, :] + a[..., 1, :]
-        bot = a[..., 0, :] - a[..., 1, :]
-        a = np.stack([top, bot], axis=-2).reshape(a.shape[:-3] + (size,))
+        v = a.reshape(a.shape[:-1] + (size // (2 * h), 2, h))
+        top, bot = v[..., 0, :], v[..., 1, :]
+        d = diff.reshape(top.shape)
+        np.subtract(top, bot, out=d)
+        top += bot
+        bot[...] = d
         h *= 2
     return a
 
 
-def _xor_table(dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """(rows, cols) with cols[x, r] = r ^ x: where P_{x,z} has its row-r entry."""
+def _times_y_phases(t: np.ndarray) -> np.ndarray:
+    """In place: t[x, z] *= (-i)^{#Y}, #Y = popcount(x & z), from an
+    (n+1)-entry table of the powers, a block of x rows at a time; t is
+    returned."""
+    dim = t.shape[0]
+    phases = (-1.0j) ** np.arange(dim.bit_length())
     rows = np.arange(dim)
-    return rows, rows[None, :] ^ rows[:, None]
-
-
-def _y_phases(rows: np.ndarray) -> np.ndarray:
-    """(-i)^{#Y} of every word, indexed [x, z]."""
-    return (-1.0j) ** np.bitwise_count(rows[:, None] & rows[None, :])
+    for block in blocks(dim, dim):
+        t[block] *= phases[np.bitwise_count(rows[block, None] & rows)]
+    return t
 
 
 def pauli_decompose(a: np.ndarray) -> np.ndarray:
@@ -197,19 +205,25 @@ def pauli_decompose(a: np.ndarray) -> np.ndarray:
     The returned table satisfies a = sum_{x,z} c[x,z] * P_{x,z}.
     """
     dim = 1 << num_qubits(a)
-    rows, cols = _xor_table(dim)
-    # row x gathers the entries P_{x,z} hits; the transform over r gives z
-    return _fwht(a[cols, rows]) * _y_phases(rows) / dim
+    rows = np.arange(dim)
+    # row x gathers the entries P_{x,z} hits, a[r ^ x, r]; the transform over
+    # r gives z
+    t = np.asarray(a[rows ^ rows[:, None], rows], dtype=complex)
+    t = _times_y_phases(_fwht(t))
+    t /= dim
+    return t
 
 
 def pauli_recompose(coeffs: np.ndarray) -> np.ndarray:
     """Inverse of :func:`pauli_decompose`."""
     dim = coeffs.shape[0]
-    rows, cols = _xor_table(dim)
+    t = _fwht(_times_y_phases(np.array(coeffs, dtype=complex)))
+    rows = np.arange(dim)
     out = np.zeros((dim, dim), dtype=complex)
-    # the transform over z gives a function of r; adding onto zeros leaves no
-    # negative zero in the output
-    out[rows, cols] += _fwht(coeffs * _y_phases(rows))
+    # the transform over z gives a function of r, the row-r entry of P_{x,z}
+    # sitting at column r ^ x; adding onto zeros leaves no negative zero
+    for block in blocks(dim, dim):
+        out[rows, rows ^ rows[block, None]] += t[block]
     return out
 
 

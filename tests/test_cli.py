@@ -1,12 +1,15 @@
 """Experiment runner: config handling, exit codes, artifacts, determinism."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from reshadow import cli
+from reshadow import cli, ensembles, gates, qcore
 from reshadow.errors import ConfigError
+
+from conftest import random_hermitian
 
 
 def write_config(tmp_path, text, name="run.cfg"):
@@ -272,3 +275,50 @@ def test_phase_classify_artifacts(tmp_path):
     assert "separation_margin" in doc
     kernel_lines = (tmp_path / "phase_kernel.csv").read_text().splitlines()
     assert "s0,s1,s2,s3" in kernel_lines
+
+
+def mc_msu2_whole_chunks(a, samples, rng):
+    """_mc_msu2 with every CHANNEL_CHUNK of rotations formed at once."""
+    n = qcore.num_qubits(a)
+    dim = 1 << n
+    s1 = np.zeros((dim, dim), dtype=complex)
+    s2 = np.zeros((dim, dim, 2))
+    done = 0
+    while done < samples:
+        count = min(cli.CHANNEL_CHUNK, samples - done)
+        thetas, _, psis = ensembles.haar_su2_angles(count, rng)
+        big = gates.rows(ensembles.su2_matrix(thetas, 0.0, psis), n)
+        diag = np.einsum("nbi,ij,nbj->nb", big, a, big.conj())
+        contrib = np.einsum("nb,nbi,nbj->nij", diag, big.conj(), big)
+        s1 += contrib.sum(axis=0)
+        s2[..., 0] += (contrib.real**2).sum(axis=0)
+        s2[..., 1] += (contrib.imag**2).sum(axis=0)
+        done += count
+    mean = s1 / samples
+    var = s2[..., 0] / samples - mean.real**2 + s2[..., 1] / samples - mean.imag**2
+    return mean, np.sqrt(np.clip(var, 0.0, None) / samples)
+
+
+@pytest.mark.parametrize("n, samples", [(1, 30_000), (2, 45_000), (3, 5_000)])
+def test_mc_msu2_blocks_match_whole_chunks(n, samples):
+    # n = 2 runs three chunks of up to five blocks each, from the same draws
+    rng = np.random.default_rng(n)
+    a = random_hermitian(n, rng)
+    mean, se = cli._mc_msu2(a, samples, np.random.default_rng(7))
+    want_mean, want_se = mc_msu2_whole_chunks(a, samples, np.random.default_rng(7))
+    np.testing.assert_allclose(mean, want_mean, rtol=0,
+                               atol=1e-12 * qcore.spectral_norm(a))
+    np.testing.assert_allclose(se, want_se, rtol=1e-8)
+
+
+def test_mc_msu2_memory_is_bounded():
+    # one CHANNEL_CHUNK of product rotations at n = 4 alone would take
+    # 20000 * 16 * 16 * 16 bytes = 82 MB
+    a = random_hermitian(4, np.random.default_rng(4))
+    tracemalloc.start()
+    try:
+        cli._mc_msu2(a, 20_000, np.random.default_rng(0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 24 * 2**20

@@ -208,6 +208,80 @@ def test_kernel_q_variants(link_setup):
 
 
 # ---------------------------------------------------------------------------
+# Blocked kernel sums
+# ---------------------------------------------------------------------------
+
+
+def reconstruct_per_node(k):
+    """The sum over V one rotation at a time, as reconstruct used to run it."""
+    g, weights, vals = k.terms
+    dim = 1 << k.n
+    out = np.zeros((dim, dim), dtype=complex)
+    for gate, w, row in zip(g, weights, vals):
+        v = gates.rows(gate[None], k.n)[0]
+        out += w * (v.conj().T * row) @ v
+    return out
+
+
+def assert_reconstruct_matches_per_node_sum(k, scale):
+    err = np.abs(estimator.reconstruct(k) - reconstruct_per_node(k)).max()
+    assert err <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_blocked_su2_reconstruct_matches_per_node_sum(n):
+    # at n = 6 the 448 quadrature nodes span 28 blocks of 16
+    rng = np.random.default_rng(n)
+    o = visible.project_visible(random_hermitian(n, rng))
+    k = estimator.kernel_cs(o, ensembles.global_su2(n))
+    assert_reconstruct_matches_per_node_sum(k, qcore.spectral_norm(o))
+
+
+def test_blocked_discrete_reconstruct_matches_per_node_sum(link_setup):
+    link, ens = link_setup
+    k = estimator.kernel_least_squares(link, ens)
+    assert_reconstruct_matches_per_node_sum(k, qcore.spectral_norm(link))
+    # 600 members at n = 4 span three blocks of 256; any table has a sum
+    rng = np.random.default_rng(4)
+    ens = ensembles.subsample_su2(600, rng, n=4)
+    k = estimator.KernelTable(ens, values=rng.normal(size=(600, 16)))
+    assert_reconstruct_matches_per_node_sum(k, np.abs(k.values).max())
+
+
+@pytest.mark.parametrize("word", ["XX", "ZIZ", "YYYY"])
+def test_blocked_cl2_reconstruct_matches_per_node_sum(word):
+    o = qcore.PauliString.from_word(word).to_dense()
+    k = estimator.kernel_cs(o, ensembles.global_cl2(len(word)))
+    assert_reconstruct_matches_per_node_sum(k, 1.0)
+
+
+def test_su2_node_values_run_once_per_kernel(monkeypatch):
+    calls = []
+    node_values = estimator._su2_node_values
+
+    def counted(*args):
+        calls.append(args)
+        return node_values(*args)
+
+    monkeypatch.setattr(estimator, "_su2_node_values", counted)
+    rng = np.random.default_rng(3)
+    o = visible.project_visible(random_hermitian(3, rng))
+    k = estimator.kernel_cs(o, ensembles.global_su2(3))
+    estimator.var_max_bound(k)
+    estimator.kernel_q(k, "theorem")
+    estimator.reconstruct(k)
+    estimator.var_under_state(k, random_density(3, rng))
+    assert len(calls) == 1
+
+
+def test_member_gates_are_the_per_member_rotations():
+    ens = ensembles.subsample_su2(2000, np.random.default_rng(5), n=1)
+    for e in (ens, ensembles.global_cl2(2)):
+        want = np.stack([m.single_qubit() for m in e.members])
+        assert np.array_equal(estimator._member_gates(e), want)
+
+
+# ---------------------------------------------------------------------------
 # Campaigns
 # ---------------------------------------------------------------------------
 

@@ -92,3 +92,33 @@ def test_diagonal_runs_in_blocks():
     want = np.stack([np.real(np.diag(v @ a @ v.conj().T)) for v in dense])
     np.testing.assert_allclose(gates.diagonal(a, g), want, rtol=0,
                                atol=1e-12 * np.abs(a).sum())
+
+
+def rows_by_rotating_identity(g, n):
+    """V_r = V_r I: the row bits (the first n of 2n sites) of vec(I) rotated
+    one site at a time, as `rows` used to build dense rotations."""
+    dim = 1 << n
+    t = np.tile(np.eye(dim, dtype=complex).ravel(), (len(g), 1))
+    for site in range(n):
+        gates.rotate_site(t, site, g if g.ndim == 3 else g[:, site])
+    return t.reshape(-1, dim, dim)
+
+
+@settings(max_examples=40)
+@given(n=st.integers(1, 6), count=st.integers(1, 5), per_site=st.booleans(),
+       shared=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_kronecker_rows_equal_rotated_identity(n, count, per_site, shared, seed):
+    rng = np.random.default_rng(seed)
+    shape = (1 if shared else count,) + ((n,) if per_site else ())
+    g = random_unitaries(shape, rng)
+    if shared:
+        g = np.broadcast_to(g, (count,) + g.shape[1:])
+    assert np.array_equal(gates.rows(g, n), rows_by_rotating_identity(g, n))
+
+
+def test_blocks_cover_rows_within_budget():
+    for count, size in [(448, 4096), (5, 1 << 16), (3, 1 << 18), (20000, 16)]:
+        spans = [range(count)[b] for b in gates.blocks(count, size)]
+        assert [i for s in spans for i in s] == list(range(count))
+        assert all(len(s) * size <= max(gates.BLOCK, size) for s in spans)
+    assert len(list(gates.blocks(448, 4096))) == 28  # the n = 6 quadrature

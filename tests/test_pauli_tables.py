@@ -6,6 +6,7 @@ must match them exactly; sums in another order must match to 1e-14 of the
 operator's scale.
 """
 
+import tracemalloc
 from functools import lru_cache
 
 import numpy as np
@@ -28,13 +29,31 @@ def random_operator(n, rng):
 # ---------------------------------------------------------------------------
 
 
+def ref_fwht(a):
+    """Walsh-Hadamard transform along the last axis, a new array per stage."""
+    h = 1
+    size = a.shape[-1]
+    while h < size:
+        a = a.reshape(a.shape[:-1] + (size // (2 * h), 2, h))
+        top = a[..., 0, :] + a[..., 1, :]
+        bot = a[..., 0, :] - a[..., 1, :]
+        a = np.stack([top, bot], axis=-2).reshape(a.shape[:-3] + (size,))
+        h *= 2
+    return a
+
+
+def same_bits(a, b):
+    """Equal values and dtypes, negative zeros included."""
+    return a.dtype == b.dtype and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
 def ref_pauli_decompose(a):
     n = qcore.num_qubits(a)
     dim = 1 << n
     rows = np.arange(dim)
     coeffs = np.empty((dim, dim), dtype=complex)
     for x in range(dim):
-        wh = qcore._fwht(a[rows ^ x, rows])
+        wh = ref_fwht(a[rows ^ x, rows])
         coeffs[x, :] = wh * ((-1.0j) ** np.bitwise_count(x & np.arange(dim)))
     return coeffs / dim
 
@@ -45,7 +64,7 @@ def ref_pauli_recompose(coeffs):
     out = np.zeros((dim, dim), dtype=complex)
     for x in range(dim):
         line = coeffs[x, :] * ((-1.0j) ** np.bitwise_count(x & np.arange(dim)))
-        out[rows, rows ^ x] += qcore._fwht(line)
+        out[rows, rows ^ x] += ref_fwht(line)
     return out
 
 
@@ -183,12 +202,40 @@ def random_local_term(n, rng, diagonal):
 def test_transforms_match_per_x_loops(n, seed):
     rng = np.random.default_rng(seed)
     a = random_operator(n, rng)
+    a[rng.random(a.shape) < 0.25] = 0.0  # zeros, so that signs of zero show
     coeffs = qcore.pauli_decompose(a)
-    assert np.array_equal(coeffs, ref_pauli_decompose(a))
-    assert np.array_equal(qcore.pauli_decompose(a.real), ref_pauli_decompose(a.real))
-    assert np.array_equal(qcore.pauli_recompose(coeffs), ref_pauli_recompose(coeffs))
-    assert np.array_equal(qcore.pauli_recompose(coeffs.real),
-                          ref_pauli_recompose(coeffs.real))
+    assert same_bits(coeffs, ref_pauli_decompose(a))
+    assert same_bits(qcore.pauli_decompose(a.real), ref_pauli_decompose(a.real))
+    assert same_bits(qcore.pauli_recompose(coeffs), ref_pauli_recompose(coeffs))
+    assert same_bits(qcore.pauli_recompose(coeffs.real),
+                     ref_pauli_recompose(coeffs.real))
+    table = a.copy()
+    assert qcore._fwht(table) is table  # in place
+    assert same_bits(table, ref_fwht(a))
+    # one Pauli word: its table is all zeros but one entry, so that the
+    # signs of zero in the phases show
+    word = qcore.pauli_dense(n, *(int(v) for v in rng.integers(0, 1 << n, size=2)))
+    coeffs = qcore.pauli_decompose(word * (1 + 2j))
+    assert same_bits(coeffs, ref_pauli_decompose(word * (1 + 2j)))
+    assert same_bits(qcore.pauli_recompose(coeffs), ref_pauli_recompose(coeffs))
+
+
+def test_transforms_memory_is_bounded():
+    # at n = 10 a table is 16 MiB: decompose holds its gathered table and a
+    # half-size butterfly buffer, recompose its working table and the output;
+    # index and phase tables go a row block at a time
+    dim = 1 << 10
+    rng = np.random.default_rng(10)
+    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    for transform, tables in ((qcore.pauli_decompose, 2),
+                              (qcore.pauli_recompose, 2.5)):
+        tracemalloc.start()
+        try:
+            transform(a)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < tables * 16 * 2**20, transform.__name__
 
 
 @settings(max_examples=12)

@@ -67,7 +67,9 @@ def test_fwht_is_hadamard_transform():
     a = np.array([1.0, 2.0, 3.0, 5.0])
     h = np.array([[1, 1], [1, -1]], dtype=float)
     h2 = np.kron(h, h)
-    assert np.allclose(qcore._fwht(a), h2 @ a)
+    want = h2 @ a
+    assert qcore._fwht(a) is a  # in place
+    assert np.allclose(a, want)
 
 
 def test_partial_trace_ghz_pair():
