@@ -48,6 +48,16 @@ def test_rotate_pair_matches_dense_embedding(n):
             np.testing.assert_allclose(t, want, rtol=0, atol=1e-12)
 
 
+def rows_by_rotating_identity(g, n):
+    """V_r = V_r I: the row bits (the first n of 2n sites) of vec(I) rotated
+    one site at a time, as `rows` used to build dense rotations."""
+    dim = 1 << n
+    t = np.tile(np.eye(dim, dtype=complex).ravel(), (len(g), 1))
+    for site in range(n):
+        gates.rotate_site(t, site, g if g.ndim == 3 else g[:, site])
+    return t.reshape(-1, dim, dim)
+
+
 @settings(max_examples=60)
 @given(n=st.integers(1, 6), count=st.integers(1, 5), per_site=st.booleans(),
        shared=st.booleans(), seed=st.integers(0, 2**32 - 1))
@@ -63,6 +73,7 @@ def test_rows_and_diagonal_match_dense(n, count, per_site, shared, seed):
                       for r in range(count)])
 
     np.testing.assert_allclose(gates.rows(g, n), dense, rtol=0, atol=1e-12)
+    assert np.array_equal(gates.rows(g, n), rows_by_rotating_identity(g, n))
 
     dim = 1 << n
     psi = rng.normal(size=dim) + 1j * rng.normal(size=dim)
@@ -92,28 +103,6 @@ def test_diagonal_runs_in_blocks():
     want = np.stack([np.real(np.diag(v @ a @ v.conj().T)) for v in dense])
     np.testing.assert_allclose(gates.diagonal(a, g), want, rtol=0,
                                atol=1e-12 * np.abs(a).sum())
-
-
-def rows_by_rotating_identity(g, n):
-    """V_r = V_r I: the row bits (the first n of 2n sites) of vec(I) rotated
-    one site at a time, as `rows` used to build dense rotations."""
-    dim = 1 << n
-    t = np.tile(np.eye(dim, dtype=complex).ravel(), (len(g), 1))
-    for site in range(n):
-        gates.rotate_site(t, site, g if g.ndim == 3 else g[:, site])
-    return t.reshape(-1, dim, dim)
-
-
-@settings(max_examples=40)
-@given(n=st.integers(1, 6), count=st.integers(1, 5), per_site=st.booleans(),
-       shared=st.booleans(), seed=st.integers(0, 2**32 - 1))
-def test_kronecker_rows_equal_rotated_identity(n, count, per_site, shared, seed):
-    rng = np.random.default_rng(seed)
-    shape = (1 if shared else count,) + ((n,) if per_site else ())
-    g = random_unitaries(shape, rng)
-    if shared:
-        g = np.broadcast_to(g, (count,) + g.shape[1:])
-    assert np.array_equal(gates.rows(g, n), rows_by_rotating_identity(g, n))
 
 
 def test_blocks_cover_rows_within_budget():
