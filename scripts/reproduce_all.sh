@@ -1,5 +1,7 @@
 #!/bin/sh
-# Run every experiment config through the CLI into results/<name>/.
+# Run every experiment config through the CLI into results/<name>/, then
+# print the sha256 of every artifact (results/ is not committed, so this
+# listing is the record of the artifact bytes).
 set -e
 cd "$(dirname "$0")/.."
 for cfg in configs/*.cfg; do
@@ -12,3 +14,5 @@ for cfg in configs/*.cfg; do
     python3 -m reshadow.cli "$sub" --config "$cfg" --seed 0 \
         --out "results/$name"
 done
+echo "== sha256 of results/"
+find results -type f | LC_ALL=C sort | xargs sha256sum

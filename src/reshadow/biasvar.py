@@ -12,9 +12,10 @@ minimum; a ridge penalty on the solved vector is the cheap one-parameter
 version of the same idea. Scanning either parameter produces the bowl whose
 interior minimum beats both the unbiased and the fully-biased endpoints.
 
-All solves happen in the sqrt(p)-weighted vector y = sqrt(p) K of the stacked
-reconstruction system, whose squared 2-norm is exactly 2^n E_mixed[K^2] — the
-quantity the variance bound is made of.
+All solves happen in the sqrt(p)-weighted vector y = sqrt(p) K of the
+family-row reconstruction system (one real row per visible family), whose
+squared 2-norm is exactly 2^n E_mixed[K^2] — the quantity the variance bound
+is made of.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import artifacts, estimator, qcore
+from . import artifacts, estimator, qcore, visible
 from .ensembles import Ensemble
 from .errors import ConvergenceError, DimensionCapError
 from .estimator import Budget, KernelTable
@@ -120,7 +121,8 @@ def default_lambda_grid(points: int = 25, low: float = 1e-4,
 
 
 def ridge_bias(o: np.ndarray, ens: Ensemble, lam: float) -> KernelTable:
-    """Minimum-norm solution of (A^T A + lambda I) y = A^T o_vec, K = y/sqrt(p).
+    """Minimum-norm solution of (M^T M + lambda I) y = M^T c, K = y/sqrt(p),
+    for the family-row system M y = c of estimator.stacked_system.
 
     lambda = 0 reproduces the unbiased least-squares kernel; lambda -> inf
     drives K to zero (bias -> ||O||_inf).
@@ -129,12 +131,12 @@ def ridge_bias(o: np.ndarray, ens: Ensemble, lam: float) -> KernelTable:
         raise ValueError("ridge parameter must be non-negative")
     a, b, sqrt_p = estimator.stacked_system(o, ens)
     if lam == 0.0:
-        y, residual = estimator._solve_min_norm(a, b)
+        y, residual = estimator._solve_min_norm(o, a, b)
     else:
         gram = a.T @ a
         gram[np.diag_indices_from(gram)] += lam
         y = np.linalg.solve(gram, a.T @ b)
-        residual = float(np.linalg.norm(a @ y - b))
+        residual = estimator._residual(o, a @ y - b)
     dim = 1 << ens.n
     values = y.reshape(len(ens.members), dim) / sqrt_p[:, None]
     return KernelTable(ens, values=values, residual=residual)
@@ -151,37 +153,40 @@ def ridge_scan(o: np.ndarray, ens: Ensemble, lambdas, shots: int,
 # ---------------------------------------------------------------------------
 
 
-def _unstack(vec: np.ndarray, dim: int) -> np.ndarray:
-    half = dim * dim
-    return (vec[:half] + 1j * vec[half:]).reshape(dim, dim)
-
-
 def _minimize_alpha(o, ens, alpha, shots, m_observables, delta, y0,
                     max_iter=MAX_ITER):
-    """Subgradient descent with backtracking on the convex alpha-cost."""
-    a, b, sqrt_p = estimator.stacked_system(o, ens)
+    """Subgradient descent with backtracking on the convex alpha-cost.
+
+    G = sum_S vec(B_S) M[S, :] maps y to vec(O~), so each trial step forms
+    the residual operator O - O~ with one product.
+    """
+    a, _, sqrt_p = estimator.stacked_system(o, ens)
     dim = 1 << ens.n
+    basis = np.stack([visible.build_B(s).ravel()
+                      for s in visible.enumerate_sets(ens.n)], axis=1)
+    g_op = basis @ a
+    o_vec = np.asarray(o, dtype=complex).ravel()
     c_var = 2.0 * estimator.confidence_log(m_observables, delta) / shots
     # tr(O~)/2^n is linear in y; the column for member j, outcome b carries
     # trace sqrt(p_j) (projector trace 1)
     g = np.repeat(sqrt_p, dim) / dim
 
     def split_cost(y):
-        r = b - a @ y
-        res = _unstack(r, dim)
+        r = o_vec - g_op @ y
+        res = r.reshape(dim, dim)
         bias = float(np.abs(np.linalg.eigvalsh(0.5 * (res + res.conj().T))).max())
         var = float(y @ y) / dim - float(g @ y) ** 2
         return alpha * bias + math.sqrt(max(c_var * var, 0.0)), r, var
 
     def gradient(y, r, var):
-        res = _unstack(r, dim)
+        res = r.reshape(dim, dim)
         res = 0.5 * (res + res.conj().T)
         evals, evecs = np.linalg.eigh(res)
         top = int(np.abs(evals).argmax())
         w = evecs[:, top]
+        # <w|O~|w> is linear in y, with gradient Re(vec(conj(w) w^T) @ G)
         outer = (np.conj(w)[:, None] * w[None, :]).ravel()
-        u = np.concatenate([outer.real, -outer.imag])
-        grad = -alpha * np.sign(evals[top]) * (a.T @ u)
+        grad = -alpha * np.sign(evals[top]) * (outer @ g_op).real
         stat = math.sqrt(max(c_var * var, 0.0))
         if stat > 1e-14:
             grad = grad + c_var * (y / dim - float(g @ y) * g) / stat
@@ -235,7 +240,7 @@ def alpha_scan(o: np.ndarray, ens: Ensemble, shots: int, m_observables: int,
     if not alphas:
         raise ValueError("need at least one alpha")
     a, b, sqrt_p = estimator.stacked_system(o, ens)
-    y0, _ = estimator._solve_min_norm(a, b)
+    y0, _ = estimator._solve_min_norm(o, a, b)
     rows = []
     for alpha in alphas:
         y, _, converged = _minimize_alpha(o, ens, float(alpha), shots,

@@ -182,10 +182,11 @@ def subsample_su2(n_unitaries: int, rng: np.random.Generator, targets=(),
                   n: int | None = None) -> Ensemble:
     """Uniform Haar subsample, retried until it can represent the targets.
 
-    ``targets`` is a sequence of dense Hermitian operators that the stacked
-    outcome-projector system must reproduce (least-squares residual < 1e-8
-    per target). Plain draws are almost surely fine; the retry cap guards
-    degenerate seeds.
+    ``targets`` is a sequence of dense Hermitian operators that the
+    least-squares kernel must reproduce: each target's residual ||O - O~||_F
+    must stay within ``estimator.residual_limit`` (REPRESENTABILITY_TOL times
+    max(1, ||O||_F)), the gate kernel_least_squares applies. Plain draws are
+    almost surely fine; the retry cap guards degenerate seeds.
     """
     if n_unitaries < 1:
         raise ValueError("need at least one unitary")
@@ -205,7 +206,7 @@ def subsample_su2(n_unitaries: int, rng: np.random.Generator, targets=(),
             for t in targets
         ]
         worst = max(residuals)
-        if worst < 1e-8:
+        if all(r <= estimator.residual_limit(t) for r, t in zip(residuals, targets)):
             return ens
     raise RepresentabilityError(
         f"no representable subsample of size {n_unitaries} after "

@@ -8,6 +8,10 @@ so that the empirical mean of K(V_s, b_s) over measurement records is an
 unbiased estimator of tr(rho O). Discrete ensembles store K as a dense
 (members x 2^n) table; the continuous global-SU(2) ensemble stores the
 channel-inverted operator and evaluates <b|V M^{-1}(O) V†|b> on demand.
+Every ensemble but local random Paulis applies one global rotation
+V = u^{⊗n}, so its measured diagonals, its kernel sums and its
+least-squares system are written in the visible family basis of
+``visible`` (see ``visible.rotated_diagonal``).
 
 Campaign sampling is deterministic for a fixed seed independent of the worker
 count: shots are cut into fixed-size chunks, each chunk gets its own child
@@ -25,7 +29,7 @@ from functools import cached_property
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from . import artifacts, channels, ensembles, gates, qcore
+from . import artifacts, channels, ensembles, gates, qcore, visible
 from .ensembles import (
     KIND_DISCRETE_SUBSAMPLE,
     KIND_GLOBAL_CL2,
@@ -38,7 +42,10 @@ from .errors import NumericalDegeneracyError, RepresentabilityError
 
 CHUNK = 4096
 
-LSTSQ_RESIDUAL_TOL = 1e-6
+# A target is representable when ||O - O~||_F of its least-squares kernel
+# stays below this share of max(1, ||O||_F); subsample_su2 and
+# kernel_least_squares apply the same gate.
+REPRESENTABILITY_TOL = 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -164,7 +171,7 @@ def _su2_phi(thetas, psis, b, n: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Stacked least-squares system for discrete subsamples
+# Family-row least-squares system for discrete ensembles
 # ---------------------------------------------------------------------------
 
 
@@ -182,46 +189,64 @@ def _member_gates(ens: Ensemble) -> np.ndarray:
     return np.stack([m.single_qubit() for m in ens.members])
 
 
-def stacked_system(o: np.ndarray, ens: Ensemble):
-    """Real-stacked system A y = o_vec with columns sqrt(p) * vec(V†|b><b|V).
+def _family_rows(ens: Ensemble) -> tuple[np.ndarray, np.ndarray]:
+    """Real (families, members x 2^n) matrix M of the kernel sum, and sqrt(p).
 
-    The substitution y = sqrt(p) K makes the minimum-norm solution of this
-    system the kernel with the smallest variance under the maximally mixed
-    state while keeping the p-weighted reconstruction identity exact.
+    M[S, (j, b)] = sqrt(p_j) <b|V_j B_S V_j†|b>, so M @ (sqrt(p) K).ravel()
+    holds tr(B_S O~) for the operator O~ that a kernel table K represents.
     """
     if not ens.is_discrete:
         raise ValueError("stacked system needs a discrete ensemble")
-    n = qcore.num_qubits(o)
-    if n != ens.n:
-        raise ValueError("operator/ensemble dimension mismatch")
     sqrt_p = np.sqrt(ens.weights)
-    v = gates.rows(_member_gates(ens), n)  # row b of V_j is <b|V_j
-    # vec(V†|b><b|V) = conj(row_b) outer row_b, flattened row-major
-    cols = v.conj()[:, :, :, None] * v[:, :, None, :]
-    cols *= sqrt_p[:, None, None, None]
-    cols = cols.reshape(-1, 1 << 2 * n)
-    a_real = np.concatenate([cols.real, cols.imag], axis=1).T
-    b_real = np.concatenate([o.ravel().real, o.ravel().imag])
-    return a_real, b_real, sqrt_p
+    w = visible.family_table(_member_gates(ens), ens.n) * sqrt_p[:, None]
+    m = w.T[:, :, None] * visible.family_signs(ens.n)[:, None, :]
+    return m.reshape(len(m), -1), sqrt_p
 
 
-def _solve_min_norm(a: np.ndarray, b: np.ndarray):
+def stacked_system(o: np.ndarray, ens: Ensemble):
+    """Family-row system M y = Re tr(B_S O), one real row per visible family.
+
+    The substitution y = sqrt(p) K makes the minimum-norm solution of this
+    system the kernel with the smallest variance under the maximally mixed
+    state while keeping the p-weighted reconstruction identity exact. What
+    no kernel reaches, the imaginary family parts and the invisible part of
+    O, is left to ``_residual``.
+    """
+    m, sqrt_p = _family_rows(ens)
+    if qcore.num_qubits(o) != ens.n:
+        raise ValueError("operator/ensemble dimension mismatch")
+    return m, visible.family_coefficients(o).real, sqrt_p
+
+
+def _residual(o: np.ndarray, misfit: np.ndarray) -> float:
+    """||O - O~||_F from the family-row misfit M y - Re tr(B_S O)."""
+    amps = visible.family_coefficients(o)
+    return float(np.sqrt(misfit @ misfit + amps.imag @ amps.imag
+                         + visible.invisible_norm(o) ** 2))
+
+
+def _solve_min_norm(o: np.ndarray, a: np.ndarray, b: np.ndarray):
+    """Minimum-norm least-squares y of the system (a, b) of o, and ||O - O~||_F."""
     y, *_ = np.linalg.lstsq(a, b, rcond=None)
-    residual = float(np.linalg.norm(a @ y - b))
-    return y, residual
+    return y, _residual(o, a @ y - b)
+
+
+def residual_limit(o: np.ndarray) -> float:
+    """Largest residual at which o counts as representable."""
+    return REPRESENTABILITY_TOL * max(1.0, qcore.hs_norm(o))
 
 
 def representability_residual(o: np.ndarray, ens: Ensemble) -> float:
-    """Least-squares residual of the stacked system (0 when o is representable)."""
+    """||O - O~||_F of the least-squares kernel (0 when o is representable)."""
     a, b, _ = stacked_system(o, ens)
-    return _solve_min_norm(a, b)[1]
+    return _solve_min_norm(o, a, b)[1]
 
 
 def kernel_least_squares(o: np.ndarray, ens: Ensemble) -> KernelTable:
     """Minimum-norm kernel for a discrete subsample (unbiased when representable)."""
     a, b, sqrt_p = stacked_system(o, ens)
-    y, residual = _solve_min_norm(a, b)
-    if residual > LSTSQ_RESIDUAL_TOL:
+    y, residual = _solve_min_norm(o, a, b)
+    if residual > residual_limit(o):
         raise RepresentabilityError(
             f"operator is not representable by this unitary set "
             f"(residual {residual:.3e})", residual=residual)
@@ -236,7 +261,8 @@ def kernel_cs(o: np.ndarray, ens: Ensemble) -> KernelTable:
         inv = channels.inverse_msu2(o)
         return KernelTable(ens, inv_op=inv)
     if ens.kind == KIND_GLOBAL_CL2:
-        values = gates.diagonal(channels.inverse_mcl2(o), _member_gates(ens))
+        values = visible.rotated_diagonal(channels.inverse_mcl2(o),
+                                          _member_gates(ens))
         return KernelTable(ens, values=values)
     raise ValueError("kernel_cs needs an analytic channel (GlobalSU2 or GlobalCl2)")
 
@@ -247,13 +273,13 @@ def kernel_cs(o: np.ndarray, ens: Ensemble) -> KernelTable:
 
 
 def _born_tables(rho: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """P(b | V) rows of a state vector or density matrix for the product
-    rotations V of g (as in gates.rows)."""
+    """P(b | V) rows of a state vector or density matrix for the global
+    rotations V = g[j]^{⊗n} of a (rows, 2, 2) gate table."""
     n = qcore.num_qubits(rho)
     if rho.ndim == 1:
         probs = np.abs(gates.rows(g, n, rho)) ** 2
     else:
-        probs = gates.diagonal(rho, g)
+        probs = visible.rotated_diagonal(rho, g)
     total = probs.sum(axis=1)
     worst = int(np.abs(total - 1.0).argmax())
     if abs(total[worst] - 1.0) > 1e-8:
@@ -488,7 +514,7 @@ def confidence_log(m_observables: int, delta: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Reconstruction (discrete sums and SU(2) quadrature)
+# Reconstruction and the SU(2) quadrature
 # ---------------------------------------------------------------------------
 
 
@@ -517,23 +543,21 @@ def _node_gates(nodes) -> np.ndarray:
 
 def _su2_node_values(inv_op: np.ndarray, nodes, n: int) -> np.ndarray:
     """K(V, b) = <b|V inv_op V†|b> at each quadrature node (row) and outcome."""
-    return gates.diagonal(inv_op, _node_gates(nodes))
+    return visible.rotated_diagonal(inv_op, _node_gates(nodes))
 
 
 def reconstruct(k: KernelTable) -> np.ndarray:
-    """sum_V p(V) sum_b K(V,b) V†|b><b|V (quadrature for the continuous kind).
+    """sum_V p(V) sum_b K(V,b) V†|b><b|V.
 
-    The rows <b|V of a block of rotations, at most gates.BLOCK entries, are
-    stacked as X, and the block adds X† (p K ⊙ X) in one product.
+    For the continuous kind this is the channel applied to the stored
+    M^{-1}(O); for a discrete table it is sum_S tr(B_S O~) B_S with the
+    family amplitudes M @ (sqrt(p) K) of the family-row system.
     """
-    g, weights, vals = k.terms
-    dim = 1 << k.n
-    out = np.zeros((dim, dim), dtype=complex)
-    for block in gates.blocks(len(g), dim * dim):
-        x = gates.rows(g[block], k.n).reshape(-1, dim)
-        pk = (weights[block, None] * vals[block]).reshape(-1, 1)
-        out += x.conj().T @ (pk * x)
-    return out
+    if k.values is None:
+        return channels.apply_msu2(k.inv_op)
+    m, sqrt_p = _family_rows(k.ens)
+    return visible.visible_from_family_coefficients(
+        k.n, m @ (sqrt_p[:, None] * k.values).ravel())
 
 
 # ---------------------------------------------------------------------------

@@ -7,12 +7,6 @@ place on (rows, 2^n) tables, one gate per row, site 0 being the most
 significant bit of a column index. A dense V is formed only where its
 entries are needed, by Kronecker doubling: a (rows, d, d) stack times the
 next site's (rows, 2, 2) gates gives (rows, 2d, 2d).
-
-A measured diagonal diag(V A V†) runs vec(A) as 2n sites with each site's
-row and column bit side by side (g on the row bit, conj(g) on the column
-bit). Once a site is rotated its off-diagonal half is dropped, because later
-gates never touch it and only the diagonal is read, so the row length halves
-at every site, from 4^n down to 2^n.
 """
 
 from __future__ import annotations
@@ -86,34 +80,3 @@ def vectorized(a: np.ndarray) -> np.ndarray:
     row_col = np.arange(2 * n).reshape(2, n).T.ravel()
     t = np.asarray(a, dtype=complex).reshape((2,) * 2 * n).transpose(row_col)
     return t.reshape(1, -1)
-
-
-def measure_site(t: np.ndarray, site: int, g: np.ndarray) -> np.ndarray:
-    """Rotate `site` of vectorized rows t by g[r] and drop its off-diagonal half.
-
-    Sites before `site` must already be measured (one bit each). Returns the
-    new, half-length table.
-    """
-    rotate_site(t, site, g)
-    rotate_site(t, site + 1, g.conj())
-    diag = t.reshape(len(t), 1 << site, 2, 2, -1)[:, :, [0, 1], [0, 1]]
-    return diag.reshape(len(t), -1)
-
-
-def diagonal(a: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Real part of diag(V_r a V_r†) for each product rotation of g (as in `rows`).
-
-    Rows go through in blocks of at most BLOCK elements (rows x 4^n, or one
-    row when 4^n is larger), so memory stays bounded by one block and the
-    (rows, 2^n) result.
-    """
-    n = a.shape[0].bit_length() - 1
-    vec = vectorized(a)
-    out = np.empty((len(g), 1 << n))
-    for block in blocks(len(g), vec.size):
-        part = g[block]
-        t = np.repeat(vec, len(part), axis=0)
-        for site in range(n):
-            t = measure_site(t, site, _site_gates(part, site))
-        out[block] = t.real
-    return out

@@ -235,37 +235,76 @@ def _stats(k: KernelTable, q: np.ndarray | None):
     return var, float(np.abs(table).max())
 
 
+def _cost(var, q, bias, epsilon: float):
+    """(Var + s Q / 3) / s^2 with the slack s = epsilon - bias (inf for s <= 0)."""
+    slack = epsilon - bias
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(slack > 0, (var + slack * q / 3.0) / slack**2, math.inf)
+
+
+def _scores(links: list, tris: list, p: np.ndarray, epsilon: float) -> np.ndarray:
+    """Worst per-term cost of every (link lambda, triangle lambda, density)
+    candidate, density 0 native and 1 the shared q_multi density.
+
+    Under q the kernel K p/q has variance bound sum_j q_j (r_j max_b |K_jb|)^2
+    and Q = max_j r_j max_b |K_jb|, with r = p/q; the row maxima are taken
+    once per lambda and the density once per lambda pair.
+    """
+    def rows(entries):
+        peak = np.array([np.abs(k.values).max(axis=1) for _, k, _ in entries])
+        return peak, np.array([bias for _, _, bias in entries])
+
+    (peak_l, bias_l), (peak_t, bias_t) = rows(links), rows(tris)
+    w = p * np.maximum(peak_l[:, None], peak_t[None, :])  # (links, tris, members)
+    total = w.sum(axis=2, keepdims=True)
+    if (total <= 0).any():
+        raise ValueError("kernels are identically zero")
+    q = w / total
+    ratio = np.divide(p, q, out=np.zeros_like(q), where=q > 0)
+    native = np.maximum(
+        _cost(peak_l**2 @ p, peak_l.max(axis=1), bias_l, epsilon)[:, None],
+        _cost(peak_t**2 @ p, peak_t.max(axis=1), bias_t, epsilon)[None, :])
+    scaled_l, scaled_t = peak_l[:, None] * ratio, peak_t[None, :] * ratio
+    adapt = np.maximum(
+        _cost((q * scaled_l**2).sum(axis=2), scaled_l.max(axis=2), bias_l[:, None],
+              epsilon),
+        _cost((q * scaled_t**2).sum(axis=2), scaled_t.max(axis=2), bias_t[None, :],
+              epsilon))
+    return np.stack([native, adapt], axis=2)
+
+
 def strategy_candidates(link_op: np.ndarray, tri_op: np.ndarray, ens: Ensemble,
-                        lambdas=None) -> dict:
-    """Best (var, Q, bias) candidate per strategy, shared across lattice sizes.
+                        epsilon: float, lambdas=None) -> dict:
+    """Winning (var, Q, bias) candidate per strategy, shared across lattice sizes.
 
     The N formula is a monotone function of the per-term worst contribution,
     so the winning candidate does not depend on the term count M and the scan
-    is done once for all requested sizes.
+    is done once for all requested sizes. Each strategy's candidates are
+    ranked on arrays (`_scores`); the winner is the first minimum in the
+    order (link lambda, triangle lambda, density), and its figures are then
+    computed through adaptive.reweight like any single kernel's.
     """
     if lambdas is None:
         lambdas = biasvar.default_lambda_grid()
-    ens_l2 = ens.with_n(2)
-    ens_l3 = ens.with_n(3)
-    links = _ridge_family(link_op, ens_l2, lambdas)
-    tris = _ridge_family(tri_op, ens_l3, lambdas)
+    links = _ridge_family(link_op, ens.with_n(2), lambdas)
+    tris = _ridge_family(tri_op, ens.with_n(3), lambdas)
+    scores = _scores(links, tris, ens.weights, epsilon)
 
-    def candidate(link_entry, tri_entry, q):
-        lam_l, k_l, b_l = link_entry
-        lam_t, k_t, b_t = tri_entry
+    def candidate(i, j, adapt):
+        (lam_l, k_l, b_l), (lam_t, k_t, b_t) = links[i], tris[j]
+        q = adaptive.q_multi([k_l, k_t]) if adapt else None
         var_l, q_l = _stats(k_l, q)
         var_t, q_t = _stats(k_t, q)
         return _Candidate(var_l, q_l, b_l, var_t, q_t, b_t, lam_l, lam_t)
 
-    plain = candidate(links[0], tris[0], None)
-    adapt = candidate(links[0], tris[0], adaptive.q_multi([links[0][1], tris[0][1]]))
+    def first_min(table):
+        return candidate(*np.unravel_index(int(np.argmin(table)), table.shape))
+
     return {
-        "plain-CS": [plain],
-        "bias-only": [candidate(le, te, None) for le in links for te in tris],
-        "adapt-only": [plain, adapt],
-        "bias+adapt": [candidate(le, te, density)
-                       for le in links for te in tris
-                       for density in (None, adaptive.q_multi([le[1], te[1]]))],
+        "plain-CS": candidate(0, 0, False),
+        "bias-only": first_min(scores[:, :, :1]),
+        "adapt-only": first_min(scores[:1, :1]),
+        "bias+adapt": first_min(scores),
     }
 
 
@@ -282,12 +321,11 @@ def energy_budget_comparison(lats, ens: Ensemble, epsilon: float = 0.1,
         lats = [lats]
     link_op = link_local(g, alpha)
     tri_op = triangle_local(g)
-    table = strategy_candidates(link_op, tri_op, ens, lambdas)
+    winners = strategy_candidates(link_op, tri_op, ens, epsilon, lambdas)
 
     picks = {}
-    for strategy, candidates in table.items():
-        scored = [(c.worst(epsilon), c) for c in candidates]
-        (worst, by_link), best = min(scored, key=lambda item: item[0][0])
+    for strategy, best in winners.items():
+        worst, by_link = best.worst(epsilon)
         if not math.isfinite(worst):
             raise ValueError(f"{strategy}: bias exhausts epsilon for every "
                              "candidate")

@@ -12,6 +12,17 @@ its orthogonal complement, and together they form an orthonormal basis of the
 full operator space. Member ordering inside a family is lexicographic on the
 Pauli word with X < Y < Z (identity positions fixed), which pins down the
 Bperp elements.
+
+Under a global rotation V = u^{⊗n} every member of a family has the same
+measured diagonal. With the Bloch axis m = (<0|u σ_a u†|0>) for a = x, y, z
+and the family's free (non-identity) mask F,
+
+    <b|V B_S V†|b> = W_S (-1)^{popcount(b & F)},
+    W_S = sqrt(|S| / 2^n) m_x^{n_X} m_y^{n_Y} m_z^{n_Z},
+
+so diag(V A V†) is one Walsh-Hadamard transform over F of the sums of
+W_S tr(B_S A) over the families with free mask F, and only the visible part
+of A enters.
 """
 
 from __future__ import annotations
@@ -21,7 +32,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import qcore
+from . import gates, qcore
 from .qcore import PauliString
 
 
@@ -208,3 +219,66 @@ def project_visible(o: np.ndarray, n: int | None = None) -> np.ndarray:
 def invisible_norm(o: np.ndarray) -> float:
     """Hilbert-Schmidt norm of the component outside the visible space."""
     return qcore.hs_norm(o - project_visible(o))
+
+
+@lru_cache(maxsize=8)
+def _family_layout(n: int) -> tuple[np.ndarray, ...]:
+    """Letter counts (3, sets), sqrt(|S| / 2^n) and free masks of the
+    families in enumerate_sets order, and the first family of each identity
+    mask (identity masks ascend, each with at least one family)."""
+    sets = enumerate_sets(n)
+    _, sizes = _family_index_table(n)
+    counts = np.array([s.counts for s in sets]).T
+    r_masks = np.array([s.r_mask for s in sets])
+    starts = np.searchsorted(r_masks, np.arange(1 << n))
+    out = (counts, np.sqrt(sizes / (1 << n)), ((1 << n) - 1) ^ r_masks, starts)
+    for a in out:
+        a.flags.writeable = False
+    return out
+
+
+def family_table(u: np.ndarray, n: int) -> np.ndarray:
+    """(rows, families) table W[j, S] = sqrt(|S|/2^n) m_x^{n_X} m_y^{n_Y} m_z^{n_Z}.
+
+    u is a (rows, 2, 2) table of global rotations, one gate for every site,
+    and m_j = (<0|u_j σ_a u_j†|0>) for a = x, y, z is the Bloch axis of row j.
+    W[j, S] (-1)^{popcount(b & F_S)} = <b|V_j B_S V_j†|b> for V_j = u_j^{⊗n}.
+    """
+    if u.ndim != 3 or u.shape[1:] != (2, 2):
+        raise ValueError("family forms need one 2x2 rotation per row, shared by "
+                         f"every site; got gates of shape {u.shape}")
+    a, b = u[:, 0, 0], u[:, 0, 1]  # <0|u = (a, b)
+    ab = a * b.conj()
+    m = np.stack([2.0 * ab.real, 2.0 * ab.imag, abs(a) ** 2 - abs(b) ** 2], axis=1)
+    counts, scale, _, _ = _family_layout(n)
+    powers = m[:, :, None] ** np.arange(n + 1)
+    w = powers[:, 0, counts[0]] * scale
+    w *= powers[:, 1, counts[1]]
+    w *= powers[:, 2, counts[2]]
+    return w
+
+
+def family_signs(n: int) -> np.ndarray:
+    """(families, 2^n) table of (-1)^{popcount(b & F_S)}."""
+    _, _, free, _ = _family_layout(n)
+    return 1.0 - 2.0 * qcore.parity(free[:, None] & np.arange(1 << n))
+
+
+def rotated_diagonal(a: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Re <b|V_j a V_j†|b> for the global rotations V_j = u_j^{⊗n}.
+
+    Rows go through in blocks of at most gates.BLOCK table entries: each
+    block sums W[j, S] Re tr(B_S a) over the families of every free mask,
+    and one Walsh-Hadamard transform of the (rows, 2^n) result turns masks
+    into outcomes.
+    """
+    n = qcore.num_qubits(a)
+    amps = family_coefficients(a).real
+    _, _, _, starts = _family_layout(n)
+    out = np.empty((len(u), 1 << n))
+    for block in gates.blocks(len(u), amps.size):
+        w = family_table(u[block], n)
+        w *= amps
+        # identity masks ascend, so their complements, the free masks, descend
+        out[block] = np.add.reduceat(w, starts, axis=1)[:, ::-1]
+    return qcore._fwht(out)

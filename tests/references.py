@@ -1,0 +1,67 @@
+"""Dense and site-by-site references that the package's closed forms replaced.
+
+`diagonal` is the measured diagonal diag(V A V†) of product rotations,
+computed by rotating vec(A) one site at a time; `stacked_system` is the
+real/imaginary-stacked least-squares system whose columns are the dense
+outcome projectors sqrt(p_j) vec(V_j†|b><b|V_j). Both work for any product
+rotation, so they check the family forms of `reshadow.visible` and
+`reshadow.estimator` from outside.
+"""
+
+import numpy as np
+
+from reshadow import estimator, gates
+
+
+def measure_site(t, site, g):
+    """Rotate `site` of vectorized rows t by g[r] and drop its off-diagonal half.
+
+    Sites before `site` must already be measured (one bit each). Returns the
+    new, half-length table.
+    """
+    gates.rotate_site(t, site, g)
+    gates.rotate_site(t, site + 1, g.conj())
+    diag = t.reshape(len(t), 1 << site, 2, 2, -1)[:, :, [0, 1], [0, 1]]
+    return diag.reshape(len(t), -1)
+
+
+def diagonal(a, g):
+    """Real part of diag(V_r a V_r†) for each product rotation of g (as in
+    gates.rows: (rows, 2, 2) for a global rotation, (rows, n, 2, 2) per site).
+
+    vec(a) runs as 2n sites with each site's row and column bit side by side
+    (g on the row bit, conj(g) on the column bit). Once a site is rotated
+    its off-diagonal half is dropped, so rows halve at every site. Rows go
+    through in blocks of at most gates.BLOCK elements.
+    """
+    n = a.shape[0].bit_length() - 1
+    vec = gates.vectorized(a)
+    out = np.empty((len(g), 1 << n))
+    for block in gates.blocks(len(g), vec.size):
+        part = g[block]
+        t = np.repeat(vec, len(part), axis=0)
+        for site in range(n):
+            t = measure_site(t, site, part if part.ndim == 3 else part[:, site])
+        out[block] = t.real
+    return out
+
+
+def stacked_system(o, ens):
+    """Real-stacked system A y = o_vec with columns sqrt(p) vec(V†|b><b|V)."""
+    n = ens.n
+    sqrt_p = np.sqrt(ens.weights)
+    v = gates.rows(estimator._member_gates(ens), n)  # row b of V_j is <b|V_j
+    cols = v.conj()[:, :, :, None] * v[:, :, None, :]
+    cols *= sqrt_p[:, None, None, None]
+    cols = cols.reshape(-1, 1 << 2 * n)
+    a_real = np.concatenate([cols.real, cols.imag], axis=1).T
+    b_real = np.concatenate([o.ravel().real, o.ravel().imag])
+    return a_real, b_real, sqrt_p
+
+
+def least_squares_kernel(o, ens):
+    """(K table, residual ||A y - o_vec||) of the stacked system's minimum-norm y."""
+    a, b, sqrt_p = stacked_system(o, ens)
+    y, *_ = np.linalg.lstsq(a, b, rcond=None)
+    values = y.reshape(len(ens.members), 1 << ens.n) / sqrt_p[:, None]
+    return values, float(np.linalg.norm(a @ y - b))

@@ -1,5 +1,6 @@
 """Kernel solvers, campaigns, budgets, and the record CSV round trip."""
 
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -10,6 +11,8 @@ from reshadow import channels, ensembles, estimator, gates, lgt, qcore, visible
 from reshadow.errors import RepresentabilityError
 
 from conftest import random_hermitian
+import references
+from references import diagonal
 from test_records_csv import member
 
 
@@ -172,6 +175,48 @@ def test_small_subsample_not_representable():
     assert estimator.representability_residual(link, ens) > 1e-3
     with pytest.raises(RepresentabilityError):
         estimator.kernel_least_squares(link, ens)
+
+
+def test_representability_gate_is_relative_and_shared(link_setup):
+    link, ens = link_setup
+    big = 1e6 * link
+    residual = estimator.representability_residual(big, ens)
+    assert residual <= estimator.residual_limit(big)
+    assert estimator.kernel_least_squares(big, ens).residual == residual
+    again = ensembles.subsample_su2(6, np.random.default_rng(0), targets=(big,), n=2)
+    assert again.members == ens.members  # the first draw passes, as for link
+    small = ensembles.subsample_su2(3, np.random.default_rng(1), n=2)
+    for target in (link, big):
+        with pytest.raises(RepresentabilityError):
+            estimator.kernel_least_squares(target, small)
+        with pytest.raises(RepresentabilityError):
+            ensembles.subsample_su2(3, np.random.default_rng(1), targets=(target,),
+                                    n=2)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_family_row_system_matches_stacked_reference(n):
+    """Kernels and residuals of the family-row system equal those of the
+    real/imaginary-stacked dense system, for a visible, an invisible-heavy
+    and a non-Hermitian target."""
+    rng = np.random.default_rng(60 + n)
+    ens = ensembles.subsample_su2(3 * n, rng, n=n)
+    a = random_hermitian(n, rng)
+    targets = (visible.project_visible(a), a,
+               a + 1j * random_hermitian(n, rng))
+    for o in targets:
+        want_values, want_residual = references.least_squares_kernel(o, ens)
+        mat, rhs, sqrt_p = estimator.stacked_system(o, ens)
+        y, residual = estimator._solve_min_norm(o, mat, rhs)
+        assert mat.shape == (visible.expected_set_count(n), 3 * n << n)
+        assert mat.dtype == np.float64
+        values = y.reshape(3 * n, -1) / sqrt_p[:, None]
+        scale = np.abs(want_values).max()
+        np.testing.assert_allclose(values, want_values, rtol=0, atol=1e-12 * scale)
+        assert abs(residual - want_residual) <= 1e-12 * qcore.hs_norm(o)
+        assert residual == pytest.approx(
+            qcore.hs_norm(o - estimator.reconstruct(
+                estimator.KernelTable(ens, values=values))), rel=1e-9)
 
 
 def test_var_under_state_matches_direct_sum(link_setup, rng):
@@ -348,7 +393,7 @@ def table_sampler_probs(rho, words):
     if rho.ndim == 1:
         probs = np.abs(gates.rows(g, n, rho)) ** 2
     else:
-        probs = np.clip(gates.diagonal(rho, g), 0.0, None)
+        probs = np.clip(diagonal(rho, g), 0.0, None)
     probs /= probs.sum(axis=1, keepdims=True)
     return probs, row.ravel()
 
@@ -475,7 +520,7 @@ def test_local_clifford_campaign_memory_is_bounded():
     assert peak < 12 * 2**20
 
 
-@pytest.mark.parametrize("n", [6, 7])
+@pytest.mark.parametrize("n", [6, 7, 8])
 def test_su2_density_campaign_memory_is_bounded(n):
     # the product unitaries of a chunk are never formed: at n = 6 they alone
     # would take 4096 * 64 * 64 * 16 bytes = 268 MB
@@ -488,6 +533,19 @@ def test_su2_density_campaign_memory_is_bounded(n):
     finally:
         tracemalloc.stop()
     assert peak < 32 * 2**20
+
+
+def test_su2_density_campaign_records_are_frozen():
+    # outcomes drawn from the family-form Born tables equal those drawn from
+    # the site-by-site rotations of vec(rho) that they replaced
+    d, rng = 8, np.random.default_rng(100)
+    a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    rho = a @ a.conj().T
+    rho /= np.trace(rho).real
+    records = estimator.run_campaign(rho, ensembles.global_su2(3), 4096,
+                                     np.random.default_rng(0))
+    digest = hashlib.sha256(records.b.tobytes()).hexdigest()[:16]
+    assert digest == "39fdd09f571148d7"
 
 
 def test_local_clifford_campaign_keeps_numeric_words():

@@ -1,9 +1,11 @@
 """Triangular-strip gauge model: lattice layout, terms, budgets."""
 
+import math
+
 import numpy as np
 import pytest
 
-from reshadow import biasvar, ensembles, estimator, lgt, qcore, visible
+from reshadow import adaptive, biasvar, ensembles, estimator, lgt, qcore, visible
 
 
 def test_lattice_counts():
@@ -168,3 +170,52 @@ def test_budget_csv(budget_rows):
     assert lines[1].startswith("strategy,n_qubits,M_terms")
     assert len(lines) == 6
     assert lines[2].startswith("plain-CS,6,10,")
+
+
+def reference_winners(link_op, tri_op, ens, epsilon):
+    """Every candidate scored through _stats and q_multi, one kernel at a
+    time, and the first minimum of each strategy's list."""
+    lambdas = biasvar.default_lambda_grid()
+    links = lgt._ridge_family(link_op, ens.with_n(2), lambdas)
+    tris = lgt._ridge_family(tri_op, ens.with_n(3), lambdas)
+
+    def candidate(link_entry, tri_entry, q):
+        lam_l, k_l, b_l = link_entry
+        lam_t, k_t, b_t = tri_entry
+        return lgt._Candidate(*lgt._stats(k_l, q), b_l, *lgt._stats(k_t, q), b_t,
+                              lam_l, lam_t)
+
+    plain = candidate(links[0], tris[0], None)
+    adapt = candidate(links[0], tris[0],
+                      adaptive.q_multi([links[0][1], tris[0][1]]))
+    table = {
+        "plain-CS": [plain],
+        "bias-only": [candidate(le, te, None) for le in links for te in tris],
+        "adapt-only": [plain, adapt],
+        "bias+adapt": [candidate(le, te, density)
+                       for le in links for te in tris
+                       for density in (None, adaptive.q_multi([le[1], te[1]]))],
+    }
+    return {strategy: min(cands, key=lambda c: c.worst(epsilon)[0])
+            for strategy, cands in table.items()}
+
+
+@pytest.mark.parametrize("ensemble_seed", [1, 2, 5, 9])
+def test_array_ranking_picks_the_reference_winners(ensemble_seed):
+    # seed 1 is configs/lgt_budget.cfg
+    link, tri = lgt.link_local(1.0, 1.0), lgt.triangle_local(1.0)
+    ens = ensembles.subsample_su2(25, np.random.default_rng(ensemble_seed),
+                                  targets=(link, tri), n=3)
+    want = reference_winners(link, tri, ens, 0.1)
+    got = lgt.strategy_candidates(link, tri, ens, 0.1)
+    assert got.keys() == want.keys()
+    for strategy, c in got.items():
+        assert (c.lambda_link, c.lambda_tri) == (want[strategy].lambda_link,
+                                                 want[strategy].lambda_tri)
+        assert c == want[strategy]  # the winner's figures, bit for bit
+    lats = [lgt.TriLattice(2, 2), lgt.TriLattice(4, 2)]
+    for row in lgt.energy_budget_comparison(lats, ens):
+        c = want[row.strategy]
+        worst, _ = c.worst(0.1)
+        shots = math.ceil(2.0 * estimator.confidence_log(row.m_terms, 0.1) * worst)
+        assert row.n_shots == shots

@@ -3,7 +3,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from reshadow import qcore, visible
+from reshadow import ensembles, estimator, qcore, visible
+
+from conftest import random_hermitian
+from references import diagonal
 
 
 def test_set_counts_match_closed_form():
@@ -52,8 +55,6 @@ def test_family_coefficients_roundtrip(rng):
 
 
 def test_project_visible_idempotent_and_orthogonal(rng):
-    from conftest import random_hermitian
-
     a = random_hermitian(2, rng)
     p = visible.project_visible(a)
     assert np.allclose(visible.project_visible(p), p)
@@ -75,3 +76,77 @@ def test_identity_padding_changes_family_not_counts(nx, ny, nz):
     s = visible.FixedIdSet(n, mask, nx, ny, nz)
     assert s.counts == (nx, ny, nz)
     assert s.identity_sites == (0,)
+
+
+# ---------------------------------------------------------------------------
+# Global rotations in family coordinates
+# ---------------------------------------------------------------------------
+
+
+def global_gates(n, rng):
+    """SU(2) quadrature nodes, Haar subsample members and the Cl(2) members."""
+    nodes, _ = estimator.su2_quadrature_angles(n)
+    picks = rng.choice(len(nodes), size=6, replace=False)
+    sub = ensembles.subsample_su2(5, rng, n=n)
+    return np.concatenate([
+        estimator._node_gates([nodes[i] for i in picks]),
+        estimator._member_gates(sub),
+        estimator._member_gates(ensembles.global_cl2(n)),
+    ])
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_rotated_diagonal_matches_references(n):
+    rng = np.random.default_rng(40 + n)
+    u = global_gates(n, rng)
+    dense = np.stack([qcore.kron_all([g] * n) for g in u])
+    a = random_hermitian(n, rng)
+    rho = a @ a.conj().T
+    rho /= np.trace(rho).real
+    for op in (a, rho):  # a Hermitian operator and a density matrix
+        got = visible.rotated_diagonal(op, u)
+        scale = np.abs(op).sum()
+        want = np.real(np.einsum("rbi,ij,rbj->rb", dense, op, dense.conj()))
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * scale)
+        np.testing.assert_allclose(got, diagonal(op, u), rtol=0, atol=1e-12 * scale)
+
+
+def test_rotated_diagonal_runs_in_blocks():
+    # 5000 rotations at n = 5 (272 families) span 21 blocks of 240 rows
+    n, rng = 5, np.random.default_rng(2)
+    thetas, _, psis = ensembles.haar_su2_angles(5000, rng)
+    u = ensembles.su2_matrix(thetas, 0.0, psis)
+    a = random_hermitian(n, rng)
+    np.testing.assert_allclose(visible.rotated_diagonal(a, u), diagonal(a, u),
+                               rtol=0, atol=1e-12 * np.abs(a).sum())
+
+
+def test_family_table_entries_are_measured_basis_elements():
+    """W[j, S] (-1)^{popcount(b & F_S)} = <b|V_j B_S V_j†|b>, signs included."""
+    n, rng = 3, np.random.default_rng(3)
+    u = global_gates(n, rng)
+    got = (visible.family_table(u, n)[:, :, None]
+           * visible.family_signs(n)[None, :, :])
+    basis = np.stack([visible.build_B(s) for s in visible.enumerate_sets(n)])
+    dense = np.stack([qcore.kron_all([g] * n) for g in u])
+    want = np.real(np.einsum("rbi,sij,rbj->rsb", dense, basis, dense.conj()))
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
+
+
+def test_family_signs_are_plus_and_minus_one():
+    # parity is uint8: 1 - 2 * parity would wrap to 255 where it is odd
+    n = 4
+    signs = visible.family_signs(n)
+    free = [((1 << n) - 1) ^ s.r_mask for s in visible.enumerate_sets(n)]
+    want = [[(-1.0) ** bin(b & f).count("1") for b in range(1 << n)] for f in free]
+    assert signs.dtype == np.float64
+    assert np.array_equal(signs, want)
+    assert (signs == -1.0).sum() == (signs == 1.0).sum() - (1 << n)
+
+
+def test_family_forms_reject_per_site_gates():
+    u = np.broadcast_to(np.eye(2, dtype=complex), (4, 3, 2, 2))
+    with pytest.raises(ValueError, match="per row"):
+        visible.rotated_diagonal(np.eye(8) / 8, u)
+    with pytest.raises(ValueError, match="per row"):
+        visible.family_table(u, 3)
