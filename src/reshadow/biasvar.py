@@ -120,32 +120,47 @@ def default_lambda_grid(points: int = 25, low: float = 1e-4,
                                               points)])
 
 
-def ridge_bias(o: np.ndarray, ens: Ensemble, lam: float) -> KernelTable:
+def _ridge_factors(o: np.ndarray, ens: Ensemble) -> tuple:
+    """The family-row system (M, c, sqrt(p)) of o, the thin SVD
+    M = U diag(s) V^T as (s, V^T, U^T c), and estimator._unreached(o)."""
+    a, b, sqrt_p = estimator.stacked_system(o, ens)
+    u, s, vt = np.linalg.svd(a, full_matrices=False)
+    return a, b, sqrt_p, s, vt, u.T @ b, estimator._unreached(o)
+
+
+def ridge_bias(o: np.ndarray, ens: Ensemble, lam: float,
+               factors: tuple | None = None) -> KernelTable:
     """Minimum-norm solution of (M^T M + lambda I) y = M^T c, K = y/sqrt(p),
-    for the family-row system M y = c of estimator.stacked_system.
+    for the family-row system M y = c of estimator.stacked_system:
+    y = V diag(s / (s^2 + lambda)) U^T c. ``factors`` is _ridge_factors(o,
+    ens), shared by the lambdas of one grid (see ridge_kernels).
 
     lambda = 0 reproduces the unbiased least-squares kernel; lambda -> inf
     drives K to zero (bias -> ||O||_inf).
     """
     if lam < 0:
         raise ValueError("ridge parameter must be non-negative")
-    a, b, sqrt_p = estimator.stacked_system(o, ens)
+    a, b, sqrt_p, s, vt, projected, unreached = factors or _ridge_factors(o, ens)
     if lam == 0.0:
         y, residual = estimator._solve_min_norm(o, a, b)
     else:
-        gram = a.T @ a
-        gram[np.diag_indices_from(gram)] += lam
-        y = np.linalg.solve(gram, a.T @ b)
-        residual = estimator._residual(o, a @ y - b)
+        y = vt.T @ (s / (s * s + lam) * projected)
+        residual = estimator._residual(a @ y - b, unreached)
     dim = 1 << ens.n
     values = y.reshape(len(ens.members), dim) / sqrt_p[:, None]
     return KernelTable(ens, values=values, residual=residual)
 
 
+def ridge_kernels(o: np.ndarray, ens: Ensemble, lambdas) -> list:
+    """ridge_bias at every lambda of a grid, from one system and one SVD."""
+    factors = _ridge_factors(o, ens)
+    return [ridge_bias(o, ens, float(lam), factors) for lam in lambdas]
+
+
 def ridge_scan(o: np.ndarray, ens: Ensemble, lambdas, shots: int,
                m_observables: int, delta: float) -> list:
-    return [_assemble(float(lam), ridge_bias(o, ens, float(lam)), o, shots,
-                      m_observables, delta) for lam in lambdas]
+    return [_assemble(float(lam), k, o, shots, m_observables, delta)
+            for lam, k in zip(lambdas, ridge_kernels(o, ens, lambdas))]
 
 
 # ---------------------------------------------------------------------------
@@ -162,9 +177,7 @@ def _minimize_alpha(o, ens, alpha, shots, m_observables, delta, y0,
     """
     a, _, sqrt_p = estimator.stacked_system(o, ens)
     dim = 1 << ens.n
-    basis = np.stack([visible.build_B(s).ravel()
-                      for s in visible.enumerate_sets(ens.n)], axis=1)
-    g_op = basis @ a
+    g_op = visible.family_basis(ens.n).T @ a
     o_vec = np.asarray(o, dtype=complex).ravel()
     c_var = 2.0 * estimator.confidence_log(m_observables, delta) / shots
     # tr(O~)/2^n is linear in y; the column for member j, outcome b carries

@@ -218,31 +218,44 @@ def solve_kernel(obs: np.ndarray, ens: ensembles.Ensemble) -> estimator.KernelTa
 def _mc_msu2(a: np.ndarray, samples: int, rng) -> tuple:
     """Monte-Carlo average of sum_b <b|VaV'|b> V'|b><b|V over Haar SU(2).
 
-    Angles are drawn CHANNEL_CHUNK at a time; the rotations of a chunk go
-    through in blocks of at most gates.BLOCK entries, so memory stays
-    bounded by one block.
+    Each sample lies in the visible span: by the family identity of
+    ``reshadow.visible``, with W the sample's visible.family_table row, its
+    coordinate on B_S is
+    y_S = 2^n W_S sum_{S' with the free mask of S} W_S' tr(B_S' a),
+    so a block of samples costs one family table, one product with the
+    same-mask matrix and one Gram product y y^T, which carries the second
+    moments of every dense entry. Angles are drawn CHANNEL_CHUNK at a time.
     """
     n = qcore.num_qubits(a)
+    if not qcore.is_hermitian(a, 1e-12 * max(1.0, qcore.hs_norm(a))):
+        raise ValueError("the channel Monte Carlo needs a Hermitian operator "
+                         "(its family coordinates must be real)")
     dim = 1 << n
-    s1 = np.zeros((dim, dim), dtype=complex)
-    s2 = np.zeros((dim, dim, 2))
+    amps = visible.family_coefficients(a).real
+    _, _, free, _ = visible._family_layout(n)
+    # mix[S, S'] = tr(B_S' a) when S' has the free mask of S, else 0
+    mix = (free[:, None] == free) * amps
+    s1 = np.zeros(amps.size)
+    gram = np.zeros((amps.size, amps.size))
     done = 0
     while done < samples:
         count = min(CHANNEL_CHUNK, samples - done)
         thetas, _, psis = ensembles.haar_su2_angles(count, rng)
         u = ensembles.su2_matrix(thetas, 0.0, psis)
-        for block in gates.blocks(count, dim * dim):
-            v = gates.rows(u[block], n)  # row b of V is <b|V
-            diag = ((v.reshape(-1, dim) @ a).reshape(v.shape) * v.conj()).sum(axis=2)
-            contrib = np.matmul(np.swapaxes(v.conj(), 1, 2) * diag[:, None, :], v)
-            s1 += contrib.sum(axis=0)
-            s2[..., 0] += (contrib.real**2).sum(axis=0)
-            s2[..., 1] += (contrib.imag**2).sum(axis=0)
+        for block in gates.blocks(count, amps.size):
+            w = visible.family_table(u[block], n).T  # (families, rows)
+            y = mix @ w
+            y *= w
+            y *= dim
+            s1 += y.sum(axis=1)
+            gram += y @ y.T
         done += count
-    mean = s1 / samples
-    var_r = s2[..., 0] / samples - mean.real**2
-    var_i = s2[..., 1] / samples - mean.imag**2
-    se = np.sqrt(np.clip(var_r + var_i, 0.0, None) / samples)
+    basis = visible.family_basis(n)
+    mean = (s1 / samples @ basis).reshape(dim, dim)
+    second = sum(((gram @ part) * part).sum(axis=0)
+                 for part in (basis.real, basis.imag)).reshape(dim, dim)
+    var = second / samples - mean.real**2 - mean.imag**2
+    se = np.sqrt(np.clip(var, 0.0, None) / samples)
     return mean, se
 
 
@@ -289,7 +302,7 @@ def cmd_basis_audit(cfg, seed, out_dir, threads) -> int:
     n = cfg["n"]
     dim = 1 << n
     sets_n = visible.enumerate_sets(n)
-    mats = np.array([visible.build_B(s) for s in sets_n]).reshape(len(sets_n), -1)
+    mats = visible.family_basis(n)
     gram = (mats.conj() @ mats.T).real
     dev = np.abs(gram - np.eye(len(mats))).max()
     rows.append((f"orthonormal_n{n}", float(dev), 0.0, 1e-10, dev < 1e-10))
@@ -435,9 +448,10 @@ def cmd_phase_classify(cfg, seed, out_dir, threads) -> int:
 
 SCHEMAS = {
     "channel-check": {
-        # the Monte-Carlo check works in blocks of gates.BLOCK entries (about
-        # 48 MB of peak RSS at n = 4), but its time grows about 8x per qubit:
-        # 3.3 s at n = 4 with the default 200000 samples
+        # the Monte-Carlo check works in family coordinates, in blocks of
+        # gates.BLOCK table entries (about 47 MB of peak RSS at n = 4), and
+        # its time grows about 2.5x per qubit: 0.5 s at n = 4 with the
+        # default 200000 samples
         "n": (_at_least(1, 4), 2),
         "mc_samples": (_at_least(1), 200_000),
     },

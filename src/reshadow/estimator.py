@@ -210,7 +210,7 @@ def stacked_system(o: np.ndarray, ens: Ensemble):
     system the kernel with the smallest variance under the maximally mixed
     state while keeping the p-weighted reconstruction identity exact. What
     no kernel reaches, the imaginary family parts and the invisible part of
-    O, is left to ``_residual``.
+    O, is left to ``_unreached``.
     """
     m, sqrt_p = _family_rows(ens)
     if qcore.num_qubits(o) != ens.n:
@@ -218,17 +218,23 @@ def stacked_system(o: np.ndarray, ens: Ensemble):
     return m, visible.family_coefficients(o).real, sqrt_p
 
 
-def _residual(o: np.ndarray, misfit: np.ndarray) -> float:
-    """||O - O~||_F from the family-row misfit M y - Re tr(B_S O)."""
+def _unreached(o: np.ndarray) -> float:
+    """The part of ||O - O~||_F^2 that no kernel reaches: the imaginary family
+    parts and the invisible part of O."""
     amps = visible.family_coefficients(o)
-    return float(np.sqrt(misfit @ misfit + amps.imag @ amps.imag
-                         + visible.invisible_norm(o) ** 2))
+    return float(amps.imag @ amps.imag + visible.invisible_norm(o) ** 2)
+
+
+def _residual(misfit: np.ndarray, unreached: float) -> float:
+    """||O - O~||_F from the family-row misfit M y - Re tr(B_S O) and
+    _unreached(O)."""
+    return float(np.sqrt(misfit @ misfit + unreached))
 
 
 def _solve_min_norm(o: np.ndarray, a: np.ndarray, b: np.ndarray):
     """Minimum-norm least-squares y of the system (a, b) of o, and ||O - O~||_F."""
     y, *_ = np.linalg.lstsq(a, b, rcond=None)
-    return y, _residual(o, a @ y - b)
+    return y, _residual(a @ y - b, _unreached(o))
 
 
 def residual_limit(o: np.ndarray) -> float:

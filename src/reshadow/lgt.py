@@ -216,12 +216,8 @@ class _Candidate:
 
 
 def _ridge_family(op: np.ndarray, ens: Ensemble, lambdas) -> list:
-    out = []
-    for lam in lambdas:
-        k = biasvar.ridge_bias(op, ens, float(lam))
-        bias = qcore.spectral_norm(op - estimator.reconstruct(k))
-        out.append((float(lam), k, bias))
-    return out
+    return [(float(lam), k, qcore.spectral_norm(op - estimator.reconstruct(k)))
+            for lam, k in zip(lambdas, biasvar.ridge_kernels(op, ens, lambdas))]
 
 
 def _stats(k: KernelTable, q: np.ndarray | None):

@@ -249,13 +249,25 @@ def family_table(u: np.ndarray, n: int) -> np.ndarray:
                          f"every site; got gates of shape {u.shape}")
     a, b = u[:, 0, 0], u[:, 0, 1]  # <0|u = (a, b)
     ab = a * b.conj()
-    m = np.stack([2.0 * ab.real, 2.0 * ab.imag, abs(a) ** 2 - abs(b) ** 2], axis=1)
+    # powers[c, k] = m_c^k by repeated products (so m^0 = 1 also for m = 0)
+    powers = np.empty((3, n + 1, len(u)))
+    powers[:, 0] = 1.0
+    powers[:, 1] = 2.0 * ab.real, 2.0 * ab.imag, abs(a) ** 2 - abs(b) ** 2
+    for k in range(2, n + 1):
+        np.multiply(powers[:, k - 1], powers[:, 1], out=powers[:, k])
     counts, scale, _, _ = _family_layout(n)
-    powers = m[:, :, None] ** np.arange(n + 1)
-    w = powers[:, 0, counts[0]] * scale
-    w *= powers[:, 1, counts[1]]
-    w *= powers[:, 2, counts[2]]
+    w = powers[0].T[:, counts[0]] * scale
+    w *= powers[1].T[:, counts[1]]
+    w *= powers[2].T[:, counts[2]]
     return w
+
+
+@lru_cache(maxsize=8)
+def family_basis(n: int) -> np.ndarray:
+    """(families, 4^n) read-only stack of vec(B_S) in enumerate_sets order."""
+    basis = np.stack([build_B(s).ravel() for s in enumerate_sets(n)])
+    basis.flags.writeable = False
+    return basis
 
 
 def family_signs(n: int) -> np.ndarray:

@@ -5,7 +5,9 @@ computed by rotating vec(A) one site at a time; `stacked_system` is the
 real/imaginary-stacked least-squares system whose columns are the dense
 outcome projectors sqrt(p_j) vec(V_j†|b><b|V_j). Both work for any product
 rotation, so they check the family forms of `reshadow.visible` and
-`reshadow.estimator` from outside.
+`reshadow.estimator` from outside. `channel_contributions` is the dense
+V†diag(K)V of the channel Monte Carlo, and `ridge_gram_solve` the
+per-lambda normal-equation solve that the one-SVD ridge grid replaced.
 """
 
 import numpy as np
@@ -65,3 +67,20 @@ def least_squares_kernel(o, ens):
     y, *_ = np.linalg.lstsq(a, b, rcond=None)
     values = y.reshape(len(ens.members), 1 << ens.n) / sqrt_p[:, None]
     return values, float(np.linalg.norm(a @ y - b))
+
+
+def channel_contributions(a, u):
+    """Dense V†diag(<b|V a V†|b>)V for each global rotation V = u[r]^{⊗n}."""
+    v = gates.rows(u, a.shape[0].bit_length() - 1)  # row b of V is <b|V
+    diag = np.einsum("rbi,ij,rbj->rb", v, a, v.conj())
+    return np.einsum("rb,rbi,rbj->rij", diag, v.conj(), v)
+
+
+def ridge_gram_solve(o, ens, lam):
+    """(K table, residual) of (M^T M + lam I) y = M^T c on the family rows."""
+    a, b, sqrt_p = estimator.stacked_system(o, ens)
+    gram = a.T @ a
+    gram[np.diag_indices_from(gram)] += lam
+    y = np.linalg.solve(gram, a.T @ b)
+    values = y.reshape(len(ens.members), 1 << ens.n) / sqrt_p[:, None]
+    return values, estimator._residual(a @ y - b, estimator._unreached(o))

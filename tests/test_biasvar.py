@@ -8,6 +8,8 @@ import pytest
 from reshadow import biasvar, ensembles, estimator, lgt, qcore
 from reshadow.errors import ConvergenceError, DimensionCapError
 
+from references import ridge_gram_solve
+
 
 @pytest.fixture(scope="module")
 def link():
@@ -36,6 +38,17 @@ def test_ridge_zero_is_min_norm(link, ens):
 def test_ridge_negative_rejected(link, ens):
     with pytest.raises(ValueError):
         biasvar.ridge_bias(link, ens, -1e-3)
+
+
+def test_ridge_kernels_match_gram_solves(link, ens):
+    lams = [1e-4, 1e-2, 1.0, 1e2]
+    for lam, k in zip(lams, biasvar.ridge_kernels(link, ens, lams)):
+        values, residual = ridge_gram_solve(link, ens, lam)
+        np.testing.assert_allclose(k.values, values, rtol=0,
+                                   atol=1e-9 * np.abs(values).max())
+        assert k.residual == pytest.approx(residual, rel=1e-9)
+    with pytest.raises(ValueError):
+        biasvar.ridge_kernels(link, ens, [0.0, -1e-3])
 
 
 def test_ridge_trades_bias_for_variance(link, ens):

@@ -10,6 +10,7 @@ from reshadow import cli, ensembles, gates, qcore
 from reshadow.errors import ConfigError
 
 from conftest import random_hermitian
+from references import channel_contributions
 
 
 def write_config(tmp_path, text, name="run.cfg"):
@@ -309,6 +310,25 @@ def test_mc_msu2_blocks_match_whole_chunks(n, samples):
     np.testing.assert_allclose(mean, want_mean, rtol=0,
                                atol=1e-12 * qcore.spectral_norm(a))
     np.testing.assert_allclose(se, want_se, rtol=1e-8)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_mc_family_rows_match_dense_contributions(n):
+    # one sample's mean is its own contribution sum_S y_S B_S
+    a = random_hermitian(n, np.random.default_rng(20 + n))
+    for seed in range(3):
+        mean, _ = cli._mc_msu2(a, 1, np.random.default_rng(seed))
+        thetas, _, psis = ensembles.haar_su2_angles(1, np.random.default_rng(seed))
+        want = channel_contributions(a, ensembles.su2_matrix(thetas, 0.0, psis))[0]
+        np.testing.assert_allclose(mean, want, rtol=0,
+                                   atol=1e-12 * np.linalg.norm(a))
+
+
+def test_mc_msu2_rejects_non_hermitian():
+    a = random_hermitian(2, np.random.default_rng(5))
+    a[0, 1] += 1e-3
+    with pytest.raises(ValueError, match="Hermitian"):
+        cli._mc_msu2(a, 10, np.random.default_rng(0))
 
 
 def test_mc_msu2_memory_is_bounded():

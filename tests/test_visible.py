@@ -133,6 +133,36 @@ def test_family_table_entries_are_measured_basis_elements():
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
 
 
+@pytest.mark.parametrize("n", range(1, 9))
+def test_family_table_matches_power_formula(n):
+    rng = np.random.default_rng(60 + n)
+    thetas, _, psis = ensembles.haar_su2_angles(50, rng)
+    # the identity and a bit flip have the axes (0, 0, +1) and (0, 0, -1)
+    flip = np.array([[0.0, 1.0], [-1.0, 0.0]], dtype=complex)
+    u = np.concatenate([ensembles.su2_matrix(thetas, 0.0, psis),
+                        np.stack([np.eye(2, dtype=complex), flip])])
+    ab = u[:, 0, 0] * u[:, 0, 1].conj()
+    m = np.stack([2.0 * ab.real, 2.0 * ab.imag,
+                  abs(u[:, 0, 0]) ** 2 - abs(u[:, 0, 1]) ** 2], axis=1)
+    sets = visible.enumerate_sets(n)
+    counts = np.array([s.counts for s in sets])
+    scale = np.sqrt([s.size / (1 << n) for s in sets])
+    want = scale * np.prod(m[:, None, :] ** counts[None, :, :], axis=2)
+    got = visible.family_table(u, n)
+    np.testing.assert_allclose(got, want, rtol=1e-15, atol=0)
+    ones = (counts[:, 0] == 0) & (counts[:, 1] == 0)
+    np.testing.assert_array_equal(got[-2:, ones],
+                                  scale[ones] * [[1.0], [-1.0]] ** counts[ones, 2])
+
+
+def test_family_basis_stacks_the_basis_elements():
+    n = 3
+    basis = visible.family_basis(n)
+    want = [visible.build_B(s).ravel() for s in visible.enumerate_sets(n)]
+    assert np.array_equal(basis, want)
+    assert not basis.flags.writeable
+
+
 def test_family_signs_are_plus_and_minus_one():
     # parity is uint8: 1 - 2 * parity would wrap to 255 where it is odd
     n = 4
