@@ -1,9 +1,11 @@
 #!/bin/sh
 # Run every experiment config through the CLI into results/<name>/, then
 # print the sha256 of every artifact (results/ is not committed, so this
-# listing is the record of the artifact bytes).
+# listing is the record of the artifact bytes). The package is imported from
+# src/, so a plain checkout needs no install.
 set -e
 cd "$(dirname "$0")/.."
+export PYTHONPATH="$PWD/src${PYTHONPATH:+:$PYTHONPATH}"
 for cfg in configs/*.cfg; do
     name=$(basename "$cfg" .cfg)
     sub=$(echo "$name" | sed -e 's/_lambda$//' -e 's/_link$//' -e 's/_/-/g')

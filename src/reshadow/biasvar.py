@@ -45,12 +45,10 @@ MAX_ITER = 500
 
 def mixed_variance(k: KernelTable) -> float:
     """Var[K] when every outcome is equally likely (state = identity / 2^n)."""
-    if k.values is not None:
-        second = float(np.dot(k.density, (k.values**2).mean(axis=1)))
-        mean = float(np.dot(k.density, k.values.mean(axis=1)))
-        return second - mean**2
-    dim = 1 << k.n
-    return estimator.var_under_state(k, np.eye(dim) / dim)
+    _, weights, vals = k.terms
+    second = float(np.dot(weights, (vals**2).mean(axis=1)))
+    mean = float(np.dot(weights, vals.mean(axis=1)))
+    return second - mean**2
 
 
 def cost(k: KernelTable, o: np.ndarray, shots: int, m_observables: int,
@@ -93,8 +91,7 @@ def shots_at(r: BiasScanResult, epsilon: float, delta: float,
         return math.inf
     q = estimator.kernel_q(r.kernel, variant=q_variant)
     return estimator.theorem1_shots(Budget(
-        m_observables, epsilon, delta, (r.var_bound,), (q,), biases=(r.bias,),
-        q_variant=q_variant))
+        m_observables, epsilon, delta, (r.var_bound,), (q,), biases=(r.bias,)))
 
 
 def scan_to_csv(rows: list, epsilon: float, delta: float, m_observables: int,

@@ -10,7 +10,7 @@ M(a) = sum_{S,S'} c_{S,S'} tr(B_{S'} a) B_S with the closed-form coefficient
 non-zero only when the identity sets agree and every n_a + n'_a is even. The
 coefficient matrix is block diagonal over (identity mask, letter-count parity
 triple); inversion is per-block pseudo-inverse with singular values below
-1e-10 dropped.
+1e-10 dropped. Both act on family amplitudes (``msu2_amplitudes``).
 
 Global Cl(2): three effective bases; the channel keeps the identity, scales
 every non-identity member of the three single-letter Pauli families
@@ -74,7 +74,8 @@ def _su2_blocks(n: int):
     return blocks, inverses
 
 
-def _su2_matvec(n: int, amps: np.ndarray, inverse: bool) -> np.ndarray:
+def msu2_amplitudes(n: int, amps: np.ndarray, inverse: bool) -> np.ndarray:
+    """tr(B_S M(a)), or tr(B_S M^{-1}(a)) if ``inverse``, from amps = tr(B_S a)."""
     blocks, inverses = _su2_blocks(n)
     out = np.zeros_like(amps)
     for (ids, sub), inv in zip(blocks, inverses):
@@ -83,27 +84,26 @@ def _su2_matvec(n: int, amps: np.ndarray, inverse: bool) -> np.ndarray:
     return out
 
 
-def _visible_amplitudes(a: np.ndarray, tol: float | None) -> tuple[int, np.ndarray]:
-    n = qcore.num_qubits(a)
-    amps = visible.family_coefficients(a)
-    if tol is not None:
-        resid = visible.invisible_norm(a)
-        if resid > tol * max(1.0, qcore.hs_norm(a)):
-            raise NotVisibleError(
-                f"operator has invisible component of norm {resid:.3e}")
-    return n, amps
+def visible_amplitudes(a: np.ndarray, tol: float) -> np.ndarray:
+    """tr(B_S a); NotVisibleError if a's invisible part exceeds tol max(1, ||a||_F)."""
+    resid = visible.invisible_norm(a)
+    if resid > tol * max(1.0, qcore.hs_norm(a)):
+        raise NotVisibleError(f"operator has invisible component of norm {resid:.3e}")
+    return visible.family_coefficients(a)
 
 
 def apply_msu2(a: np.ndarray) -> np.ndarray:
     """Measurement channel of global SU(2) control (kills invisible parts)."""
-    n, amps = _visible_amplitudes(a, tol=None)
-    return visible.visible_from_family_coefficients(n, _su2_matvec(n, amps, False))
+    n = qcore.num_qubits(a)
+    amps = msu2_amplitudes(n, visible.family_coefficients(a), False)
+    return visible.visible_from_family_coefficients(n, amps)
 
 
 def inverse_msu2(a: np.ndarray, tol: float = 1e-8) -> np.ndarray:
     """Inverse channel on the visible space; errors on invisible input."""
-    n, amps = _visible_amplitudes(a, tol=tol)
-    return visible.visible_from_family_coefficients(n, _su2_matvec(n, amps, True))
+    n = qcore.num_qubits(a)
+    amps = msu2_amplitudes(n, visible_amplitudes(a, tol), True)
+    return visible.visible_from_family_coefficients(n, amps)
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,8 @@ A kernel K(V, b) expresses an operator O over the outcome-projector family:
 
 so that the empirical mean of K(V_s, b_s) over measurement records is an
 unbiased estimator of tr(rho O). Discrete ensembles store K as a dense
-(members x 2^n) table; the continuous global-SU(2) ensemble stores the
-channel-inverted operator and evaluates <b|V M^{-1}(O) V†|b> on demand.
+(members x 2^n) table; the continuous global-SU(2) ensemble stores the real
+family amplitudes a_S = tr(B_S M^{-1}(O)), and K(V, b) = sum_S a_S <b|V B_S V†|b>.
 Every ensemble but local random Paulis applies one global rotation
 V = u^{⊗n}, so its measured diagonals, its kernel sums and its
 least-squares system are written in the visible family basis of
@@ -117,14 +117,14 @@ class KernelTable:
     """K(V, b) over an ensemble, satisfying the reconstruction identity.
 
     ``values`` is the dense table for discrete kinds; for the continuous
-    global-SU(2) kind it is None and ``inv_op`` holds M^{-1}(O), evaluated
-    lazily as <b|V inv_op V†|b>. Nothing changes a table once it is made,
-    so its quadrature terms are computed once.
+    global-SU(2) kind it is None and ``amps`` holds the real amplitudes
+    tr(B_S M^{-1}(O)), read per shot through visible.shot_rows. Nothing
+    changes a table once it is made, so its quadrature terms are computed once.
     """
 
     ens: Ensemble
     values: np.ndarray | None = None
-    inv_op: np.ndarray | None = None
+    amps: np.ndarray | None = None
     residual: float = 0.0
 
     @property
@@ -143,31 +143,24 @@ class KernelTable:
             return _member_gates(self.ens), self.density, self.values
         nodes, weights = su2_quadrature_angles(self.n)
         return (_node_gates(nodes), weights,
-                _su2_node_values(self.inv_op, nodes, self.n))
+                _su2_node_values(self.amps, nodes, self.n))
 
     def evaluate_records(self, records: Records) -> np.ndarray:
         if records.n != self.n or records.kind != self.ens.kind:
             raise ValueError("records were drawn from a different ensemble")
         if self.values is not None:
             return self.values[records.member_idx, records.b]
-        # <b|V A V†|b> = phi_b† A phi_b
-        phi = _su2_phi(records.thetas, records.psis, records.b, self.n)
-        return np.real(np.einsum("ni,ij,nj->n", phi.conj(), self.inv_op, phi))
+        u = ensembles.su2_matrix(records.thetas, 0.0, records.psis)
+        out = np.empty(len(records))
+        for blk in gates.blocks(len(records), self.amps.size):
+            out[blk] = visible.shot_rows(u[blk], records.b[blk], self.n) @ self.amps
+        return out
 
 
 def _site_bits(b: np.ndarray, n: int) -> np.ndarray:
     """(N, n) table of per-site bits, site 0 first."""
     shifts = np.arange(n - 1, -1, -1)
     return (b[:, None] >> shifts[None, :]) & 1
-
-
-def _su2_phi(thetas, psis, b, n: int) -> np.ndarray:
-    """(N, 2^n) rows phi = V†|b> for a batch of global rotations and outcomes."""
-    u = ensembles.su2_matrix(thetas, 0.0, psis)
-    b = np.asarray(b)
-    start = np.zeros((b.size, 1 << n), dtype=complex)
-    start[np.arange(b.size), b] = 1.0
-    return gates.rows(np.conj(np.swapaxes(u, 1, 2)), n, start)
 
 
 # ---------------------------------------------------------------------------
@@ -262,13 +255,15 @@ def kernel_least_squares(o: np.ndarray, ens: Ensemble) -> KernelTable:
 
 
 def kernel_cs(o: np.ndarray, ens: Ensemble) -> KernelTable:
-    """Classical-shadow kernel K(V,b) = <b|V M^{-1}(O) V†|b>."""
+    """Classical-shadow kernel K(V,b) = Re <b|V M^{-1}(O) V†|b>."""
+    if qcore.num_qubits(o) != ens.n:
+        raise ValueError("operator/ensemble dimension mismatch")
     if ens.kind == KIND_GLOBAL_SU2:
-        inv = channels.inverse_msu2(o)
-        return KernelTable(ens, inv_op=inv)
+        amps = channels.visible_amplitudes(o, REPRESENTABILITY_TOL).real
+        return KernelTable(ens, amps=channels.msu2_amplitudes(ens.n, amps, True))
     if ens.kind == KIND_GLOBAL_CL2:
-        values = visible.rotated_diagonal(channels.inverse_mcl2(o),
-                                          _member_gates(ens))
+        amps = visible.family_coefficients(channels.inverse_mcl2(o)).real
+        values = visible.rotated_diagonal(amps, _member_gates(ens), ens.n)
         return KernelTable(ens, values=values)
     raise ValueError("kernel_cs needs an analytic channel (GlobalSU2 or GlobalCl2)")
 
@@ -285,7 +280,7 @@ def _born_tables(rho: np.ndarray, g: np.ndarray) -> np.ndarray:
     if rho.ndim == 1:
         probs = np.abs(gates.rows(g, n, rho)) ** 2
     else:
-        probs = visible.rotated_diagonal(rho, g)
+        probs = visible.rotated_diagonal(visible.family_coefficients(rho).real, g, n)
     total = probs.sum(axis=1)
     worst = int(np.abs(total - 1.0).argmax())
     if abs(total[worst] - 1.0) > 1e-8:
@@ -482,7 +477,6 @@ class Budget:
     var_bounds: tuple
     q_values: tuple
     biases: tuple = field(default_factory=tuple)
-    q_variant: str = "theorem"
 
     def __post_init__(self):
         if not 0 < self.epsilon <= 1 or not 0 < self.delta <= 1:
@@ -547,23 +541,24 @@ def _node_gates(nodes) -> np.ndarray:
     return ensembles.su2_matrix(thetas, 0.0, psis)
 
 
-def _su2_node_values(inv_op: np.ndarray, nodes, n: int) -> np.ndarray:
-    """K(V, b) = <b|V inv_op V†|b> at each quadrature node (row) and outcome."""
-    return visible.rotated_diagonal(inv_op, _node_gates(nodes))
+def _su2_node_values(amps: np.ndarray, nodes, n: int) -> np.ndarray:
+    """K(V, b) = sum_S amps[S] <b|V B_S V†|b> at each quadrature node and b."""
+    return visible.rotated_diagonal(amps, _node_gates(nodes), n)
 
 
 def reconstruct(k: KernelTable) -> np.ndarray:
     """sum_V p(V) sum_b K(V,b) V†|b><b|V.
 
-    For the continuous kind this is the channel applied to the stored
-    M^{-1}(O); for a discrete table it is sum_S tr(B_S O~) B_S with the
-    family amplitudes M @ (sqrt(p) K) of the family-row system.
+    It is sum_S tr(B_S O~) B_S: for the continuous kind the channel applied
+    to the stored amplitudes of M^{-1}(O), for a discrete table the family
+    amplitudes M @ (sqrt(p) K) of the family-row system.
     """
     if k.values is None:
-        return channels.apply_msu2(k.inv_op)
-    m, sqrt_p = _family_rows(k.ens)
-    return visible.visible_from_family_coefficients(
-        k.n, m @ (sqrt_p[:, None] * k.values).ravel())
+        amps = channels.msu2_amplitudes(k.n, k.amps, False)
+    else:
+        m, sqrt_p = _family_rows(k.ens)
+        amps = m @ (sqrt_p[:, None] * k.values).ravel()
+    return visible.visible_from_family_coefficients(k.n, amps)
 
 
 # ---------------------------------------------------------------------------

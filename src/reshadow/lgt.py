@@ -206,12 +206,8 @@ class _Candidate:
     lambda_tri: float
 
     def worst(self, epsilon: float):
-        s_l = epsilon - self.bias_link
-        s_t = epsilon - self.bias_tri
-        if s_l <= 0 or s_t <= 0:
-            return math.inf, True
-        c_link = (self.var_link + s_l * self.q_link / 3.0) / s_l**2
-        c_tri = (self.var_tri + s_t * self.q_tri / 3.0) / s_t**2
+        c_link = float(_cost(self.var_link, self.q_link, self.bias_link, epsilon))
+        c_tri = float(_cost(self.var_tri, self.q_tri, self.bias_tri, epsilon))
         return max(c_link, c_tri), c_link >= c_tri
 
 

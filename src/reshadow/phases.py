@@ -269,19 +269,20 @@ def patch_features(rdm: np.ndarray, n_su2: int, rng,
                    threads: int = 1) -> np.ndarray:
     """Estimates of tr(rho B_S) for all 38 visible basis elements of a patch.
 
-    One global-SU(2) campaign is shared by every feature; each B_S is read
-    out through its own inverted-channel kernel. The shot mean of
-    phi† M^{-1}(B_S) phi is taken for all features at once as the contraction
-    of the stacked M^{-1}(B_S) with the shot-averaged outer product phi* phi^T.
+    One global-SU(2) campaign is shared by every feature. The shadow kernel
+    of B_S reads a shot as its row of visible.shot_rows times column S of
+    M^{-1}; M^{-1} is symmetric, so the features are M^{-1} applied to the
+    mean shot row.
     """
     n = qcore.num_qubits(rdm)
     rho = psd_project(rdm)
     ens = ensembles.global_su2(n)
     records = estimator.run_campaign(rho, ens, n_su2, rng, threads=threads)
-    phi = estimator._su2_phi(records.thetas, records.psis, records.b, n)
-    outer = phi.conj().T @ phi / len(records)
-    ops = _patch_inverse_ops(n)
-    return np.real(ops.reshape(len(ops), -1) @ outer.ravel())
+    u = ensembles.su2_matrix(records.thetas, 0.0, records.psis)
+    total = np.zeros(feature_count(n))
+    for block in gates.blocks(len(records), total.size):
+        total += visible.shot_rows(u[block], records.b[block], n).sum(axis=0)
+    return channels.msu2_amplitudes(n, total / len(records), True)
 
 
 # ---------------------------------------------------------------------------

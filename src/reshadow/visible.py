@@ -22,7 +22,7 @@ and the family's free (non-identity) mask F,
 
 so diag(V A V†) is one Walsh-Hadamard transform over F of the sums of
 W_S tr(B_S A) over the families with free mask F, and only the visible part
-of A enters.
+of A enters. A measured shot (V, b) is read as its row of them (``shot_rows``).
 """
 
 from __future__ import annotations
@@ -276,16 +276,25 @@ def family_signs(n: int) -> np.ndarray:
     return 1.0 - 2.0 * qcore.parity(free[:, None] & np.arange(1 << n))
 
 
-def rotated_diagonal(a: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Re <b|V_j a V_j†|b> for the global rotations V_j = u_j^{⊗n}.
+def shot_rows(u: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
+    """(shots, families) table <b_j|V_j B_S V_j†|b_j> of the shots that
+    measured outcome b_j after V_j = u_j^{⊗n}: family_table row j times
+    (-1)^{popcount(b_j & F_S)}."""
+    _, _, free, _ = _family_layout(n)
+    w = family_table(u, n)
+    parity = qcore.parity(np.asarray(b)[:, None] & free).view(np.int8)
+    w *= 1 - 2 * parity  # in int8: forming 1.0 - 2.0 * p from uint8 is slow
+    return w
+
+
+def rotated_diagonal(amps: np.ndarray, u: np.ndarray, n: int) -> np.ndarray:
+    """Re <b|V_j a V_j†|b> for V_j = u_j^{⊗n}, from amps = Re tr(B_S a).
 
     Rows go through in blocks of at most gates.BLOCK table entries: each
-    block sums W[j, S] Re tr(B_S a) over the families of every free mask,
-    and one Walsh-Hadamard transform of the (rows, 2^n) result turns masks
-    into outcomes.
+    block sums W[j, S] amps[S] over the families of every free mask, and one
+    Walsh-Hadamard transform of the (rows, 2^n) result turns masks into
+    outcomes.
     """
-    n = qcore.num_qubits(a)
-    amps = family_coefficients(a).real
     _, _, _, starts = _family_layout(n)
     out = np.empty((len(u), 1 << n))
     for block in gates.blocks(len(u), amps.size):

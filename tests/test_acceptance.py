@@ -219,7 +219,7 @@ def test_acceptance_09_unbiased_reconstruction_randomized():
                 k = estimator.kernel_cs(o, ens)
                 recon = estimator.reconstruct(k)
                 nodes, weights = estimator.su2_quadrature_angles(3)
-                vals = estimator._su2_node_values(k.inv_op, nodes, 3)
+                vals = estimator._su2_node_values(k.amps, nodes, 3)
                 rho = random_density(3, rng)
                 probs = np.stack([
                     qcore.born_probabilities(rho, estimator._realize_node(nd, 3))

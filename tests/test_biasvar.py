@@ -22,8 +22,13 @@ def ens(link):
                                    targets=(link,), n=2)
 
 
-def test_mixed_variance_is_var_under_maximally_mixed(link, ens):
-    k = estimator.kernel_least_squares(link, ens)
+@pytest.mark.parametrize("kind", ["subsample", "cl2", "su2"])
+def test_mixed_variance_is_var_under_maximally_mixed(link, ens, kind):
+    if kind == "subsample":
+        k = estimator.kernel_least_squares(link, ens)
+    else:
+        other = ensembles.global_cl2(2) if kind == "cl2" else ensembles.global_su2(2)
+        k = estimator.kernel_cs(qcore.PauliString.from_word("XX").to_dense(), other)
     rho = np.eye(4) / 4.0
     assert biasvar.mixed_variance(k) == pytest.approx(
         estimator.var_under_state(k, rho), abs=1e-12)

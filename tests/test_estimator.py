@@ -105,6 +105,8 @@ def test_su2_kernel_rejects_invisible_part(rng):
     ens = ensembles.Ensemble(ensembles.KIND_GLOBAL_SU2, 2)
     with pytest.raises(Exception):
         estimator.kernel_cs(bperp, ens)
+    with pytest.raises(ValueError, match="dimension"):
+        estimator.kernel_cs(np.eye(8), ens)
 
 
 def test_cl2_kernel_variance_is_shadow_norm():
@@ -135,7 +137,7 @@ def test_su2_quadrature_mean_matches_trace(seed):
     ens = ensembles.Ensemble(ensembles.KIND_GLOBAL_SU2, 2)
     k = estimator.kernel_cs(o, ens)
     nodes, weights = estimator.su2_quadrature_angles(2)
-    vals = estimator._su2_node_values(k.inv_op, nodes, 2)
+    vals = estimator._su2_node_values(k.amps, nodes, 2)
     probs = np.stack([
         qcore.born_probabilities(rho, estimator._realize_node(node, 2))
         for node in nodes
@@ -368,16 +370,24 @@ def test_estimate_rejects_bad_inputs(link_setup):
         k.evaluate_records(other)
 
 
-def test_su2_campaign_agrees_with_kernel_evaluate():
-    ens = ensembles.Ensemble(ensembles.KIND_GLOBAL_SU2, 2)
-    o = visible.project_visible(random_hermitian(2, np.random.default_rng(4)))
+@pytest.mark.parametrize("n", range(1, 7))
+def test_su2_campaign_agrees_with_kernel_evaluate(n):
+    ens = ensembles.global_su2(n)
+    o = visible.project_visible(random_hermitian(n, np.random.default_rng(4)))
     k = estimator.kernel_cs(o, ens)
+    # the kernel holds one real amplitude per family and no dense operator
+    assert k.values is None and k.amps.dtype == np.float64
+    assert k.amps.shape == (visible.expected_set_count(n),)
+    assert all(np.ndim(v) < 2 for v in vars(k).values())
+    # more shots than one gates.blocks block holds, even at n = 1
+    shots = gates.BLOCK // visible.expected_set_count(1) + 1
     records = estimator.run_campaign(
-        qcore.basis_state(2, 0), ens, 50, np.random.default_rng(5))
+        qcore.basis_state(n, 0), ens, shots, np.random.default_rng(5))
     vals = k.evaluate_records(records)
-    for i in (0, 17, 49):
-        u = ensembles.realize(member(records, i))  # dense per-shot reference
-        want = np.real(u @ k.inv_op @ u.conj().T)[records.b[i], records.b[i]]
+    inv = channels.inverse_msu2(o)  # dense references
+    for i in (0, 17, shots // 2, shots - 1):
+        u = ensembles.realize(member(records, i))
+        want = np.real(u @ inv @ u.conj().T)[records.b[i], records.b[i]]
         assert vals[i] == pytest.approx(want, abs=1e-12)
 
 

@@ -104,7 +104,7 @@ def test_rotated_diagonal_matches_references(n):
     rho = a @ a.conj().T
     rho /= np.trace(rho).real
     for op in (a, rho):  # a Hermitian operator and a density matrix
-        got = visible.rotated_diagonal(op, u)
+        got = visible.rotated_diagonal(visible.family_coefficients(op).real, u, n)
         scale = np.abs(op).sum()
         want = np.real(np.einsum("rbi,ij,rbj->rb", dense, op, dense.conj()))
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * scale)
@@ -117,12 +117,14 @@ def test_rotated_diagonal_runs_in_blocks():
     thetas, _, psis = ensembles.haar_su2_angles(5000, rng)
     u = ensembles.su2_matrix(thetas, 0.0, psis)
     a = random_hermitian(n, rng)
-    np.testing.assert_allclose(visible.rotated_diagonal(a, u), diagonal(a, u),
+    amps = visible.family_coefficients(a).real
+    np.testing.assert_allclose(visible.rotated_diagonal(amps, u, n), diagonal(a, u),
                                rtol=0, atol=1e-12 * np.abs(a).sum())
 
 
 def test_family_table_entries_are_measured_basis_elements():
-    """W[j, S] (-1)^{popcount(b & F_S)} = <b|V_j B_S V_j†|b>, signs included."""
+    """W[j, S] (-1)^{popcount(b & F_S)} = <b|V_j B_S V_j†|b>, signs included,
+    and a shot's row of shot_rows is that table at its outcome."""
     n, rng = 3, np.random.default_rng(3)
     u = global_gates(n, rng)
     got = (visible.family_table(u, n)[:, :, None]
@@ -131,6 +133,8 @@ def test_family_table_entries_are_measured_basis_elements():
     dense = np.stack([qcore.kron_all([g] * n) for g in u])
     want = np.real(np.einsum("rbi,sij,rbj->rsb", dense, basis, dense.conj()))
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
+    b = rng.integers(0, 1 << n, size=len(u))  # one measured outcome per row
+    assert np.array_equal(visible.shot_rows(u, b, n), got[np.arange(len(u)), :, b])
 
 
 @pytest.mark.parametrize("n", range(1, 9))
@@ -177,6 +181,6 @@ def test_family_signs_are_plus_and_minus_one():
 def test_family_forms_reject_per_site_gates():
     u = np.broadcast_to(np.eye(2, dtype=complex), (4, 3, 2, 2))
     with pytest.raises(ValueError, match="per row"):
-        visible.rotated_diagonal(np.eye(8) / 8, u)
+        visible.rotated_diagonal(np.ones(38), u, 3)
     with pytest.raises(ValueError, match="per row"):
         visible.family_table(u, 3)
