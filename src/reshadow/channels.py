@@ -84,14 +84,6 @@ def msu2_amplitudes(n: int, amps: np.ndarray, inverse: bool) -> np.ndarray:
     return out
 
 
-def visible_amplitudes(a: np.ndarray, tol: float) -> np.ndarray:
-    """tr(B_S a); NotVisibleError if a's invisible part exceeds tol max(1, ||a||_F)."""
-    resid = visible.invisible_norm(a)
-    if resid > tol * max(1.0, qcore.hs_norm(a)):
-        raise NotVisibleError(f"operator has invisible component of norm {resid:.3e}")
-    return visible.family_coefficients(a)
-
-
 def apply_msu2(a: np.ndarray) -> np.ndarray:
     """Measurement channel of global SU(2) control (kills invisible parts)."""
     n = qcore.num_qubits(a)
@@ -102,7 +94,10 @@ def apply_msu2(a: np.ndarray) -> np.ndarray:
 def inverse_msu2(a: np.ndarray, tol: float = 1e-8) -> np.ndarray:
     """Inverse channel on the visible space; errors on invisible input."""
     n = qcore.num_qubits(a)
-    amps = msu2_amplitudes(n, visible_amplitudes(a, tol), True)
+    resid = visible.invisible_norm(a)
+    if resid > tol * max(1.0, qcore.hs_norm(a)):
+        raise NotVisibleError(f"operator has invisible component of norm {resid:.3e}")
+    amps = msu2_amplitudes(n, visible.family_coefficients(a), True)
     return visible.visible_from_family_coefficients(n, amps)
 
 

@@ -118,7 +118,7 @@ class KernelTable:
 
     ``values`` is the dense table for discrete kinds; for the continuous
     global-SU(2) kind it is None and ``amps`` holds the real amplitudes
-    tr(B_S M^{-1}(O)), read per shot through visible.shot_rows. Nothing
+    tr(B_S M^{-1}(O)), read per shot by su2_shot_values. Nothing
     changes a table once it is made, so its quadrature terms are computed once.
     """
 
@@ -150,11 +150,17 @@ class KernelTable:
             raise ValueError("records were drawn from a different ensemble")
         if self.values is not None:
             return self.values[records.member_idx, records.b]
-        u = ensembles.su2_matrix(records.thetas, 0.0, records.psis)
-        out = np.empty(len(records))
-        for blk in gates.blocks(len(records), self.amps.size):
-            out[blk] = visible.shot_rows(u[blk], records.b[blk], self.n) @ self.amps
-        return out
+        return su2_shot_values(records, self.amps)
+
+
+def su2_shot_values(records: Records, amps: np.ndarray) -> np.ndarray:
+    """<b_j|V_j A V_j†|b_j> per global-SU(2) shot j: its visible.shot_rows row
+    times the real family amplitudes ``amps`` of A (one column per A if 2-D)."""
+    u = ensembles.su2_matrix(records.thetas, 0.0, records.psis)
+    out = np.empty((len(records),) + amps.shape[1:])
+    for blk in gates.blocks(len(records), len(amps)):
+        out[blk] = visible.shot_rows(u[blk], records.b[blk], records.n) @ amps
+    return out
 
 
 def _site_bits(b: np.ndarray, n: int) -> np.ndarray:
@@ -259,8 +265,8 @@ def kernel_cs(o: np.ndarray, ens: Ensemble) -> KernelTable:
     if qcore.num_qubits(o) != ens.n:
         raise ValueError("operator/ensemble dimension mismatch")
     if ens.kind == KIND_GLOBAL_SU2:
-        amps = channels.visible_amplitudes(o, REPRESENTABILITY_TOL).real
-        return KernelTable(ens, amps=channels.msu2_amplitudes(ens.n, amps, True))
+        amps = visible.family_coefficients(channels.inverse_msu2(o)).real
+        return KernelTable(ens, amps=amps)
     if ens.kind == KIND_GLOBAL_CL2:
         amps = visible.family_coefficients(channels.inverse_mcl2(o)).real
         values = visible.rotated_diagonal(amps, _member_gates(ens), ens.n)

@@ -261,6 +261,14 @@ def _patch_inverse_ops(n: int = 3) -> np.ndarray:
     return ops
 
 
+@lru_cache(maxsize=4)
+def _patch_inverse_amps(n: int) -> np.ndarray:
+    """Column S: the real family amplitudes of M^{-1}(B_S) (read-only)."""
+    inv = channels.msu2_amplitudes(n, np.eye(feature_count(n)), True)
+    inv.flags.writeable = False
+    return inv
+
+
 def feature_count(n: int = 3) -> int:
     return len(visible.enumerate_sets(n))
 
@@ -269,20 +277,14 @@ def patch_features(rdm: np.ndarray, n_su2: int, rng,
                    threads: int = 1) -> np.ndarray:
     """Estimates of tr(rho B_S) for all 38 visible basis elements of a patch.
 
-    One global-SU(2) campaign is shared by every feature. The shadow kernel
-    of B_S reads a shot as its row of visible.shot_rows times column S of
-    M^{-1}; M^{-1} is symmetric, so the features are M^{-1} applied to the
-    mean shot row.
+    One global-SU(2) campaign is shared by every feature; each shot is read
+    by the shadow kernels of all M^{-1}(B_S) at once.
     """
     n = qcore.num_qubits(rdm)
     rho = psd_project(rdm)
     ens = ensembles.global_su2(n)
     records = estimator.run_campaign(rho, ens, n_su2, rng, threads=threads)
-    u = ensembles.su2_matrix(records.thetas, 0.0, records.psis)
-    total = np.zeros(feature_count(n))
-    for block in gates.blocks(len(records), total.size):
-        total += visible.shot_rows(u[block], records.b[block], n).sum(axis=0)
-    return channels.msu2_amplitudes(n, total / len(records), True)
+    return estimator.su2_shot_values(records, _patch_inverse_amps(n)).mean(axis=0)
 
 
 # ---------------------------------------------------------------------------

@@ -277,9 +277,8 @@ def family_signs(n: int) -> np.ndarray:
 
 
 def shot_rows(u: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
-    """(shots, families) table <b_j|V_j B_S V_j†|b_j> of the shots that
-    measured outcome b_j after V_j = u_j^{⊗n}: family_table row j times
-    (-1)^{popcount(b_j & F_S)}."""
+    """(shots, families) table <b_j|V_j B_S V_j†|b_j> of shots measuring b_j after
+    V_j = u_j^{⊗n}: family_table row j times (-1)^{popcount(b_j & F_S)}."""
     _, _, free, _ = _family_layout(n)
     w = family_table(u, n)
     parity = qcore.parity(np.asarray(b)[:, None] & free).view(np.int8)
