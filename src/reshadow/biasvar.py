@@ -118,11 +118,11 @@ def default_lambda_grid(points: int = 25, low: float = 1e-4,
 
 
 def _ridge_factors(o: np.ndarray, ens: Ensemble) -> tuple:
-    """The family-row system (M, c, sqrt(p)) of o, the thin SVD
-    M = U diag(s) V^T as (s, V^T, U^T c), and estimator._unreached(o)."""
-    a, b, sqrt_p = estimator.stacked_system(o, ens)
+    """The family-row system (M, c, sqrt(p), unreached) of o and the thin SVD
+    M = U diag(s) V^T as (s, V^T, U^T c)."""
+    a, b, sqrt_p, unreached = estimator.stacked_system(o, ens)
     u, s, vt = np.linalg.svd(a, full_matrices=False)
-    return a, b, sqrt_p, s, vt, u.T @ b, estimator._unreached(o)
+    return a, b, sqrt_p, unreached, s, vt, u.T @ b
 
 
 def ridge_bias(o: np.ndarray, ens: Ensemble, lam: float,
@@ -137,15 +137,13 @@ def ridge_bias(o: np.ndarray, ens: Ensemble, lam: float,
     """
     if lam < 0:
         raise ValueError("ridge parameter must be non-negative")
-    a, b, sqrt_p, s, vt, projected, unreached = factors or _ridge_factors(o, ens)
+    a, b, sqrt_p, unreached, s, vt, projected = factors or _ridge_factors(o, ens)
     if lam == 0.0:
-        y, residual = estimator._solve_min_norm(o, a, b)
+        y, residual = estimator._solve_min_norm(a, b, unreached)
     else:
         y = vt.T @ (s / (s * s + lam) * projected)
         residual = estimator._residual(a @ y - b, unreached)
-    dim = 1 << ens.n
-    values = y.reshape(len(ens.members), dim) / sqrt_p[:, None]
-    return KernelTable(ens, values=values, residual=residual)
+    return estimator._kernel_from_y(ens, y, sqrt_p, residual)
 
 
 def ridge_kernels(o: np.ndarray, ens: Ensemble, lambdas) -> list:
@@ -165,16 +163,17 @@ def ridge_scan(o: np.ndarray, ens: Ensemble, lambdas, shots: int,
 # ---------------------------------------------------------------------------
 
 
-def _minimize_alpha(o, ens, alpha, shots, m_observables, delta, y0,
+def _minimize_alpha(o, a, sqrt_p, alpha, shots, m_observables, delta, y0,
                     max_iter=MAX_ITER):
-    """Subgradient descent with backtracking on the convex alpha-cost.
+    """Subgradient descent with backtracking on the convex alpha-cost over the
+    family-row system (a, sqrt(p)) of estimator.stacked_system.
 
     G = sum_S vec(B_S) M[S, :] maps y to vec(O~), so each trial step forms
     the residual operator O - O~ with one product.
     """
-    a, _, sqrt_p = estimator.stacked_system(o, ens)
-    dim = 1 << ens.n
-    g_op = visible.family_basis(ens.n).T @ a
+    n = qcore.num_qubits(o)
+    dim = 1 << n
+    g_op = visible.family_basis(n).T @ a
     o_vec = np.asarray(o, dtype=complex).ravel()
     c_var = 2.0 * estimator.confidence_log(m_observables, delta) / shots
     # tr(O~)/2^n is linear in y; the column for member j, outcome b carries
@@ -233,11 +232,6 @@ def _minimize_alpha(o, ens, alpha, shots, m_observables, delta, y0,
     return best_y, best_f, False
 
 
-def _table_from_y(y, ens, sqrt_p):
-    dim = 1 << ens.n
-    return KernelTable(ens, values=y.reshape(len(ens.members), dim) / sqrt_p[:, None])
-
-
 def alpha_scan(o: np.ndarray, ens: Ensemble, shots: int, m_observables: int,
                delta: float, alphas, max_iter: int = MAX_ITER) -> BiasScanResult:
     """Minimize the alpha-cost for each alpha; return the scan's best row.
@@ -249,14 +243,14 @@ def alpha_scan(o: np.ndarray, ens: Ensemble, shots: int, m_observables: int,
     alphas = list(alphas)
     if not alphas:
         raise ValueError("need at least one alpha")
-    a, b, sqrt_p = estimator.stacked_system(o, ens)
-    y0, _ = estimator._solve_min_norm(o, a, b)
+    a, b, sqrt_p, unreached = estimator.stacked_system(o, ens)
+    y0, _ = estimator._solve_min_norm(a, b, unreached)
     rows = []
     for alpha in alphas:
-        y, _, converged = _minimize_alpha(o, ens, float(alpha), shots,
+        y, _, converged = _minimize_alpha(o, a, sqrt_p, float(alpha), shots,
                                           m_observables, delta, y0, max_iter)
-        row = _assemble(float(alpha), _table_from_y(y, ens, sqrt_p), o, shots,
-                        m_observables, delta)
+        row = _assemble(float(alpha), estimator._kernel_from_y(ens, y, sqrt_p), o,
+                        shots, m_observables, delta)
         if not converged:
             raise ConvergenceError(
                 f"alpha={alpha}: no convergence in {max_iter} iterations",

@@ -91,14 +91,13 @@ def apply_msu2(a: np.ndarray) -> np.ndarray:
     return visible.visible_from_family_coefficients(n, amps)
 
 
-def inverse_msu2(a: np.ndarray, tol: float = 1e-8) -> np.ndarray:
+def inverse_msu2(a: np.ndarray) -> np.ndarray:
     """Inverse channel on the visible space; errors on invisible input."""
     n = qcore.num_qubits(a)
-    resid = visible.invisible_norm(a)
-    if resid > tol * max(1.0, qcore.hs_norm(a)):
+    amps, resid = visible.family_split(a)
+    if resid > visible.residual_limit(a):
         raise NotVisibleError(f"operator has invisible component of norm {resid:.3e}")
-    amps = msu2_amplitudes(n, visible.family_coefficients(a), True)
-    return visible.visible_from_family_coefficients(n, amps)
+    return visible.visible_from_family_coefficients(n, msu2_amplitudes(n, amps, True))
 
 
 # ---------------------------------------------------------------------------
@@ -130,13 +129,13 @@ def apply_mcl2(a: np.ndarray) -> np.ndarray:
     return qcore.pauli_recompose(out)
 
 
-def inverse_mcl2(a: np.ndarray, tol: float = 1e-8) -> np.ndarray:
+def inverse_mcl2(a: np.ndarray) -> np.ndarray:
     """Inverse Cl(2) channel; errors when the input leaves the visible space."""
     n = qcore.num_qubits(a)
     scale = _cl2_inverse_scale(n)
     coeffs = qcore.pauli_decompose(a)
     outside = np.linalg.norm(coeffs[scale == 0]) * np.sqrt(1 << n)
-    if outside > tol * max(1.0, qcore.hs_norm(a)):
+    if outside > visible.residual_limit(a):
         raise NotVisibleError(
             f"operator has Cl(2)-invisible component of norm {outside:.3e}")
     return qcore.pauli_recompose(coeffs * scale)

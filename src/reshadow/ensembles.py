@@ -25,7 +25,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import qcore
+from . import qcore, visible
 from .errors import RepresentabilityError
 
 KIND_GLOBAL_SU2 = "GlobalSU2"
@@ -184,7 +184,7 @@ def subsample_su2(n_unitaries: int, rng: np.random.Generator, targets=(),
 
     ``targets`` is a sequence of dense Hermitian operators that the
     least-squares kernel must reproduce: each target's residual ||O - O~||_F
-    must stay within ``estimator.residual_limit`` (REPRESENTABILITY_TOL times
+    must stay within ``visible.residual_limit`` (REPRESENTABILITY_TOL times
     max(1, ||O||_F)), the gate kernel_least_squares applies. Plain draws are
     almost surely fine; the retry cap guards degenerate seeds.
     """
@@ -206,7 +206,7 @@ def subsample_su2(n_unitaries: int, rng: np.random.Generator, targets=(),
             for t in targets
         ]
         worst = max(residuals)
-        if all(r <= estimator.residual_limit(t) for r, t in zip(residuals, targets)):
+        if all(r <= visible.residual_limit(t) for r, t in zip(residuals, targets)):
             return ens
     raise RepresentabilityError(
         f"no representable subsample of size {n_unitaries} after "

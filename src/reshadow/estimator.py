@@ -42,11 +42,6 @@ from .errors import NumericalDegeneracyError, RepresentabilityError
 
 CHUNK = 4096
 
-# A target is representable when ||O - O~||_F of its least-squares kernel
-# stays below this share of max(1, ||O||_F); subsample_su2 and
-# kernel_least_squares apply the same gate.
-REPRESENTABILITY_TOL = 1e-8
-
 
 # ---------------------------------------------------------------------------
 # Measurement records
@@ -203,61 +198,56 @@ def _family_rows(ens: Ensemble) -> tuple[np.ndarray, np.ndarray]:
 
 
 def stacked_system(o: np.ndarray, ens: Ensemble):
-    """Family-row system M y = Re tr(B_S O), one real row per visible family.
+    """Family-row system M y = Re tr(B_S O), one real row per visible family,
+    as (M, Re tr(B_S O), sqrt(p), unreached).
 
     The substitution y = sqrt(p) K makes the minimum-norm solution of this
     system the kernel with the smallest variance under the maximally mixed
-    state while keeping the p-weighted reconstruction identity exact. What
-    no kernel reaches, the imaginary family parts and the invisible part of
-    O, is left to ``_unreached``.
+    state while keeping the p-weighted reconstruction identity exact.
+    ``unreached`` is the part of ||O - O~||_F^2 that no kernel reaches: the
+    imaginary family parts and the invisible part of O.
     """
     m, sqrt_p = _family_rows(ens)
     if qcore.num_qubits(o) != ens.n:
         raise ValueError("operator/ensemble dimension mismatch")
-    return m, visible.family_coefficients(o).real, sqrt_p
-
-
-def _unreached(o: np.ndarray) -> float:
-    """The part of ||O - O~||_F^2 that no kernel reaches: the imaginary family
-    parts and the invisible part of O."""
-    amps = visible.family_coefficients(o)
-    return float(amps.imag @ amps.imag + visible.invisible_norm(o) ** 2)
+    amps, outside = visible.family_split(o)
+    return m, amps.real, sqrt_p, float(amps.imag @ amps.imag + outside**2)
 
 
 def _residual(misfit: np.ndarray, unreached: float) -> float:
-    """||O - O~||_F from the family-row misfit M y - Re tr(B_S O) and
-    _unreached(O)."""
+    """||O - O~||_F from the family-row misfit M y - Re tr(B_S O) and the
+    unreached part of stacked_system."""
     return float(np.sqrt(misfit @ misfit + unreached))
 
 
-def _solve_min_norm(o: np.ndarray, a: np.ndarray, b: np.ndarray):
-    """Minimum-norm least-squares y of the system (a, b) of o, and ||O - O~||_F."""
+def _solve_min_norm(a: np.ndarray, b: np.ndarray, unreached: float):
+    """Minimum-norm least-squares y of the system (a, b), and ||O - O~||_F."""
     y, *_ = np.linalg.lstsq(a, b, rcond=None)
-    return y, _residual(a @ y - b, _unreached(o))
+    return y, _residual(a @ y - b, unreached)
 
 
-def residual_limit(o: np.ndarray) -> float:
-    """Largest residual at which o counts as representable."""
-    return REPRESENTABILITY_TOL * max(1.0, qcore.hs_norm(o))
+def _kernel_from_y(ens: Ensemble, y: np.ndarray, sqrt_p: np.ndarray,
+                   residual: float = 0.0) -> KernelTable:
+    """The kernel table K = y / sqrt(p) of a family-row solution y."""
+    values = y.reshape(len(ens.members), -1) / sqrt_p[:, None]
+    return KernelTable(ens, values=values, residual=residual)
 
 
 def representability_residual(o: np.ndarray, ens: Ensemble) -> float:
     """||O - O~||_F of the least-squares kernel (0 when o is representable)."""
-    a, b, _ = stacked_system(o, ens)
-    return _solve_min_norm(o, a, b)[1]
+    a, b, _, unreached = stacked_system(o, ens)
+    return _solve_min_norm(a, b, unreached)[1]
 
 
 def kernel_least_squares(o: np.ndarray, ens: Ensemble) -> KernelTable:
     """Minimum-norm kernel for a discrete subsample (unbiased when representable)."""
-    a, b, sqrt_p = stacked_system(o, ens)
-    y, residual = _solve_min_norm(o, a, b)
-    if residual > residual_limit(o):
+    a, b, sqrt_p, unreached = stacked_system(o, ens)
+    y, residual = _solve_min_norm(a, b, unreached)
+    if residual > visible.residual_limit(o):
         raise RepresentabilityError(
             f"operator is not representable by this unitary set "
             f"(residual {residual:.3e})", residual=residual)
-    dim = 1 << ens.n
-    values = (y.reshape(len(ens.members), dim) / sqrt_p[:, None])
-    return KernelTable(ens, values=values, residual=residual)
+    return _kernel_from_y(ens, y, sqrt_p, residual)
 
 
 def kernel_cs(o: np.ndarray, ens: Ensemble) -> KernelTable:
@@ -499,19 +489,25 @@ class Budget:
             raise ValueError("per-observable lists must align")
 
 
-def theorem1_shots(b: Budget) -> int:
-    """N = ceil( 2 ln(M / 2 delta) * max_i (Var_i + eps_i Q_i / 3) / eps_i^2 )
+def shot_factor(var, q, slack):
+    """(Var + s Q / 3) / s^2 at the error slack s = epsilon - bias; inf where s <= 0."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(slack > 0, (var + slack * q / 3.0) / slack**2, math.inf)
 
-    with eps_i = epsilon - bias_i (the error slack left for statistics).
-    """
-    worst = 0.0
-    for var, q, bias in zip(b.var_bounds, b.q_values, b.biases):
-        slack = b.epsilon - bias
-        if slack <= 0:
-            raise ValueError(f"bias {bias} consumes the whole error budget "
-                             f"epsilon={b.epsilon}")
-        worst = max(worst, (var + slack * q / 3.0) / slack**2)
-    return math.ceil(2.0 * confidence_log(b.m_observables, b.delta) * worst)
+
+def shot_count(m_observables: int, delta: float, worst: float) -> int:
+    """N = ceil(2 ln(M / 2 delta) * worst) for the largest shot_factor."""
+    return math.ceil(2.0 * confidence_log(m_observables, delta) * worst)
+
+
+def theorem1_shots(b: Budget) -> int:
+    """N = ceil(2 ln(M / 2 delta) max_i (Var_i + s_i Q_i / 3) / s_i^2), s_i = epsilon - bias_i."""
+    slack = b.epsilon - np.asarray(b.biases, dtype=float)
+    if (slack <= 0).any():
+        raise ValueError(f"bias {max(b.biases)} consumes the whole error budget "
+                         f"epsilon={b.epsilon}")
+    worst = shot_factor(np.asarray(b.var_bounds, dtype=float), np.asarray(b.q_values), slack)
+    return shot_count(b.m_observables, b.delta, float(worst.max(initial=0.0)))
 
 
 def confidence_log(m_observables: int, delta: float) -> float:

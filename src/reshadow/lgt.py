@@ -34,7 +34,7 @@ import numpy as np
 
 from . import adaptive, artifacts, biasvar, estimator, qcore, visible
 from .ensembles import Ensemble
-from .estimator import Budget, KernelTable
+from .estimator import KernelTable
 
 STRATEGIES = ("plain-CS", "bias-only", "adapt-only", "bias+adapt")
 
@@ -144,10 +144,7 @@ class TermVisibility:
     sites: tuple
     invisible_norm: float
     families: tuple  # (n_x, n_y, n_z) triples with non-zero B_S coefficient
-
-    @property
-    def visible(self) -> bool:
-        return self.invisible_norm < 1e-10
+    visible: bool  # invisible_norm within visible.residual_limit of the term
 
 
 def check_visibility(terms: list) -> list:
@@ -155,14 +152,11 @@ def check_visibility(terms: list) -> list:
     report = []
     for term in terms:
         o = term.operator
-        l = qcore.num_qubits(o)
-        inv = visible.invisible_norm(o)
-        amps = visible.family_coefficients(o)
-        fams = tuple(sorted({
-            s.counts for s, amp in zip(visible.enumerate_sets(l), amps)
-            if abs(amp) > 1e-12
-        }))
-        report.append(TermVisibility(term.kind, term.sites, float(inv), fams))
+        amps, inv = visible.family_split(o)
+        sets = visible.enumerate_sets(qcore.num_qubits(o))
+        fams = tuple(sorted({sets[i].counts for i in np.flatnonzero(abs(amps) > 1e-12)}))
+        report.append(TermVisibility(term.kind, term.sites, inv, fams,
+                                     inv <= visible.residual_limit(o)))
     return report
 
 
@@ -206,8 +200,8 @@ class _Candidate:
     lambda_tri: float
 
     def worst(self, epsilon: float):
-        c_link = float(_cost(self.var_link, self.q_link, self.bias_link, epsilon))
-        c_tri = float(_cost(self.var_tri, self.q_tri, self.bias_tri, epsilon))
+        c_link = float(estimator.shot_factor(self.var_link, self.q_link, epsilon - self.bias_link))
+        c_tri = float(estimator.shot_factor(self.var_tri, self.q_tri, epsilon - self.bias_tri))
         return max(c_link, c_tri), c_link >= c_tri
 
 
@@ -225,13 +219,6 @@ def _stats(k: KernelTable, q: np.ndarray | None):
         table, dens = kq.values, q
     var = float(np.dot(dens, (table**2).max(axis=1)))
     return var, float(np.abs(table).max())
-
-
-def _cost(var, q, bias, epsilon: float):
-    """(Var + s Q / 3) / s^2 with the slack s = epsilon - bias (inf for s <= 0)."""
-    slack = epsilon - bias
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(slack > 0, (var + slack * q / 3.0) / slack**2, math.inf)
 
 
 def _scores(links: list, tris: list, p: np.ndarray, epsilon: float) -> np.ndarray:
@@ -253,15 +240,16 @@ def _scores(links: list, tris: list, p: np.ndarray, epsilon: float) -> np.ndarra
         raise ValueError("kernels are identically zero")
     q = w / total
     ratio = np.divide(p, q, out=np.zeros_like(q), where=q > 0)
+    slack_l, slack_t = epsilon - bias_l, epsilon - bias_t
     native = np.maximum(
-        _cost(peak_l**2 @ p, peak_l.max(axis=1), bias_l, epsilon)[:, None],
-        _cost(peak_t**2 @ p, peak_t.max(axis=1), bias_t, epsilon)[None, :])
+        estimator.shot_factor(peak_l**2 @ p, peak_l.max(axis=1), slack_l)[:, None],
+        estimator.shot_factor(peak_t**2 @ p, peak_t.max(axis=1), slack_t)[None, :])
     scaled_l, scaled_t = peak_l[:, None] * ratio, peak_t[None, :] * ratio
     adapt = np.maximum(
-        _cost((q * scaled_l**2).sum(axis=2), scaled_l.max(axis=2), bias_l[:, None],
-              epsilon),
-        _cost((q * scaled_t**2).sum(axis=2), scaled_t.max(axis=2), bias_t[None, :],
-              epsilon))
+        estimator.shot_factor((q * scaled_l**2).sum(axis=2), scaled_l.max(axis=2),
+                              slack_l[:, None]),
+        estimator.shot_factor((q * scaled_t**2).sum(axis=2), scaled_t.max(axis=2),
+                              slack_t[None, :]))
     return np.stack([native, adapt], axis=2)
 
 
@@ -330,7 +318,7 @@ def energy_budget_comparison(lats, ens: Ensemble, epsilon: float = 0.1,
         m = lat.n_terms
         for strategy in STRATEGIES:
             worst, by_link, c = picks[strategy]
-            shots = math.ceil(2.0 * estimator.confidence_log(m, delta) * worst)
+            shots = estimator.shot_count(m, delta, worst)
             rows.append(BudgetRow(
                 strategy=strategy, n_qubits=lat.n_qubits, m_terms=m,
                 epsilon=epsilon, delta=delta, var_bound_link=c.var_link,

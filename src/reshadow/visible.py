@@ -184,11 +184,36 @@ def _family_sums(n: int, coeffs: np.ndarray) -> np.ndarray:
     return sums
 
 
+# An operator is representable (or visible) when the part of it that the
+# solve or channel cannot reach stays below this share of max(1, ||O||_F).
+REPRESENTABILITY_TOL = 1e-8
+
+
+def residual_limit(o: np.ndarray) -> float:
+    """Largest unreached Hilbert-Schmidt norm at which o counts as representable."""
+    return REPRESENTABILITY_TOL * max(1.0, qcore.hs_norm(o))
+
+
 def family_coefficients(a: np.ndarray) -> np.ndarray:
     """tr(B_S a) for every family S, in enumerate_sets order."""
     n = qcore.num_qubits(a)
     _, sizes = _family_index_table(n)
     return np.sqrt((1 << n) / sizes) * _family_sums(n, qcore.pauli_decompose(a))
+
+
+def family_split(a: np.ndarray) -> tuple[np.ndarray, float]:
+    """(family_coefficients(a), invisible_norm(a)) from one Pauli decomposition.
+
+    The invisible part's Pauli coefficients are those of a minus their family
+    means. Its norm comes from them: ||a||^2 - sum |tr(B_S a)|^2 would cancel.
+    """
+    n = qcore.num_qubits(a)
+    ids, sizes = _family_index_table(n)
+    coeffs = qcore.pauli_decompose(a)
+    sums = _family_sums(n, coeffs)
+    outside = coeffs.ravel() - (sums / sizes)[ids]
+    return (np.sqrt((1 << n) / sizes) * sums,
+            float(np.sqrt(1 << n) * np.linalg.norm(outside)))
 
 
 def visible_from_family_coefficients(n: int, amps: np.ndarray) -> np.ndarray:
@@ -199,17 +224,14 @@ def visible_from_family_coefficients(n: int, amps: np.ndarray) -> np.ndarray:
     return qcore.pauli_recompose(coeffs.reshape(dim, dim))
 
 
-def project_visible(o: np.ndarray, n: int | None = None) -> np.ndarray:
+def project_visible(o: np.ndarray) -> np.ndarray:
     """Orthogonal projection onto span{B_S}.
 
     In Pauli-coefficient space this is simply averaging the coefficients
     within each family (every word belongs to exactly one family, and B_S is
     the flat unit vector over its members).
     """
-    if n is None:
-        n = qcore.num_qubits(o)
-    elif n != qcore.num_qubits(o):
-        raise ValueError("declared n does not match the operator dimension")
+    n = qcore.num_qubits(o)
     dim = 1 << n
     ids, sizes = _family_index_table(n)
     means = _family_sums(n, qcore.pauli_decompose(o)) / sizes
@@ -218,7 +240,7 @@ def project_visible(o: np.ndarray, n: int | None = None) -> np.ndarray:
 
 def invisible_norm(o: np.ndarray) -> float:
     """Hilbert-Schmidt norm of the component outside the visible space."""
-    return qcore.hs_norm(o - project_visible(o))
+    return family_split(o)[1]
 
 
 @lru_cache(maxsize=8)

@@ -78,9 +78,9 @@ def channel_contributions(a, u):
 
 def ridge_gram_solve(o, ens, lam):
     """(K table, residual) of (M^T M + lam I) y = M^T c on the family rows."""
-    a, b, sqrt_p = estimator.stacked_system(o, ens)
+    a, b, sqrt_p, unreached = estimator.stacked_system(o, ens)
     gram = a.T @ a
     gram[np.diag_indices_from(gram)] += lam
     y = np.linalg.solve(gram, a.T @ b)
     values = y.reshape(len(ens.members), 1 << ens.n) / sqrt_p[:, None]
-    return values, estimator._residual(a @ y - b, estimator._unreached(o))
+    return values, estimator._residual(a @ y - b, unreached)

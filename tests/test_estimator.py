@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from reshadow import channels, ensembles, estimator, gates, lgt, qcore, visible
-from reshadow.errors import RepresentabilityError
+from reshadow import biasvar, channels, ensembles, estimator, gates, lgt, qcore, visible
+from reshadow.errors import NotVisibleError, RepresentabilityError
 
 from conftest import random_hermitian
 import references
@@ -183,7 +183,7 @@ def test_representability_gate_is_relative_and_shared(link_setup):
     link, ens = link_setup
     big = 1e6 * link
     residual = estimator.representability_residual(big, ens)
-    assert residual <= estimator.residual_limit(big)
+    assert residual <= visible.residual_limit(big)
     assert estimator.kernel_least_squares(big, ens).residual == residual
     again = ensembles.subsample_su2(6, np.random.default_rng(0), targets=(big,), n=2)
     assert again.members == ens.members  # the first draw passes, as for link
@@ -194,6 +194,40 @@ def test_representability_gate_is_relative_and_shared(link_setup):
         with pytest.raises(RepresentabilityError):
             ensembles.subsample_su2(3, np.random.default_rng(1), targets=(target,),
                                     n=2)
+    # the inverse channels apply the same gate to what they cannot invert
+    bperp = visible.build_Bperp(visible.FixedIdSet(2, 0, 1, 0, 1), 1)  # XZ - ZX
+    for inverse in (channels.inverse_msu2, channels.inverse_mcl2):
+        want = 1e6 * inverse(link)
+        np.testing.assert_allclose(inverse(big), want, rtol=0,
+                                   atol=1e-12 * qcore.hs_norm(want))
+        for target in (bperp, 1e6 * bperp):
+            with pytest.raises(NotVisibleError):
+                inverse(target)
+
+
+def test_each_solve_decomposes_its_target_once(link_setup, monkeypatch):
+    """Family amplitudes and the unreached part of a target come from one
+    Pauli decomposition, once per solve, grid or scan."""
+    link, ens = link_setup
+    calls = []
+    for name in ("pauli_decompose", "pauli_recompose"):
+        def counted(a, inner=getattr(qcore, name), name=name):
+            calls.append(name)
+            return inner(a)
+        monkeypatch.setattr(qcore, name, counted)
+
+    def decomposes(run, *args, **kwargs):
+        calls.clear()
+        run(*args, **kwargs)
+        return calls.count("pauli_decompose")
+
+    assert decomposes(estimator.kernel_least_squares, link, ens) == 1
+    assert decomposes(estimator.representability_residual, link, ens) == 1
+    assert decomposes(biasvar.ridge_kernels, link, ens,
+                      biasvar.default_lambda_grid()) == 1
+    assert decomposes(biasvar.alpha_scan, link, ens, 1000, 1, 0.1, (0.1, 10.0)) == 1
+    assert decomposes(channels.inverse_msu2, link) == 1
+    assert calls.count("pauli_recompose") == 1
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
@@ -208,8 +242,8 @@ def test_family_row_system_matches_stacked_reference(n):
                a + 1j * random_hermitian(n, rng))
     for o in targets:
         want_values, want_residual = references.least_squares_kernel(o, ens)
-        mat, rhs, sqrt_p = estimator.stacked_system(o, ens)
-        y, residual = estimator._solve_min_norm(o, mat, rhs)
+        mat, rhs, sqrt_p, unreached = estimator.stacked_system(o, ens)
+        y, residual = estimator._solve_min_norm(mat, rhs, unreached)
         assert mat.shape == (visible.expected_set_count(n), 3 * n << n)
         assert mat.dtype == np.float64
         values = y.reshape(3 * n, -1) / sqrt_p[:, None]

@@ -7,6 +7,8 @@ import pytest
 
 from reshadow import adaptive, biasvar, ensembles, estimator, lgt, qcore, visible
 
+from conftest import random_hermitian
+
 
 def test_lattice_counts():
     lat = lgt.TriLattice(2, 2)
@@ -81,6 +83,17 @@ def test_all_terms_are_visible():
     tri_fams = {r.families for r in report if r.kind == "triangle"}
     assert link_fams == {((0, 0, 2), (0, 2, 0), (2, 0, 0))}
     assert tri_fams == {((1, 2, 0), (3, 0, 0))}
+
+
+def test_visibility_gate_is_relative_to_the_term():
+    """A visible term of norm 6e8 carries rounding of order 1e-8 outside the
+    visible space; the relative gate calls it visible, a B-perp term not."""
+    big = visible.project_visible(random_hermitian(3, np.random.default_rng(0), 1e8))
+    bperp = visible.build_Bperp(visible.FixedIdSet(3, 0, 1, 1, 1), 2)
+    report = lgt.check_visibility([lgt.HamTerm("triangle", (0, 1, 2), op, 1.0, 1.0)
+                                   for op in (big, 1e-3 * bperp, 1e8 * bperp)])
+    assert report[0].invisible_norm > 1e-10
+    assert [r.visible for r in report] == [True, False, False]
 
 
 def test_total_hamiltonian_assembles_terms():

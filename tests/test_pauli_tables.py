@@ -260,6 +260,9 @@ def test_family_sums_and_projections_match_per_family_loops(n, seed):
     assert (np.abs(visible.visible_from_family_coefficients(n, amps)
                    - ref_visible_from_family_coefficients(n, amps)).max() <= tol)
     assert np.abs(visible.project_visible(a) - ref_project_visible(a)).max() <= tol
+    split, outside = visible.family_split(a)
+    assert np.array_equal(split, amps)
+    assert abs(outside - qcore.hs_norm(a - visible.project_visible(a))) <= tol
 
 
 @settings(max_examples=30)
