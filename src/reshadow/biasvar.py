@@ -36,6 +36,7 @@ LOCAL_SUPPORT_CAP = 12
 STOP_REL_CHANGE = 1e-8
 STOP_PATIENCE = 10
 MAX_ITER = 500
+HALVINGS = 40  # trial steps per backtracking search
 
 
 # ---------------------------------------------------------------------------
@@ -168,8 +169,12 @@ def _minimize_alpha(o, a, sqrt_p, alpha, shots, m_observables, delta, y0,
     """Subgradient descent with backtracking on the convex alpha-cost over the
     family-row system (a, sqrt(p)) of estimator.stacked_system.
 
-    G = sum_S vec(B_S) M[S, :] maps y to vec(O~), so each trial step forms
-    the residual operator O - O~ with one product.
+    G = sum_S vec(B_S) M[S, :] maps y to vec(O~), so a stack of points costs
+    one stacked product for the residual operators O - O~ and one batched
+    eigvalsh. Each backtracking search evaluates all HALVINGS trial points
+    y - 2^-k step grad at once and takes the first k that passes the Armijo
+    test: scaling by 2^-k is exact, so these are the points, and this is the
+    choice, of a search that halves the step one trial at a time.
     """
     n = qcore.num_qubits(o)
     dim = 1 << n
@@ -179,13 +184,24 @@ def _minimize_alpha(o, a, sqrt_p, alpha, shots, m_observables, delta, y0,
     # tr(O~)/2^n is linear in y; the column for member j, outcome b carries
     # trace sqrt(p_j) (projector trace 1)
     g = np.repeat(sqrt_p, dim) / dim
+    halvings = 0.5 ** np.arange(HALVINGS)
 
-    def split_cost(y):
-        r = o_vec - g_op @ y
-        res = r.reshape(dim, dim)
-        bias = float(np.abs(np.linalg.eigvalsh(0.5 * (res + res.conj().T))).max())
-        var = float(y @ y) / dim - float(g @ y) ** 2
-        return alpha * bias + math.sqrt(max(c_var * var, 0.0)), r, var
+    def split_cost(ys):
+        """Cost, residual vec(O - O~) and variance of every row of ys.
+
+        The stacked matrix-vector products round as G y does for one point;
+        ys @ G^T would not. y.y and g.y are stacked (1 x P)(P x 1) products,
+        which can differ from y @ y on a fresh array in the last bit when
+        the variance cancels to rounding (a 3-member Cl(2) system does).
+        """
+        r = o_vec[:, None] - np.matmul(g_op, ys.astype(complex)[:, :, None])
+        res = r.reshape(len(ys), dim, dim)
+        herm = 0.5 * (res + res.conj().transpose(0, 2, 1))
+        bias = np.abs(np.linalg.eigvalsh(herm)).max(axis=1)
+        yy = np.matmul(ys[:, None, :], ys[:, :, None])[:, 0, 0]
+        gy = np.matmul(g, ys[:, :, None])[:, 0]
+        var = yy / dim - gy**2
+        return alpha * bias + np.sqrt(np.maximum(c_var * var, 0.0)), r, var
 
     def gradient(y, r, var):
         res = r.reshape(dim, dim)
@@ -201,8 +217,12 @@ def _minimize_alpha(o, a, sqrt_p, alpha, shots, m_observables, delta, y0,
             grad = grad + c_var * (y / dim - float(g @ y) * g) / stat
         return grad
 
+    def pick(evaluated, k):
+        f, r, var = evaluated
+        return float(f[k]), r[k], float(var[k])
+
     y = y0.copy()
-    f, r, var = split_cost(y)
+    f, r, var = pick(split_cost(y[None]), 0)
     best_y, best_f = y.copy(), f
     stall = 0
     for _ in range(max_iter):
@@ -210,18 +230,14 @@ def _minimize_alpha(o, a, sqrt_p, alpha, shots, m_observables, delta, y0,
         gn2 = float(grad @ grad)
         if gn2 < 1e-24:
             return best_y, best_f, True
-        step = 1.0 / math.sqrt(gn2)
-        accepted = False
-        for _ in range(40):
-            trial = y - step * grad
-            f_t, r_t, var_t = split_cost(trial)
-            if f_t < f - 1e-4 * step * gn2:
-                accepted = True
-                break
-            step *= 0.5
-        if accepted:
+        steps = 1.0 / math.sqrt(gn2) * halvings
+        trials = y - steps[:, None] * grad
+        evaluated = split_cost(trials)
+        passed = np.flatnonzero(evaluated[0] < f - 1e-4 * steps * gn2)
+        if passed.size:
+            f_t, r, var = pick(evaluated, passed[0])
             change = (f - f_t) / max(abs(f), 1e-30)
-            y, f, r, var = trial, f_t, r_t, var_t
+            y, f = trials[passed[0]].copy(), f_t
             if f < best_f:
                 best_y, best_f = y.copy(), f
         else:

@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import pathlib
 import sys
 
@@ -23,7 +24,7 @@ import scipy
 
 from . import __version__, artifacts, biasvar, channels, ensembles, estimator, gates
 from . import lgt, phases, qcore, visible
-from .errors import ConfigError, ReshadowError
+from .errors import ConfigError, NotVisibleError, ReshadowError
 
 CHANNEL_CHUNK = 20_000
 
@@ -77,6 +78,21 @@ def _triangle_counts(text: str) -> tuple:
     if not counts or any(t < 2 or t % 2 for t in counts):
         raise ValueError("needs one or more even triangle counts, each >= 2")
     return counts
+
+
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError("must be finite")
+    return value
+
+
+def _coupling(text: str) -> float:
+    """Config caster for the lattice coupling g: the lgt terms divide by g^2."""
+    value = _finite(text)
+    if value * value == 0.0:
+        raise ValueError("g^2 must be nonzero")
+    return value
 
 
 def _probability(text: str) -> float:
@@ -151,7 +167,20 @@ def _report_csv(rows: list, metadata: dict) -> str:
 
 
 def build_observable(spec: str, g: float, alpha: float) -> np.ndarray:
-    """Named preset ('link', 'triangle') or a Pauli-sum like '0.5*XX+1*ZZ'."""
+    """Named preset ('link', 'triangle') or a Pauli-sum like '0.5*XX+1*ZZ'.
+
+    An operator that overflows (a huge coefficient, or g^2 near the ends of
+    the float range) is a config error.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):  # rejected just below
+        op = _observable(spec, g, alpha)
+    if not np.isfinite(op).all():
+        raise ConfigError(f"observable {spec!r} has non-finite entries at "
+                          f"g = {g!r}, alpha = {alpha!r}")
+    return op
+
+
+def _observable(spec: str, g: float, alpha: float) -> np.ndarray:
     name = spec.strip().lower()
     if name == "link":
         return lgt.link_local(g, alpha)
@@ -224,7 +253,8 @@ def _mc_msu2(a: np.ndarray, samples: int, rng) -> tuple:
     y_S = 2^n W_S sum_{S' with the free mask of S} W_S' tr(B_S' a),
     so a block of samples costs one family table, one product with the
     same-mask matrix and one Gram product y y^T, which carries the second
-    moments of every dense entry. Angles are drawn CHANNEL_CHUNK at a time.
+    moments of every dense entry. Angles are drawn CHANNEL_CHUNK at a time,
+    and the table reads each rotation's Bloch axis straight from its angles.
     """
     n = qcore.num_qubits(a)
     if not qcore.is_hermitian(a, 1e-12 * max(1.0, qcore.hs_norm(a))):
@@ -241,9 +271,9 @@ def _mc_msu2(a: np.ndarray, samples: int, rng) -> tuple:
     while done < samples:
         count = min(CHANNEL_CHUNK, samples - done)
         thetas, _, psis = ensembles.haar_su2_angles(count, rng)
-        u = ensembles.su2_matrix(thetas, 0.0, psis)
+        axes = ensembles.su2_axis(thetas, psis)
         for block in gates.blocks(count, amps.size):
-            w = visible.family_table(u[block], n).T  # (families, rows)
+            w = visible.axes_table(axes[:, block], n).T  # (families, rows)
             y = mix @ w
             y *= w
             y *= dim
@@ -405,10 +435,17 @@ def cmd_bias_scan(cfg, seed, out_dir, threads) -> int:
 
 def cmd_lgt_energy(cfg, seed, out_dir, threads) -> int:
     lats = [lgt.TriLattice(t, cfg["s_max"]) for t in cfg["triangles"]]
-    link = lgt.link_local(cfg["g"], cfg["alpha"])
-    tri = lgt.triangle_local(cfg["g"])
+    link = build_observable("link", cfg["g"], cfg["alpha"])
+    tri = build_observable("triangle", cfg["g"], cfg["alpha"])
     ens = build_ensemble(cfg["ensemble"], 3, cfg["members"],
                          cfg["ensemble_seed"], targets=(link, tri))
+    if ens.kind == ensembles.KIND_GLOBAL_CL2:
+        for name, op in (("link", link), ("triangle", tri)):
+            try:
+                channels.inverse_mcl2(op)
+            except NotVisibleError as exc:
+                raise ConfigError(f"global_cl2 cannot estimate the {name} term "
+                                  f"({exc}); use subsample_su2") from exc
     rows = lgt.energy_budget_comparison(
         lats, ens, epsilon=cfg["epsilon"], delta=cfg["delta"], g=cfg["g"],
         alpha=cfg["alpha"], q_variant=cfg["q_variant"])
@@ -463,8 +500,8 @@ SCHEMAS = {
     },
     "estimate": {
         "observable": (str, "link"),
-        "g": (float, 1.0),
-        "alpha": (float, 1.0),
+        "g": (_coupling, 1.0),
+        "alpha": (_finite, 1.0),
         "n": (int, 0),
         "state": (str, "zero"),
         "ensemble": (_choice("global_su2", "global_cl2", "subsample_su2",
@@ -479,8 +516,8 @@ SCHEMAS = {
     },
     "bias-scan": {
         "observable": (str, "link"),
-        "g": (float, 1.0),
-        "alpha": (float, 1.0),
+        "g": (_coupling, 1.0),
+        "alpha": (_finite, 1.0),
         "ensemble": (_choice("global_cl2", "subsample_su2", fold_case=True),
                      "subsample_su2"),
         "members": (_at_least(1), 6),
@@ -503,8 +540,8 @@ SCHEMAS = {
         "ensemble_seed": (int, 1),
         "epsilon": (_probability, 0.1),
         "delta": (_probability, 0.1),
-        "g": (float, 1.0),
-        "alpha": (float, 1.0),
+        "g": (_coupling, 1.0),
+        "alpha": (_finite, 1.0),
         # the budgets always price Q as max|K| (lgt._stats)
         "q_variant": (_choice("max_abs_k"), "max_abs_k"),
     },

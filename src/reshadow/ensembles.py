@@ -53,6 +53,14 @@ def su2_matrix(theta, phi, psi=0.0) -> np.ndarray:
     return u
 
 
+def su2_axis(theta, psi) -> np.ndarray:
+    """Bloch axis (sin θ cos ψ, sin θ sin ψ, cos θ) of su2_matrix(θ, 0, ψ), the
+    visible.bloch_axes of that rotation, as a (3, ...) array."""
+    theta, psi = np.asarray(theta), np.asarray(psi)
+    sin = np.sin(theta)
+    return np.stack([sin * np.cos(psi), sin * np.sin(psi), np.cos(theta)])
+
+
 def basis_rotation(basis: str) -> np.ndarray:
     """Single-qubit V with V†|b><b|V the eigenprojectors of the named Pauli."""
     if basis == "Z":

@@ -259,22 +259,24 @@ def _family_layout(n: int) -> tuple[np.ndarray, ...]:
     return out
 
 
-def family_table(u: np.ndarray, n: int) -> np.ndarray:
-    """(rows, families) table W[j, S] = sqrt(|S|/2^n) m_x^{n_X} m_y^{n_Y} m_z^{n_Z}.
-
-    u is a (rows, 2, 2) table of global rotations, one gate for every site,
-    and m_j = (<0|u_j σ_a u_j†|0>) for a = x, y, z is the Bloch axis of row j.
-    W[j, S] (-1)^{popcount(b & F_S)} = <b|V_j B_S V_j†|b> for V_j = u_j^{⊗n}.
-    """
+def bloch_axes(u: np.ndarray) -> np.ndarray:
+    """(3, rows) Bloch axes m_j = (<0|u_j σ_a u_j†|0>) for a = x, y, z of a
+    (rows, 2, 2) table of global rotations, one gate for every site."""
     if u.ndim != 3 or u.shape[1:] != (2, 2):
         raise ValueError("family forms need one 2x2 rotation per row, shared by "
                          f"every site; got gates of shape {u.shape}")
     a, b = u[:, 0, 0], u[:, 0, 1]  # <0|u = (a, b)
     ab = a * b.conj()
+    return np.stack([2.0 * ab.real, 2.0 * ab.imag, abs(a) ** 2 - abs(b) ** 2])
+
+
+def axes_table(m: np.ndarray, n: int) -> np.ndarray:
+    """(rows, families) table W[j, S] = sqrt(|S|/2^n) m_x^{n_X} m_y^{n_Y} m_z^{n_Z}
+    of the (3, rows) Bloch axes m."""
     # powers[c, k] = m_c^k by repeated products (so m^0 = 1 also for m = 0)
-    powers = np.empty((3, n + 1, len(u)))
+    powers = np.empty((3, n + 1, m.shape[1]))
     powers[:, 0] = 1.0
-    powers[:, 1] = 2.0 * ab.real, 2.0 * ab.imag, abs(a) ** 2 - abs(b) ** 2
+    powers[:, 1] = m
     for k in range(2, n + 1):
         np.multiply(powers[:, k - 1], powers[:, 1], out=powers[:, k])
     counts, scale, _, _ = _family_layout(n)
@@ -282,6 +284,16 @@ def family_table(u: np.ndarray, n: int) -> np.ndarray:
     w *= powers[1].T[:, counts[1]]
     w *= powers[2].T[:, counts[2]]
     return w
+
+
+def family_table(u: np.ndarray, n: int) -> np.ndarray:
+    """(rows, families) table W[j, S] = sqrt(|S|/2^n) m_x^{n_X} m_y^{n_Y} m_z^{n_Z}.
+
+    u is a (rows, 2, 2) table of global rotations, one gate for every site,
+    and m_j = bloch_axes(u)[:, j] is the Bloch axis of row j.
+    W[j, S] (-1)^{popcount(b & F_S)} = <b|V_j B_S V_j†|b> for V_j = u_j^{⊗n}.
+    """
+    return axes_table(bloch_axes(u), n)
 
 
 @lru_cache(maxsize=8)

@@ -6,13 +6,17 @@ real/imaginary-stacked least-squares system whose columns are the dense
 outcome projectors sqrt(p_j) vec(V_j†|b><b|V_j). Both work for any product
 rotation, so they check the family forms of `reshadow.visible` and
 `reshadow.estimator` from outside. `channel_contributions` is the dense
-V†diag(K)V of the channel Monte Carlo, and `ridge_gram_solve` the
-per-lambda normal-equation solve that the one-SVD ridge grid replaced.
+V†diag(K)V of the channel Monte Carlo, `ridge_gram_solve` the
+per-lambda normal-equation solve that the one-SVD ridge grid replaced, and
+`minimize_alpha_loop` the alpha-cost descent that halves each backtracking
+step one trial point at a time.
 """
+
+import math
 
 import numpy as np
 
-from reshadow import estimator, gates
+from reshadow import biasvar, estimator, gates, qcore, visible
 
 
 def measure_site(t, site, g):
@@ -84,3 +88,65 @@ def ridge_gram_solve(o, ens, lam):
     y = np.linalg.solve(gram, a.T @ b)
     values = y.reshape(len(ens.members), 1 << ens.n) / sqrt_p[:, None]
     return values, estimator._residual(a @ y - b, unreached)
+
+
+def minimize_alpha_loop(o, a, sqrt_p, alpha, shots, m_observables, delta, y0,
+                        max_iter=biasvar.MAX_ITER):
+    """biasvar._minimize_alpha with one cost evaluation (and one eigvalsh)
+    per trial step: the search halves the step until the Armijo test passes."""
+    n = qcore.num_qubits(o)
+    dim = 1 << n
+    g_op = visible.family_basis(n).T @ a
+    o_vec = np.asarray(o, dtype=complex).ravel()
+    c_var = 2.0 * estimator.confidence_log(m_observables, delta) / shots
+    g = np.repeat(sqrt_p, dim) / dim
+
+    def split_cost(y):
+        r = o_vec - g_op @ y
+        res = r.reshape(dim, dim)
+        bias = float(np.abs(np.linalg.eigvalsh(0.5 * (res + res.conj().T))).max())
+        var = float(y @ y) / dim - float(g @ y) ** 2
+        return alpha * bias + math.sqrt(max(c_var * var, 0.0)), r, var
+
+    def gradient(y, r, var):
+        res = r.reshape(dim, dim)
+        res = 0.5 * (res + res.conj().T)
+        evals, evecs = np.linalg.eigh(res)
+        top = int(np.abs(evals).argmax())
+        w = evecs[:, top]
+        outer = (np.conj(w)[:, None] * w[None, :]).ravel()
+        grad = -alpha * np.sign(evals[top]) * (outer @ g_op).real
+        stat = math.sqrt(max(c_var * var, 0.0))
+        if stat > 1e-14:
+            grad = grad + c_var * (y / dim - float(g @ y) * g) / stat
+        return grad
+
+    y = y0.copy()
+    f, r, var = split_cost(y)
+    best_y, best_f = y.copy(), f
+    stall = 0
+    for _ in range(max_iter):
+        grad = gradient(y, r, var)
+        gn2 = float(grad @ grad)
+        if gn2 < 1e-24:
+            return best_y, best_f, True
+        step = 1.0 / math.sqrt(gn2)
+        accepted = False
+        for _ in range(biasvar.HALVINGS):
+            trial = y - step * grad
+            f_t, r_t, var_t = split_cost(trial)
+            if f_t < f - 1e-4 * step * gn2:
+                accepted = True
+                break
+            step *= 0.5
+        if accepted:
+            change = (f - f_t) / max(abs(f), 1e-30)
+            y, f, r, var = trial, f_t, r_t, var_t
+            if f < best_f:
+                best_y, best_f = y.copy(), f
+        else:
+            change = 0.0
+        stall = stall + 1 if change < biasvar.STOP_REL_CHANGE else 0
+        if stall >= biasvar.STOP_PATIENCE:
+            return best_y, best_f, True
+    return best_y, best_f, False

@@ -8,7 +8,7 @@ import pytest
 from reshadow import biasvar, ensembles, estimator, lgt, qcore
 from reshadow.errors import ConvergenceError, DimensionCapError
 
-from references import ridge_gram_solve
+from references import minimize_alpha_loop, ridge_gram_solve
 
 
 @pytest.fixture(scope="module")
@@ -139,6 +139,47 @@ def test_alpha_scan_needs_alphas_and_iterations(link, ens):
         biasvar.alpha_scan(link, ens, 1000, 1, 0.1, ())
     with pytest.raises(ConvergenceError):
         biasvar.alpha_scan(link, ens, 1000, 1, 0.1, (1.0,), max_iter=1)
+
+
+def scan_rows(link, ens):
+    return [(r.lambda_or_alpha, r.bias, r.var_bound, r.error_bound)
+            for r in biasvar.alpha_scan(link, ens, 1000, 1, 0.1,
+                                        np.logspace(-2, 2, 9)).scan]
+
+
+@pytest.mark.parametrize("seed", [0, 2, 5])
+def test_stacked_backtracking_matches_per_trial_loop(link, seed, monkeypatch):
+    """One stacked evaluation of every halving picks the per-trial loop's
+    point: the default-grid rows are equal bit for bit."""
+    ens = ensembles.subsample_su2(6, np.random.default_rng(seed),
+                                  targets=(link,), n=2)
+    got = scan_rows(link, ens)
+    monkeypatch.setattr(biasvar, "_minimize_alpha", minimize_alpha_loop)
+    assert got == scan_rows(link, ens)
+
+
+def test_one_eigvalsh_per_backtracking_search(link, ens, monkeypatch):
+    """Each gradient step (one eigh) runs one search (one batched eigvalsh);
+    the start point of each alpha costs one more eigvalsh."""
+    calls = {"eigh": 0, "eigvalsh": 0}
+
+    def counted(name):
+        inner = getattr(np.linalg, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return inner(*args, **kwargs)
+        return wrapper
+
+    a, b, sqrt_p, unreached = estimator.stacked_system(link, ens)
+    y0, _ = estimator._solve_min_norm(a, b, unreached)
+    alphas = np.logspace(-2, 2, 9)
+    for name in calls:
+        monkeypatch.setattr(np.linalg, name, counted(name))
+    for alpha in alphas:
+        biasvar._minimize_alpha(link, a, sqrt_p, float(alpha), 1000, 1, 0.1, y0)
+    assert calls["eigh"] > 0
+    assert calls["eigvalsh"] == calls["eigh"] + len(alphas)
 
 
 # ---------------------------------------------------------------------------

@@ -141,6 +141,19 @@ def test_unrepresentable_subsample_exits_3(tmp_path):
     ("estimate", "method = foo\n"),
     ("bias-scan", "q_variant = foo\n"),
     ("lgt-energy", "q_variant = theorem\n"),
+    ("lgt-energy", "ensemble = global_cl2\n"),
+    ("estimate", "g = 0\n"),
+    ("bias-scan", "g = 1e-200\n"),
+    ("lgt-energy", "g = 0\n"),
+    ("lgt-energy", "g = 1e200\n"),
+    ("estimate", "g = nan\n"),
+    ("bias-scan", "g = inf\n"),
+    ("lgt-energy", "alpha = nan\n"),
+    ("bias-scan", "alpha = inf\n"),
+    ("estimate", "alpha = -inf\n"),
+    ("estimate", "g = 1e-160\n"),
+    ("bias-scan", "observable = inf*XX\n"),
+    ("bias-scan", "observable = 1e308*XX+1e308*XX\n"),
 ])
 def test_out_of_range_values_exit_2(tmp_path, sub, text):
     cfg = write_config(tmp_path, text)

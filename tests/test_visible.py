@@ -184,3 +184,15 @@ def test_family_forms_reject_per_site_gates():
         visible.rotated_diagonal(np.ones(38), u, 3)
     with pytest.raises(ValueError, match="per row"):
         visible.family_table(u, 3)
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_axes_table_from_angles_matches_family_table(n):
+    """The channel Monte Carlo's table from the Bloch axes of its angles
+    equals the table of the rotations su2_matrix(θ, 0, ψ), poles included."""
+    thetas, _, psis = ensembles.haar_su2_angles(200, np.random.default_rng(80 + n))
+    thetas = np.concatenate([thetas, [0.0, np.pi, 0.0, np.pi]])
+    psis = np.concatenate([psis, [0.0, 0.0, 1.3, 4.0 * np.pi - 0.1]])
+    got = visible.axes_table(ensembles.su2_axis(thetas, psis), n)
+    want = visible.family_table(ensembles.su2_matrix(thetas, 0.0, psis), n)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
