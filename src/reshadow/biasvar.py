@@ -28,10 +28,8 @@ import numpy as np
 
 from . import artifacts, estimator, qcore, visible
 from .ensembles import Ensemble
-from .errors import ConvergenceError, DimensionCapError
+from .errors import ConvergenceError
 from .estimator import Budget, KernelTable
-
-LOCAL_SUPPORT_CAP = 12
 
 STOP_REL_CHANGE = 1e-8
 STOP_PATIENCE = 10
@@ -276,80 +274,3 @@ def alpha_scan(o: np.ndarray, ens: Ensemble, shots: int, m_observables: int,
     best.scan = tuple(rows)
     return best
 
-
-# ---------------------------------------------------------------------------
-# Local J(V, P) parameterization
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class LocalParam:
-    """Kernel written over identity/Z strings local to the operator support.
-
-    values[j, z] = J(V_j, P_z) with z a bit mask over ``support`` (first
-    support site = most significant bit), so that
-    K(V, b) = sum_z J(V, P_z) (-1)^{f(b, P_z)} where f counts the support
-    sites carrying both a Z and an outcome bit 1.
-    """
-
-    n: int
-    support: tuple
-    values: np.ndarray
-    residual: float = 0.0
-
-    @property
-    def width(self) -> int:
-        return len(self.support)
-
-
-def _operator_support(o: np.ndarray, tol: float = 1e-12) -> tuple:
-    n = qcore.num_qubits(o)
-    xs, zs = np.nonzero(np.abs(qcore.pauli_decompose(o)) > tol)
-    occupied = int(np.bitwise_or.reduce(xs | zs, initial=0))
-    return tuple(i for i in range(n) if (occupied >> (n - 1 - i)) & 1)
-
-
-def _reduce_to_support(o: np.ndarray, support: tuple) -> np.ndarray:
-    """o = o_L (x) identity -> o_L on the support sites, in site order."""
-    n = qcore.num_qubits(o)
-    return qcore.partial_trace(o, support, n) / (1 << (n - len(support)))
-
-
-def local_solve(o: np.ndarray, ens: Ensemble) -> LocalParam:
-    """Solve the kernel on the operator's support and store its Z-string form.
-
-    J(V, P) = (1/2^n) sum_b K(V, b) (-1)^{f(b,P)}; K is local to the support
-    under a global ensemble, so the off-support outcome sum collapses and the
-    table costs 2^{|support|} parameters per member instead of 2^n.
-    """
-    support = _operator_support(o)
-    if len(support) > LOCAL_SUPPORT_CAP:
-        raise DimensionCapError(
-            f"support {len(support)} exceeds the local-parameterization cap "
-            f"{LOCAL_SUPPORT_CAP}")
-    n = qcore.num_qubits(o)
-    if n != ens.n:
-        raise ValueError("operator/ensemble dimension mismatch")
-    l = len(support)
-    o_local = _reduce_to_support(o, support) if l else np.array(
-        [[np.trace(o).real / (1 << n)]], dtype=complex)
-    if l:
-        k_local = estimator.kernel_least_squares(o_local, ens.with_n(l))
-        values = qcore._fwht(k_local.values.copy()) / (1 << l)
-        residual = k_local.residual
-    else:
-        values = np.full((len(ens.members), 1), float(o_local[0, 0].real))
-        residual = 0.0
-    return LocalParam(n=n, support=support, values=values, residual=residual)
-
-
-def local_to_kernel(lp: LocalParam, ens: Ensemble) -> KernelTable:
-    """Expand the J table back into a full K(V, b) table (round-trip partner)."""
-    if ens.n != lp.n or len(ens.members) != lp.values.shape[0]:
-        raise ValueError("ensemble does not match the local parameterization")
-    k_local = qcore._fwht(lp.values.copy())
-    if lp.support:
-        b_local = qcore.bits_of(np.arange(1 << lp.n), lp.n, lp.support)
-    else:
-        b_local = np.zeros(1 << lp.n, dtype=int)
-    return KernelTable(ens, values=k_local[:, b_local], residual=lp.residual)

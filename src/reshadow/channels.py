@@ -141,11 +141,6 @@ def inverse_mcl2(a: np.ndarray) -> np.ndarray:
     return qcore.pauli_recompose(coeffs * scale)
 
 
-def cl2_visible_dimension(n: int) -> int:
-    """Rank of the Cl(2) channel: the three families share only the identity."""
-    return int(np.count_nonzero(_cl2_inverse_scale(n)))
-
-
 def shadow_map_cl2(o: np.ndarray) -> np.ndarray:
     """Lambda(O) = (1/(3 4^n)) sum_sigma sum_{P1,P2 in sigma} tr(P1 O) tr(P2 O) P1 P2.
 

@@ -27,6 +27,10 @@ from . import lgt, phases, qcore, visible
 from .errors import ConfigError, NotVisibleError, ReshadowError
 
 CHANNEL_CHUNK = 20_000
+# largest ||O||_F of an observable. The variance bounds and shot counts square
+# kernel entries, which are ||O||_F times an inverse-channel gain; the cap
+# splits the float range evenly between the two (1.16e77 each).
+OBSERVABLE_NORM_CAP = sys.float_info.max ** 0.25
 
 
 # ---------------------------------------------------------------------------
@@ -92,6 +96,13 @@ def _coupling(text: str) -> float:
     value = _finite(text)
     if value * value == 0.0:
         raise ValueError("g^2 must be nonzero")
+    return value
+
+
+def _non_negative(text: str) -> float:
+    value = _finite(text)
+    if value < 0:
+        raise ValueError("must be at least 0")
     return value
 
 
@@ -169,14 +180,16 @@ def _report_csv(rows: list, metadata: dict) -> str:
 def build_observable(spec: str, g: float, alpha: float) -> np.ndarray:
     """Named preset ('link', 'triangle') or a Pauli-sum like '0.5*XX+1*ZZ'.
 
-    An operator that overflows (a huge coefficient, or g^2 near the ends of
-    the float range) is a config error.
+    An operator with ||O||_F above OBSERVABLE_NORM_CAP (a huge coefficient,
+    or g^2 far from 1) is a config error.
     """
     with np.errstate(over="ignore", invalid="ignore"):  # rejected just below
         op = _observable(spec, g, alpha)
-    if not np.isfinite(op).all():
-        raise ConfigError(f"observable {spec!r} has non-finite entries at "
-                          f"g = {g!r}, alpha = {alpha!r}")
+        norm = qcore.hs_norm(op)
+    if not norm <= OBSERVABLE_NORM_CAP:
+        raise ConfigError(f"observable {spec!r} at g = {g!r}, alpha = {alpha!r} "
+                          f"has ||O||_F = {norm:.3g}, above the cap "
+                          f"{OBSERVABLE_NORM_CAP:.3g} = (float max)^(1/4)")
     return op
 
 
@@ -551,7 +564,7 @@ SCHEMAS = {
         "states_per_phase": (_at_least(1), 10),
         "n_rp": (_at_least(1), 10_000),
         "n_su2": (_at_least(1), 1000),
-        "lam": (float, 0.0),
+        "lam": (_non_negative, 0.0),
     },
 }
 

@@ -20,7 +20,6 @@ measurement.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -219,36 +218,3 @@ def subsample_su2(n_unitaries: int, rng: np.random.Generator, targets=(),
     raise RepresentabilityError(
         f"no representable subsample of size {n_unitaries} after "
         f"{SUBSAMPLE_RETRY_CAP} attempts", residual=float(worst))
-
-
-# ---------------------------------------------------------------------------
-# JSON serialization (discrete kinds carry members; others just kind + n)
-# ---------------------------------------------------------------------------
-
-
-def to_json(ens: Ensemble) -> str:
-    doc: dict = {"kind": ens.kind, "n": ens.n}
-    if ens.kind == KIND_DISCRETE_SUBSAMPLE:
-        doc["members"] = [
-            {"theta": m.theta, "phi": m.phi, "psi": m.psi} for m in ens.members
-        ]
-        doc["weights"] = list(ens.weights)
-    elif ens.kind == KIND_GLOBAL_CL2:
-        doc["members"] = [{"basis": m.basis} for m in ens.members]
-        doc["weights"] = list(ens.weights)
-    return json.dumps(doc, indent=1, sort_keys=True)
-
-
-def from_json(text: str) -> Ensemble:
-    doc = json.loads(text)
-    kind, n = doc["kind"], int(doc["n"])
-    if kind == KIND_DISCRETE_SUBSAMPLE:
-        triples = [(m["theta"], m["phi"], m["psi"]) for m in doc["members"]]
-        return discrete_subsample(n, triples, np.asarray(doc["weights"]))
-    if kind == KIND_GLOBAL_CL2:
-        return global_cl2(n)
-    if kind == KIND_GLOBAL_SU2:
-        return global_su2(n)
-    if kind == KIND_LOCAL_CLIFFORD:
-        return local_clifford(n)
-    raise ValueError(f"unknown ensemble kind {kind!r}")

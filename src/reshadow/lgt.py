@@ -165,12 +165,6 @@ def check_visibility(terms: list) -> list:
 # ---------------------------------------------------------------------------
 
 
-def embedded_values(local: KernelTable, sites: tuple, n: int) -> np.ndarray:
-    """Lift a kernel table living on `sites` to the n-qubit outcome space."""
-    b_local = qcore.bits_of(np.arange(1 << n), n, sites)
-    return local.values[:, b_local]
-
-
 @dataclass
 class BudgetRow:
     strategy: str
@@ -254,7 +248,7 @@ def _scores(links: list, tris: list, p: np.ndarray, epsilon: float) -> np.ndarra
 
 
 def strategy_candidates(link_op: np.ndarray, tri_op: np.ndarray, ens: Ensemble,
-                        epsilon: float, lambdas=None) -> dict:
+                        epsilon: float) -> dict:
     """Winning (var, Q, bias) candidate per strategy, shared across lattice sizes.
 
     The N formula is a monotone function of the per-term worst contribution,
@@ -264,8 +258,7 @@ def strategy_candidates(link_op: np.ndarray, tri_op: np.ndarray, ens: Ensemble,
     order (link lambda, triangle lambda, density), and its figures are then
     computed through adaptive.reweight like any single kernel's.
     """
-    if lambdas is None:
-        lambdas = biasvar.default_lambda_grid()
+    lambdas = biasvar.default_lambda_grid()
     links = _ridge_family(link_op, ens.with_n(2), lambdas)
     tris = _ridge_family(tri_op, ens.with_n(3), lambdas)
     scores = _scores(links, tris, ens.weights, epsilon)
@@ -290,18 +283,16 @@ def strategy_candidates(link_op: np.ndarray, tri_op: np.ndarray, ens: Ensemble,
 
 def energy_budget_comparison(lats, ens: Ensemble, epsilon: float = 0.1,
                              delta: float = 0.1, g: float = 1.0,
-                             alpha: float = 1.0, lambdas=None,
+                             alpha: float = 1.0,
                              q_variant: str = "max_abs_k") -> list:
     """Shot budgets of the four strategies for each requested lattice.
 
     Budgets use the bare max|K| flavour of Q; the link term is expected to set
     the worst-case contribution and this is checked on the plain strategy.
     """
-    if isinstance(lats, TriLattice):
-        lats = [lats]
     link_op = link_local(g, alpha)
     tri_op = triangle_local(g)
-    winners = strategy_candidates(link_op, tri_op, ens, epsilon, lambdas)
+    winners = strategy_candidates(link_op, tri_op, ens, epsilon)
 
     picks = {}
     for strategy, best in winners.items():

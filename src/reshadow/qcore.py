@@ -35,8 +35,6 @@ Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / np.sqrt(2.0)
 S_GATE = np.array([[1.0, 0.0], [0.0, 1.0j]], dtype=complex)
 
-PAULI_1Q = {"I": I2, "X": X, "Y": Y, "Z": Z}
-
 
 def check_qubit_count(n: int) -> int:
     if not 1 <= n <= N_CAP:
@@ -139,12 +137,6 @@ class PauliString:
     def weight(self) -> int:
         """Number of non-identity sites."""
         return int(np.bitwise_count(self.x | self.z))
-
-    def mul(self, other: "PauliString") -> "PauliString":
-        """Phase-free product (the word of P1·P2, dropping ±1, ±i)."""
-        if self.n != other.n:
-            raise ValueError("site-count mismatch")
-        return PauliString(self.n, self.x ^ other.x, self.z ^ other.z)
 
     def to_dense(self) -> np.ndarray:
         """Dense realization; Hilbert-Schmidt norm² is 2^n."""
@@ -287,13 +279,6 @@ def partial_trace(rho: np.ndarray, keep, n: int | None = None) -> np.ndarray:
         t = np.trace(t, axis1=site_now, axis2=t.ndim // 2 + site_now)
     d = 1 << len(keep)
     return t.reshape(d, d)
-
-
-def entropy_vn(rho: np.ndarray) -> float:
-    """Von Neumann entropy in bits."""
-    evals = np.linalg.eigvalsh(rho)
-    evals = evals[evals > 1e-14]
-    return float(-(evals * np.log2(evals)).sum())
 
 
 def bits_of(b: int | np.ndarray, n: int, sites) -> int | np.ndarray:

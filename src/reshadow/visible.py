@@ -54,10 +54,6 @@ class FixedIdSet:
             raise ValueError("negative letter count")
 
     @property
-    def identity_sites(self) -> tuple[int, ...]:
-        return tuple(i for i in range(self.n) if self.r_mask >> (self.n - 1 - i) & 1)
-
-    @property
     def counts(self) -> tuple[int, int, int]:
         return (self.n_x, self.n_y, self.n_z)
 
@@ -202,7 +198,8 @@ def family_coefficients(a: np.ndarray) -> np.ndarray:
 
 
 def family_split(a: np.ndarray) -> tuple[np.ndarray, float]:
-    """(family_coefficients(a), invisible_norm(a)) from one Pauli decomposition.
+    """(family_coefficients(a), Hilbert-Schmidt norm of the component of a
+    outside the visible space) from one Pauli decomposition.
 
     The invisible part's Pauli coefficients are those of a minus their family
     means. Its norm comes from them: ||a||^2 - sum |tr(B_S a)|^2 would cancel.
@@ -236,11 +233,6 @@ def project_visible(o: np.ndarray) -> np.ndarray:
     ids, sizes = _family_index_table(n)
     means = _family_sums(n, qcore.pauli_decompose(o)) / sizes
     return qcore.pauli_recompose(means[ids].reshape(dim, dim))
-
-
-def invisible_norm(o: np.ndarray) -> float:
-    """Hilbert-Schmidt norm of the component outside the visible space."""
-    return family_split(o)[1]
 
 
 @lru_cache(maxsize=8)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from reshadow import biasvar, ensembles, estimator, lgt, qcore
-from reshadow.errors import ConvergenceError, DimensionCapError
+from reshadow.errors import ConvergenceError
 
 from references import minimize_alpha_loop, ridge_gram_solve
 
@@ -183,7 +183,7 @@ def test_one_eigvalsh_per_backtracking_search(link, ens, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# Local Z-string parameterization
+# Kernels of operators embedded in a larger register
 # ---------------------------------------------------------------------------
 
 
@@ -191,24 +191,6 @@ def test_one_eigvalsh_per_backtracking_search(link, ens, monkeypatch):
 def embedded(link, ens):
     term = lgt.HamTerm("link", (1, 3), link, 1.0, 1.0)
     return lgt.term_dense_full(term, 5), ens.with_n(5)
-
-
-def test_local_solve_finds_support(embedded):
-    big, ens5 = embedded
-    lp = biasvar.local_solve(big, ens5)
-    assert lp.support == (1, 3)
-    assert lp.width == 2
-    assert lp.values.shape == (6, 4)
-    assert lp.residual < 1e-8
-
-
-def test_local_solve_matches_full_kernel(embedded):
-    big, ens5 = embedded
-    lp = biasvar.local_solve(big, ens5)
-    k_full = estimator.kernel_least_squares(big, ens5)
-    k_loc = biasvar.local_to_kernel(lp, ens5)
-    np.testing.assert_allclose(k_loc.values, k_full.values, atol=1e-10)
-    np.testing.assert_allclose(estimator.reconstruct(k_loc), big, atol=1e-10)
 
 
 def test_full_kernel_depends_only_on_support_bits(embedded):
@@ -219,24 +201,3 @@ def test_full_kernel_depends_only_on_support_bits(embedded):
     for z in range(4):
         cols = k.values[:, bits == z]
         assert np.abs(cols - cols[:, :1]).max() < 1e-10
-
-
-def test_local_solve_identity_operator(ens):
-    ident = 0.7 * np.eye(4)
-    lp = biasvar.local_solve(ident, ens)
-    assert lp.support == ()
-    np.testing.assert_allclose(lp.values, 0.7)
-    np.testing.assert_allclose(
-        estimator.reconstruct(biasvar.local_to_kernel(lp, ens)), ident, atol=1e-12)
-
-
-def test_local_solve_support_cap(monkeypatch, link, ens):
-    monkeypatch.setattr(biasvar, "LOCAL_SUPPORT_CAP", 1)
-    with pytest.raises(DimensionCapError):
-        biasvar.local_solve(link, ens)
-
-
-def test_local_solve_dimension_mismatch(link, embedded):
-    _, ens5 = embedded
-    with pytest.raises(ValueError):
-        biasvar.local_solve(link, ens5)

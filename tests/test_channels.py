@@ -72,12 +72,6 @@ def test_shadow_norm_cl2_xk():
         assert abs(channels.shadow_norm_cl2(pauli("X" * k)) - 3.0) < 1e-9
 
 
-def test_cl2_visible_dimension():
-    # diagonal-in-a-shared-basis operators: 3 (2^n - 1) + 1
-    for n in range(1, 4):
-        assert channels.cl2_visible_dimension(n) == 3 * ((1 << n) - 1) + 1
-
-
 def test_shadow_map_cl2_quadratic_scaling(rng):
     o = pauli("XX")
     assert np.allclose(channels.shadow_map_cl2(2.0 * o),

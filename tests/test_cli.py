@@ -154,11 +154,42 @@ def test_unrepresentable_subsample_exits_3(tmp_path):
     ("estimate", "g = 1e-160\n"),
     ("bias-scan", "observable = inf*XX\n"),
     ("bias-scan", "observable = 1e308*XX+1e308*XX\n"),
+    ("bias-scan", "observable = 1e153*XX\n"),
+    ("bias-scan", "observable = 1e300*XX\n"),
+    ("estimate", "observable = 1e153*XX\n"),
+    ("estimate", "observable = 1e300*XX\n"),
+    ("lgt-energy", "g = 1e100\n"),
+    ("lgt-energy", "g = 1e-100\n"),
+    ("phase-classify", "lam = inf\n"),
+    ("phase-classify", "lam = nan\n"),
+    ("phase-classify", "lam = -1\n"),
 ])
 def test_out_of_range_values_exit_2(tmp_path, sub, text):
     cfg = write_config(tmp_path, text)
     rc = cli.main([sub, "--config", cfg, "--out", str(tmp_path)])
     assert rc == 2
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("sub", ["bias-scan", "estimate"])
+def test_largest_accepted_observable_gives_finite_artifacts(tmp_path, sub, n):
+    def config(factor):
+        # X^n at the norm cap, its exponent written without a sign ('+' and
+        # '-' separate the terms of a spec)
+        scale = cli.OBSERVABLE_NORM_CAP / 2 ** (n / 2) * factor
+        mantissa, exponent = f"{scale:.15e}".split("e")
+        return write_config(tmp_path, f"observable = {mantissa}e{int(exponent)}*"
+                                      f"{'X' * n}\nmembers = 25\nshots = 200\n")
+
+    assert cli.main([sub, "--config", config(1 + 1e-12), "--out", str(tmp_path)]) == 2
+    assert cli.main([sub, "--config", config(1 - 1e-12), "--out", str(tmp_path)]) == 0
+    if sub == "estimate":
+        doc = json.loads((tmp_path / "estimate.json").read_text())
+        values = [doc["estimate"], doc["exact"], doc["var_max_bound"]]
+    else:  # shots_at is inf by design: the bias exceeds epsilon at this scale
+        rows = (tmp_path / "bias_scan.csv").read_text().splitlines()[4:]
+        values = [float(v) for row in rows for v in row.split(",")[:4]]
+    assert values and np.isfinite(values).all()
 
 
 def test_estimate_local_clifford_exits_2_naming_ensembles(tmp_path, capsys):

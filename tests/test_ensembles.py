@@ -87,11 +87,3 @@ def test_subsample_representability_gate(rng):
     # three axes almost surely cannot represent XX+YY+ZZ-type content
     with pytest.raises(RepresentabilityError):
         ensembles.subsample_su2(3, np.random.default_rng(1), targets=(link,), n=2)
-
-
-def test_ensemble_json_roundtrip(rng):
-    ens = ensembles.subsample_su2(4, rng, n=2)
-    back = ensembles.from_json(ensembles.to_json(ens))
-    assert back.kind == ens.kind and back.n == ens.n
-    assert back.members == ens.members
-    assert np.allclose(back.weights, ens.weights)

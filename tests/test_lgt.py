@@ -107,18 +107,6 @@ def test_total_hamiltonian_assembles_terms():
     np.testing.assert_allclose(h, manual, atol=1e-14)
 
 
-def test_embedded_values_follow_support_bits():
-    link = lgt.link_local(1.0, 1.0)
-    ens = ensembles.subsample_su2(6, np.random.default_rng(0),
-                                  targets=(link,), n=2)
-    k = estimator.kernel_least_squares(link, ens)
-    lifted = lgt.embedded_values(k, (0, 2), 3)
-    assert lifted.shape == (6, 8)
-    for b in range(8):
-        b_local = ((b >> 2) & 1) << 1 | (b & 1)
-        np.testing.assert_allclose(lifted[:, b], k.values[:, b_local])
-
-
 def test_ground_state_estimate_tracks_exact_value():
     lat = lgt.TriLattice(2, 2)
     h = lgt.total_hamiltonian(lat)
@@ -132,8 +120,7 @@ def test_ground_state_estimate_tracks_exact_value():
     ens2 = ensembles.subsample_su2(6, np.random.default_rng(0),
                                    targets=(link,), n=2)
     ens6 = ens2.with_n(lat.n_qubits)
-    lp = biasvar.local_solve(obs, ens6)
-    k = biasvar.local_to_kernel(lp, ens6)
+    k = estimator.kernel_least_squares(obs, ens6)
     records = estimator.run_campaign(ground, ens6, 20_000,
                                      np.random.default_rng(11))
     est = estimator.estimate(records, k)

@@ -28,21 +28,6 @@ def test_pauli_dense_is_hermitian_unitary(word):
     assert np.allclose(m @ m, np.eye(m.shape[0]))
 
 
-@given(words, words)
-def test_pauli_mul_matches_dense_up_to_phase(w1, w2):
-    # mul is deliberately phase-free, so compare after dividing the phase out
-    n = max(len(w1), len(w2))
-    w1, w2 = w1.ljust(n, "I"), w2.ljust(n, "I")
-    a = qcore.PauliString.from_word(w1)
-    b = qcore.PauliString.from_word(w2)
-    dense = a.to_dense() @ b.to_dense()
-    word = a.mul(b).to_dense()
-    k = np.argmax(np.abs(word))
-    phase = dense.flat[k] / word.flat[k]
-    assert np.isclose([1.0, -1.0, 1j, -1j], phase).any()
-    assert np.allclose(dense, phase * word)
-
-
 def test_site_convention_leftmost_is_msb():
     # site 0 is the leftmost Kronecker factor: Z on site 0 of 2 qubits
     z0 = qcore.PauliString.from_word("ZI").to_dense()
@@ -134,9 +119,3 @@ def test_sample_cdf_with_rows_matches_gathered_table(rows, dim_bits, shots, seed
     want = qcore.sample_bits(probs[pick], np.random.default_rng(9))
     got = qcore.sample_cdf(np.cumsum(probs, axis=1), np.random.default_rng(9), pick)
     assert np.array_equal(got, want)
-
-
-def test_entropy_vn():
-    assert np.isclose(qcore.entropy_vn(np.eye(4) / 4.0), 2.0)
-    assert np.isclose(qcore.entropy_vn(qcore.pure_density(qcore.basis_state(2, 1))),
-                      0.0, atol=1e-12)

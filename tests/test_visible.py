@@ -62,8 +62,8 @@ def test_project_visible_idempotent_and_orthogonal(rng):
     resid = a - p
     for s in visible.enumerate_sets(2):
         assert abs(qcore.hs_inner(visible.build_B(s), resid)) < 1e-10
-    assert np.isclose(visible.invisible_norm(p), 0.0, atol=1e-10)
-    assert visible.invisible_norm(a) >= 0.0
+    assert np.isclose(visible.family_split(p)[1], 0.0, atol=1e-10)
+    assert visible.family_split(a)[1] >= 0.0
 
 
 @given(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3))
@@ -75,7 +75,6 @@ def test_identity_padding_changes_family_not_counts(nx, ny, nz):
     mask = 1 << (n - 1)  # identity on site 0
     s = visible.FixedIdSet(n, mask, nx, ny, nz)
     assert s.counts == (nx, ny, nz)
-    assert s.identity_sites == (0,)
 
 
 # ---------------------------------------------------------------------------
