@@ -17,6 +17,7 @@ import hashlib
 import json
 import math
 import pathlib
+import re
 import sys
 
 import numpy as np
@@ -193,6 +194,10 @@ def build_observable(spec: str, g: float, alpha: float) -> np.ndarray:
     return op
 
 
+# a term starts at its first sign that is not an exponent's: '1e-3*XX+-ZZ'
+_TERM_START = re.compile(r"(?<![eE+-])(?=[+-])")
+
+
 def _observable(spec: str, g: float, alpha: float) -> np.ndarray:
     name = spec.strip().lower()
     if name == "link":
@@ -200,20 +205,24 @@ def _observable(spec: str, g: float, alpha: float) -> np.ndarray:
     if name == "triangle":
         return lgt.triangle_local(g)
     total = None
-    for term in spec.replace("-", "+-").split("+"):
+    for term in _TERM_START.split(spec):
         term = term.strip()
         if not term:
             continue
-        if "*" in term:
-            coeff_text, word = term.split("*", 1)
-            coeff = float(coeff_text)
-        elif term.startswith("-"):
-            coeff, word = -1.0, term[1:]
-        else:
-            coeff, word = 1.0, term
+        body = term.lstrip("+-")
+        coeff_text, star, word = body.rpartition("*")
         word = word.strip().upper()
-        dense = coeff * qcore.PauliString.from_word(word).to_dense()
-        total = dense if total is None else total + dense
+        if not word or (total is not None and 1 << len(word) != len(total)):
+            raise ConfigError(f"bad observable term {term!r} in {spec!r}: want "
+                              "[coefficient*]word, all words of one length")
+        try:
+            coeff = float(coeff_text) if star else 1.0
+            dense = qcore.PauliString.from_word(word).to_dense()
+        except ValueError as exc:
+            raise ConfigError(f"bad observable term {term!r}: {exc}") from None
+        if term[: len(term) - len(body)].count("-") % 2:
+            coeff = -coeff
+        total = coeff * dense if total is None else total + coeff * dense
     if total is None:
         raise ConfigError(f"empty observable spec {spec!r}")
     return total

@@ -296,16 +296,26 @@ def _su2_chunk(rho, n, count, rng):
 _CL2_GATES = np.stack([ensembles.basis_rotation(ch) for ch in ensembles.CL2_BASES])
 
 
+def _group(key: np.ndarray, size: int):
+    """np.unique(key, return_inverse=True) for keys in [0, size), without a
+    sort: mark the keys in a bool table, number the marks by a running sum."""
+    seen = np.zeros(size, dtype=bool)
+    seen[key] = True
+    return np.flatnonzero(seen), np.cumsum(seen)[key] - 1
+
+
 def _collapse(rho: np.ndarray, words: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Outcome of each shot: rho measured in its basis word, one site at a time.
 
-    At each site the shots' distinct (basis prefix, outcome prefix) rows are
-    rotated once and split into their outcome-0 and outcome-1 halves, weighted
-    by squared norm (a density matrix, run as the 2n-site row of
-    gates.vectorized, keeps its (b, b) blocks, weighted by trace). A shot goes
-    to half 1 when offset + p0 < u * total, which bisects the inverse-CDF
-    search of sample_bits bit by bit, and never enters a half of weight 0.
-    Only the chosen halves go on, so rows halve at every site.
+    At each site the shots' distinct (basis, row) pairs become rows, keyed
+    basis · r + row for the r rows live there, so they come out in an X, a Y
+    and a Z block. Each block is rotated by its one gate (Z is the identity),
+    then split into its outcome-0 and outcome-1 halves, weighted by squared
+    norm (a density matrix, run as the 2n-site row of gates.vectorized, keeps
+    its (b, b) blocks, weighted by trace). A shot goes to half 1 when
+    offset + p0 < u * total, which bisects the inverse-CDF search of
+    sample_bits bit by bit, and never enters a half of weight 0. Only the
+    chosen halves go on, so rows halve at every site.
     """
     count, n = words.shape
     density = rho.ndim == 2
@@ -322,13 +332,15 @@ def _collapse(rho: np.ndarray, words: np.ndarray, u: np.ndarray) -> np.ndarray:
     offset = np.zeros(count)
     b = np.zeros(count, dtype=np.intp)
     for site in range(n):
-        _, first, parent = np.unique(3 * row + words[:, site], return_index=True,
-                                     return_inverse=True)
-        t = t[row[first]]
-        g = _CL2_GATES[words[first, site]]
-        gates.rotate_site(t, 0, g)
+        r = len(t)
+        keys, parent = _group(r * words[:, site] + row, 3 * r)
+        t = t[keys % r]
+        x_end, y_end = np.searchsorted(keys, [r, 2 * r])
+        for block, g in ((t[:x_end], _CL2_GATES[:1]), (t[x_end:y_end], _CL2_GATES[1:2])):
+            gates.rotate_site(block, 0, g)
+            if density:
+                gates.rotate_site(block, 1, g.conj())
         if density:
-            gates.rotate_site(t, 1, g.conj())
             halves = t.reshape(len(t), 4, -1)[:, ::3]
             w = halves[..., trace[: 1 << (n - site - 1)]].real.sum(axis=-1)
         else:
@@ -341,7 +353,7 @@ def _collapse(rho: np.ndarray, words: np.ndarray, u: np.ndarray) -> np.ndarray:
         one = (p0 <= 0.0) | ((offset + p0 < target) & (p1 > 0.0))
         offset += np.where(one, p0, 0.0)
         b = 2 * b + one
-        child, row = np.unique(2 * parent + one, return_inverse=True)
+        child, row = _group(2 * parent + one, 2 * len(t))
         t = halves[child >> 1, child & 1]
     return b
 

@@ -22,7 +22,7 @@ def rotate_site(t: np.ndarray, site: int, g: np.ndarray) -> None:
 
     t must be C-contiguous, so that the reshape below is a view of it.
     """
-    v = t.reshape(t.shape[0], 1 << site, 2, -1)
+    v = t.reshape(len(t), 1 << site, 2, t.shape[1] >> (site + 1))
     v0, v1 = v[:, :, 0], v[:, :, 1]
     g = g[:, :, :, None, None]
     out0 = v0 * g[:, 0, 0]

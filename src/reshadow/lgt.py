@@ -34,6 +34,7 @@ import numpy as np
 
 from . import adaptive, artifacts, biasvar, estimator, qcore, visible
 from .ensembles import Ensemble
+from .errors import ConfigError
 from .estimator import KernelTable
 
 STRATEGIES = ("plain-CS", "bias-only", "adapt-only", "bias+adapt")
@@ -298,11 +299,15 @@ def energy_budget_comparison(lats, ens: Ensemble, epsilon: float = 0.1,
     for strategy, best in winners.items():
         worst, by_link = best.worst(epsilon)
         if not math.isfinite(worst):
-            raise ValueError(f"{strategy}: bias exhausts epsilon for every "
-                             "candidate")
+            term, bias = ("link", best.bias_link) if by_link else ("triangle", best.bias_tri)
+            raise ConfigError(f"{strategy}: at g = {g!r} the {term} term's bias "
+                              f"{bias:.3g} exhausts epsilon = {epsilon!r} for "
+                              "every candidate")
         picks[strategy] = (worst, by_link, best)
     if not picks["plain-CS"][1]:
-        raise ValueError("triangle term unexpectedly dominates the budget")
+        raise ConfigError(f"at g = {g!r}, epsilon = {epsilon!r} the triangle term, "
+                          "not the link term, sets the plain-CS budget; only "
+                          "link-dominated couplings are supported")
 
     rows = []
     for lat in lats:

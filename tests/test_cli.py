@@ -254,6 +254,44 @@ def test_estimate_seed_changes_records(tmp_path):
     assert a[0] != b[0]
 
 
+@pytest.mark.parametrize("spec, decimal", [
+    ("1e-3*XX", "0.001*XX"),
+    ("2E+1*ZZ", "20*ZZ"),
+    ("-1.5e-2*XY+2.5E1*ZZ", "-0.015*XY+25*ZZ"),
+    ("0.5*XX+-1e+0*ZZ", "0.5*XX-1*ZZ"),
+])
+def test_exponent_coefficients_parse_like_decimals(spec, decimal):
+    assert np.array_equal(cli.build_observable(spec, 1.0, 1.0),
+                          cli.build_observable(decimal, 1.0, 1.0))
+
+
+@pytest.mark.parametrize("spec", ["abc*ZZ", "XQ", "XX+ZZZ", "2*-XX", "1e-*XX"])
+def test_malformed_observable_terms_exit_2(tmp_path, capsys, spec):
+    cfg = write_config(tmp_path, f"observable = {spec}\n")
+    rc = cli.main(["bias-scan", "--config", cfg, "--out", str(tmp_path)])
+    assert rc == 2
+    assert "bad observable term" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("g, term", [("0.3", "the triangle term"),
+                                     ("1e7", "the link term's bias")])
+def test_lgt_energy_unsupported_coupling_exits_2(tmp_path, capsys, g, term):
+    cfg = write_config(tmp_path, f"g = {g}\n")
+    rc = cli.main(["lgt-energy", "--config", cfg, "--out", str(tmp_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"g = {float(g)!r}" in err and "epsilon = 0.1" in err and term in err
+
+
+@pytest.mark.parametrize("g", ["1", "1e5"])
+def test_lgt_energy_supported_couplings_still_run(tmp_path, g):
+    cfg = write_config(tmp_path, f"g = {g}\n")
+    assert cli.main(["lgt-energy", "--config", cfg, "--out", str(tmp_path)]) == 0
+    lines = (tmp_path / "lgt_budget.csv").read_text().splitlines()
+    shots = [int(l.rsplit(",", 1)[1]) for l in lines if l[0] not in "#s"]
+    assert len(shots) == 4 and min(shots) > 0
+
+
 def test_estimate_pauli_sum_on_ghz(tmp_path):
     cfg = write_config(
         tmp_path,

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from reshadow import biasvar, channels, ensembles, estimator, gates, lgt, qcore, visible
+from reshadow import (biasvar, channels, ensembles, estimator, gates, lgt, phases, qcore,
+                      visible)
 from reshadow.errors import NotVisibleError, RepresentabilityError
 
 from conftest import random_hermitian
@@ -549,6 +550,39 @@ def test_local_clifford_collapse_never_draws_zero_weight_outcome(n, density):
         state = qcore.pure_density(psi) if density else psi
         b = estimator._collapse(state, words, u)
         assert set(b.tolist()) <= allowed
+
+
+def _digests(records):
+    return tuple(hashlib.sha256(a.tobytes()).hexdigest()[:16]
+                 for a in (records.b, records.bases))
+
+
+def test_local_clifford_toric_campaign_records_are_frozen():
+    # a depth-2 scrambled L = 2 toric state, n = 8: the phase workload's shape
+    lat = phases.EdgeLattice(2)
+    state = phases.random_lowdepth_circuit(lat, 2, np.random.default_rng(7),
+                                           phases.toric_ground(2))
+    records = estimator.run_campaign(state, ensembles.local_clifford(8), 2500,
+                                     np.random.default_rng(3))
+    assert _digests(records) == ("f8f5696fffe6b77e", "28827603373dfbba")
+
+
+def test_local_clifford_density_campaign_records_are_frozen():
+    rho = random_density(5, np.random.default_rng(21))
+    records = estimator.run_campaign(rho, ensembles.local_clifford(5), 4096,
+                                     np.random.default_rng(4))
+    assert _digests(records) == ("4268f01230362887", "03c32717a4e18a85")
+
+
+@settings(max_examples=200)
+@given(size=st.integers(1, 50), data=st.data())
+def test_group_matches_sorted_unique(size, data):
+    key = np.array(data.draw(st.lists(st.integers(0, size - 1), min_size=1,
+                                      max_size=80)), dtype=np.intp)
+    distinct, inverse = estimator._group(key, size)
+    want, want_inverse = np.unique(key, return_inverse=True)
+    assert np.array_equal(distinct, want)
+    assert np.array_equal(inverse, want_inverse)
 
 
 def test_local_clifford_campaign_memory_is_bounded():
