@@ -25,7 +25,7 @@ import scipy
 
 from . import __version__, artifacts, biasvar, channels, ensembles, estimator, gates
 from . import lgt, phases, qcore, visible
-from .errors import ConfigError, NotVisibleError, ReshadowError
+from .errors import ConfigError, DimensionCapError, NotVisibleError, ReshadowError
 
 CHANNEL_CHUNK = 20_000
 # largest ||O||_F of an observable. The variance bounds and shot counts square
@@ -58,10 +58,12 @@ def parse_config_text(text: str) -> dict:
     return out
 
 
-def _float_list(text: str) -> tuple:
-    if not text:
-        return ()
-    return tuple(float(tok) for tok in text.split(",") if tok.strip())
+def _grid(text: str) -> tuple:
+    """Config caster for a comma-separated scan grid of finite values >= 0."""
+    values = tuple(float(tok) for tok in text.split(",") if tok.strip())
+    if not all(math.isfinite(v) and v >= 0 for v in values):
+        raise ValueError("grid values must be finite and at least 0")
+    return values
 
 
 def _at_least(low: int, high: int | None = None):
@@ -529,7 +531,7 @@ SCHEMAS = {
         "ensemble": (_choice("global_su2", "global_cl2", "subsample_su2",
                              fold_case=True), "subsample_su2"),
         "members": (_at_least(1), 25),
-        "ensemble_seed": (int, 0),
+        "ensemble_seed": (_at_least(0), 0),
         "shots": (_at_least(1), 10_000),
         "method": (_choice("mean", "median_of_means"), "median_of_means"),
         "m_observables": (_at_least(1), 1),
@@ -543,10 +545,10 @@ SCHEMAS = {
         "ensemble": (_choice("global_cl2", "subsample_su2", fold_case=True),
                      "subsample_su2"),
         "members": (_at_least(1), 6),
-        "ensemble_seed": (int, 0),
+        "ensemble_seed": (_at_least(0), 0),
         "mode": (_choice("lambda", "alpha"), "lambda"),
-        "lambda_grid": (_float_list, ()),
-        "alpha_grid": (_float_list, ()),
+        "lambda_grid": (_grid, ()),
+        "alpha_grid": (_grid, ()),
         "shots": (_at_least(1), 1000),
         "m_observables": (_at_least(1), 1),
         "epsilon": (_probability, 0.1),
@@ -559,7 +561,7 @@ SCHEMAS = {
         "ensemble": (_choice("global_cl2", "subsample_su2", fold_case=True),
                      "subsample_su2"),
         "members": (_at_least(1), 25),
-        "ensemble_seed": (int, 1),
+        "ensemble_seed": (_at_least(0), 1),
         "epsilon": (_probability, 0.1),
         "delta": (_probability, 0.1),
         "g": (_coupling, 1.0),
@@ -610,10 +612,12 @@ def main(argv=None) -> int:
         cfg = coerce_config(raw, SCHEMAS[args.subcommand], args.subcommand)
         if args.threads < 1:
             raise ConfigError("threads must be >= 1")
+        if args.seed < 0:
+            raise ConfigError("seed must be >= 0")
         out_dir = pathlib.Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
         return HANDLERS[args.subcommand](cfg, args.seed, out_dir, args.threads)
-    except ConfigError as exc:
+    except (ConfigError, DimensionCapError) as exc:  # a register past qcore.N_CAP
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (ReshadowError, ValueError, FloatingPointError,

@@ -13,9 +13,10 @@ Four kinds are supported:
 
 The conjugated projector V†|b><b|V never depends on phi: the leading
 e^{i Z phi/2} factor sits directly against the diagonal projector and cancels,
-so (theta, psi) fix the measurement axis. phi is kept in the sampled record
-for fidelity but canonicalized to 0 when a unitary is realized for
-measurement.
+so (theta, psi) fix the measurement axis. phi is still drawn, so every Haar
+draw is a full Euler rotation and the random streams do not depend on it,
+and subsample members keep it; measurement records do not store it, and a
+unitary realized for measurement has phi = 0.
 """
 
 from __future__ import annotations

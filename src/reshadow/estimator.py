@@ -68,29 +68,30 @@ class Records:
 
     LocalClifford words are kept as ``bases``, an int8 (N, n) table of
     indices into CL2_BASES (site 0 first); ``words`` spells them as text.
-    The campaign id is printable ASCII without ``,``, ``;`` or ``"``, so
-    that it is a plain field of the record CSV.
+    A global SU(2) rotation is kept as its (theta, psi): the outer Euler
+    angle phi cancels in V†|b><b|V and is not recorded. The campaign id is
+    printable ASCII without ``,``, ``;``, ``"`` or a trailing blank, which
+    the ``# campaign_id=`` line of the record CSV would lose.
     """
 
     def __init__(self, kind: str, n: int, campaign_id: str, b: np.ndarray,
                  member_idx: np.ndarray | None = None,
                  thetas: np.ndarray | None = None,
-                 phis: np.ndarray | None = None,
                  psis: np.ndarray | None = None,
                  bases: np.ndarray | None = None):
         if kind not in KINDS:
             raise ValueError(f"unknown ensemble kind {kind!r}")
         if (not (campaign_id.isascii() and campaign_id.isprintable())
-                or any(ch in campaign_id for ch in ',;"')):
+                or any(ch in campaign_id for ch in ',;"')
+                or campaign_id.endswith(" ")):
             raise ValueError(f"campaign_id {campaign_id!r} must be printable "
-                             f"ASCII without ',', ';' or '\"'")
+                             f"ASCII without ',', ';', '\"' or a trailing blank")
         self.kind = kind
         self.n = n
         self.campaign_id = campaign_id
         self.b = np.asarray(b, dtype=np.int64)
         self.member_idx = member_idx
         self.thetas = thetas
-        self.phis = phis
         self.psis = psis
         self.bases = bases
 
@@ -170,15 +171,15 @@ def _site_bits(b: np.ndarray, n: int) -> np.ndarray:
 
 
 def _member_angles(ens: Ensemble):
-    """(thetas, phis, psis) arrays over the members of an ensemble."""
+    """(thetas, psis) arrays over the members of an ensemble."""
     return tuple(np.array([getattr(m, name) for m in ens.members])
-                 for name in ("theta", "phi", "psi"))
+                 for name in ("theta", "psi"))
 
 
 def _member_gates(ens: Ensemble) -> np.ndarray:
     """(members, 2, 2) single-qubit rotation of each member of a global ensemble."""
     if ens.kind in (KIND_GLOBAL_SU2, KIND_DISCRETE_SUBSAMPLE):
-        thetas, _, psis = _member_angles(ens)
+        thetas, psis = _member_angles(ens)
         return ensembles.su2_matrix(thetas, 0.0, psis)
     return np.stack([m.single_qubit() for m in ens.members])
 
@@ -287,10 +288,10 @@ def _born_tables(rho: np.ndarray, g: np.ndarray) -> np.ndarray:
 
 
 def _su2_chunk(rho, n, count, rng):
-    thetas, phis, psis = ensembles.haar_su2_angles(count, rng)
+    thetas, _, psis = ensembles.haar_su2_angles(count, rng)
     cdf = _born_tables(rho, ensembles.su2_matrix(thetas, 0.0, psis))
     np.cumsum(cdf, axis=1, out=cdf)
-    return thetas, phis, psis, qcore.sample_cdf(cdf, rng)
+    return thetas, psis, qcore.sample_cdf(cdf, rng)
 
 
 _CL2_GATES = np.stack([ensembles.basis_rotation(ch) for ch in ensembles.CL2_BASES])
@@ -406,15 +407,14 @@ def run_campaign(rho: np.ndarray, ens: Ensemble, shots: int, rng,
 
     if ens.is_discrete:
         idx, b = columns
-        thetas = phis = psis = None
+        thetas = psis = None
         if ens.kind == KIND_DISCRETE_SUBSAMPLE:
-            thetas, phis, psis = (a[idx] for a in _member_angles(ens))
+            thetas, psis = (a[idx] for a in _member_angles(ens))
         return Records(ens.kind, n, campaign_id, b, member_idx=idx,
-                       thetas=thetas, phis=phis, psis=psis)
+                       thetas=thetas, psis=psis)
     if ens.kind == KIND_GLOBAL_SU2:
-        thetas, phis, psis, b = columns
-        return Records(ens.kind, n, campaign_id, b, thetas=thetas, phis=phis,
-                       psis=psis)
+        thetas, psis, b = columns
+        return Records(ens.kind, n, campaign_id, b, thetas=thetas, psis=psis)
     bases, b = columns
     return Records(ens.kind, n, campaign_id, b, bases=bases)
 
@@ -579,15 +579,17 @@ def reconstruct(k: KernelTable) -> np.ndarray:
 # CSV round trip
 # ---------------------------------------------------------------------------
 #
-# One row per shot under ``# key=value`` metadata and a ``# n=`` line:
-# campaign_id,shot_index,ensemble_kind,v_params,b. v_params is the basis
-# word (LocalClifford), the basis letter (GlobalCl2), theta;phi;psi
-# (GlobalSU2) or index;theta;phi;psi (DiscreteSubsample), angles as Python
-# repr; b is the outcome as n binary digits, site 0 first. Both directions
-# are columnar: a column is a NUL-padded (rows, width) byte table, and
-# neither direction builds a Python object per row.
+# After the caller's ``# key=value`` metadata come four header lines,
+# ``# n=``, ``# campaign_id=``, ``# ensemble_kind=`` and ``# shots=`` (the row
+# count), then the column line and one row per shot: v_params,b. v_params is
+# the basis word (LocalClifford), the basis letter (GlobalCl2), theta;psi
+# (GlobalSU2) or index;theta;psi (DiscreteSubsample), angles as Python repr;
+# b is the outcome as n binary digits, site 0 first. Both directions are
+# columnar: a column is a NUL-padded (rows, width) byte table, and neither
+# direction builds a Python object per row.
 
-RECORD_COLUMNS = "campaign_id,shot_index,ensemble_kind,v_params,b"
+RECORD_COLUMNS = "v_params,b"
+RECORD_KEYS = ("n", "campaign_id", "ensemble_kind", "shots")
 
 _NEWLINE, _COMMA, _SEMICOLON, _ZERO = b"\n,;0"
 
@@ -641,12 +643,17 @@ def _join_cells(cells: list) -> bytes:
 
 
 def records_to_csv(records: Records, metadata: dict | None = None) -> str:
+    """The record CSV of `records` under the ``# key=value`` lines of
+    `metadata`, which may not use a key of RECORD_KEYS."""
     n, count = records.n, len(records)
     if count and not 0 <= records.b.min() <= records.b.max() < 1 << n:
         raise ValueError(f"outcomes must lie in [0, 2^{n})")
-    parts = [artifacts.metadata_header(metadata), f"# n={n}\n{RECORD_COLUMNS}\n"]
-    lead = _ascii(f"{records.campaign_id},")
-    kind = _ascii(f",{records.kind},")
+    metadata = dict(metadata or {})
+    reserved = sorted({str(key).strip() for key in metadata} & set(RECORD_KEYS))
+    if reserved:
+        raise ValueError(f"metadata keys {reserved} are reserved for the record header")
+    metadata.update(zip(RECORD_KEYS, (n, records.campaign_id, records.kind, count)))
+    parts = [artifacts.metadata_header(metadata), f"{RECORD_COLUMNS}\n"]
     comma, semicolon, newline = _ascii(","), _ascii(";"), _ascii("\n")
     for start in range(0, count, CHUNK):
         rows = slice(start, min(start + CHUNK, count))
@@ -655,15 +662,12 @@ def records_to_csv(records: Records, metadata: dict | None = None) -> str:
         elif records.kind == KIND_GLOBAL_CL2:
             params = [_BASIS_CODES[records.member_idx[rows]][:, None]]
         else:
-            theta, phi, psi = (_float_cells(a[rows])
-                               for a in (records.thetas, records.phis, records.psis))
-            params = [theta, semicolon, phi, semicolon, psi]
+            theta, psi = (_float_cells(a[rows]) for a in (records.thetas, records.psis))
+            params = [theta, semicolon, psi]
             if records.kind == KIND_DISCRETE_SUBSAMPLE:
                 params = [_int_cells(records.member_idx[rows]), semicolon] + params
         bits = (_site_bits(records.b[rows], n) + _ZERO).astype(np.uint8)
-        cells = [lead, _int_cells(np.arange(rows.start, rows.stop)), kind,
-                 *params, comma, bits, newline]
-        parts.append(_join_cells(cells).decode("ascii"))
+        parts.append(_join_cells([*params, comma, bits, newline]).decode("ascii"))
     return "".join(parts)
 
 
@@ -678,12 +682,6 @@ def _marks_per_row(marks, low, high, per_row: int) -> np.ndarray | None:
     if (marks[:, 0] <= low).any() or (marks[:, -1] >= high).any():
         return None
     return marks
-
-
-def _same_text(cells: np.ndarray, what: str) -> str:
-    if (cells != cells[0]).any():
-        raise ValueError(f"record rows disagree on {what}")
-    return cells[0].tobytes().rstrip(b"\0").decode("ascii")
 
 
 def _check_chars(cells: np.ndarray, alphabet: str, what: str) -> None:
@@ -712,25 +710,30 @@ def _fixed(raw, start, stop, width: int, what: str) -> np.ndarray:
 
 
 def records_from_csv(text: str) -> tuple[Records, dict]:
-    """Inverse of records_to_csv, validating every row.
+    """Inverse of records_to_csv, validating every row: the records and the
+    caller's metadata, without the RECORD_KEYS lines.
 
-    Raises ValueError on a foreign header, a missing ``# n=`` line, rows
-    without exactly 5 fields, rows that disagree on campaign_id or
-    ensemble_kind, shot indices other than 0, 1, 2, ..., outcomes that are
-    not n binary digits, and malformed v_params.
+    Raises ValueError on a column line other than RECORD_COLUMNS (a file of
+    an older layout among them), a missing RECORD_KEYS line, a row count
+    other than ``shots``, rows without exactly one ',', outcomes that are not
+    n binary digits, and malformed v_params.
     """
     if "\r" in text:
         text = text.replace("\r\n", "\n")
     metadata, body = artifacts.read_metadata_header(text)
     header, _, body = body.partition("\n")
     if header.rstrip() != RECORD_COLUMNS:
-        raise ValueError("unrecognized record CSV header")
+        raise ValueError(f"record CSV columns must be {RECORD_COLUMNS!r}, "
+                         f"not {header.rstrip()!r}")
     try:
-        n = int(metadata["n"])
-    except KeyError:
-        raise ValueError("record CSV has no '# n=' line") from None
+        n, campaign_id, kind, shots = (metadata.pop(key) for key in RECORD_KEYS)
+    except KeyError as exc:
+        raise ValueError(f"record CSV has no '# {exc.args[0]}=' line") from None
+    n = int(n)
     if not 1 <= n <= qcore.N_CAP:
         raise ValueError(f"record CSV has n={n}, outside 1..{qcore.N_CAP}")
+    if kind not in KINDS:
+        raise ValueError(f"unknown ensemble kind {kind!r}")
     if not body:
         raise ValueError("record CSV holds a header but no records")
     if not body.endswith("\n"):
@@ -740,30 +743,18 @@ def records_from_csv(text: str) -> tuple[Records, dict]:
         raise ValueError("record CSV holds a NUL byte")
 
     ends = np.flatnonzero(raw == _NEWLINE)
-    count = ends.size
+    if str(ends.size) != shots:
+        raise ValueError(f"record CSV holds {ends.size} rows, its header says "
+                         f"shots={shots}")
     begins = np.r_[0, ends[:-1] + 1]
-    commas = np.flatnonzero(raw == _COMMA)
-    commas_by_row = _marks_per_row(commas, begins - 1, ends, 4)
-    if commas_by_row is None:
-        fields = np.bincount(np.searchsorted(ends, commas), minlength=count) + 1
-        bad = int(np.flatnonzero(fields != 5)[0])
-        raise ValueError(f"record row {bad} has {fields[bad]} fields, not 5")
-    # field f of a row spans cut[:, f] + 1 .. cut[:, f + 1]
-    cut = np.column_stack([begins - 1, commas_by_row, ends])
-    start, stop = cut[:, :-1] + 1, cut[:, 1:]
-
-    campaign_id = _same_text(_field(raw, start[:, 0], stop[:, 0]), "campaign_id")
-    kind = _same_text(_field(raw, start[:, 2], stop[:, 2]), "ensemble_kind")
-    if kind not in KINDS:
-        raise ValueError(f"unknown ensemble kind {kind!r}")
-    index = _decimal(_field(raw, start[:, 1], stop[:, 1]), "shot_index")
-    if not np.array_equal(index, np.arange(count)):
-        raise ValueError("shot_index must number the rows 0, 1, 2, ...")
-    bits = _fixed(raw, start[:, 4], stop[:, 4], n, "b")
+    commas = _marks_per_row(np.flatnonzero(raw == _COMMA), begins - 1, ends, 1)
+    if commas is None:
+        raise ValueError("each record row must be v_params,b with exactly one ','")
+    p_start, p_stop = begins, commas[:, 0]
+    bits = _fixed(raw, p_stop + 1, ends, n, "b")
     _check_chars(bits, "01", "b")
     b = (bits - _ZERO).astype(np.int64) @ (1 << np.arange(n - 1, -1, -1))
 
-    p_start, p_stop = start[:, 3], stop[:, 3]
     if kind == KIND_LOCAL_CLIFFORD:
         bases = _BASIS_OF_CODE[_fixed(raw, p_start, p_stop, n, "v_params")]
         if (bases < 0).any():
@@ -776,13 +767,12 @@ def records_from_csv(text: str) -> tuple[Records, dict]:
         return Records(kind, n, campaign_id, b,
                        member_idx=member_idx.astype(np.int64)), metadata
 
-    # [index;]theta;phi;psi. The campaign id holds no ';' (Records checks it
-    # below) and the other fields are checked above, so every ';' in the
+    # [index;]theta;psi. The outcomes are checked above, so every ';' in the
     # body must sit in a v_params field.
-    parts = 3 if kind == KIND_GLOBAL_SU2 else 4
+    parts = 2 if kind == KIND_GLOBAL_SU2 else 3
     semis = _marks_per_row(np.flatnonzero(raw == _SEMICOLON), p_start - 1, p_stop,
                            parts - 1)
-    if semis is None or ";" in campaign_id:
+    if semis is None:
         raise ValueError(f"{kind} v_params need {parts} ';'-separated parts")
     cut = np.column_stack([p_start - 1, semis, p_stop])
     member_idx, spread = None, slice(None)
@@ -793,11 +783,11 @@ def records_from_csv(text: str) -> tuple[Records, dict]:
         if np.array_equal(params, params[first[inverse]]):
             # every row of a member repeats its text: read its angles once
             cut, spread = cut[first], inverse
-    start, stop = cut[:, -4:-1].T.ravel() + 1, cut[:, -3:].T.ravel()
+    start, stop = cut[:, -3:-1].T.ravel() + 1, cut[:, -2:].T.ravel()
     if (stop <= start).any():
         raise ValueError("empty angle in v_params")
     angles = _field(raw, start, stop)
     angles = angles.view(f"S{angles.shape[1]}").ravel().astype(np.float64)
-    thetas, phis, psis = angles.reshape(3, -1)[:, spread]
+    thetas, psis = angles.reshape(2, -1)[:, spread]
     return Records(kind, n, campaign_id, b, member_idx=member_idx, thetas=thetas,
-                   phis=phis, psis=psis), metadata
+                   psis=psis), metadata

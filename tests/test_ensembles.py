@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -67,7 +69,7 @@ def test_params_text_roundtrip(rng):
     ens = ensembles.subsample_su2(4, rng)
     for m in ens.members:
         back = from_params_text(m.kind, m.n, params_text(m))
-        assert back == m
+        assert back == dataclasses.replace(m, phi=0.0)  # records do not keep phi
 
 
 def test_with_n_reregisters_members(rng):

@@ -624,6 +624,10 @@ def test_su2_density_campaign_records_are_frozen():
                                      np.random.default_rng(0))
     digest = hashlib.sha256(records.b.tobytes()).hexdigest()[:16]
     assert digest == "39fdd09f571148d7"
+    # the recorded angles are the draws of the full Euler rotation, phi among
+    # them: not recording phi leaves theta and psi as they were
+    angles = hashlib.sha256(records.thetas.tobytes() + records.psis.tobytes())
+    assert angles.hexdigest()[:16] == "1040ccc2b0bbacaa"
 
 
 def test_local_clifford_campaign_keeps_numeric_words():
@@ -692,18 +696,18 @@ def test_records_csv_roundtrip_numeric_words():
     assert back.bases.dtype == np.int8
     assert np.array_equal(back.bases, bases)
     assert np.array_equal(back.b, b) and back.campaign_id == "c7"
-    assert text.splitlines()[2].split(",")[3] == records.words[0]
+    assert text.splitlines()[5].split(",")[0] == records.words[0]
 
 
 @pytest.mark.parametrize("word", ["XYQ", "XY", "XYZZ"])
 def test_records_csv_rejects_bad_local_words(word):
-    text = ("# n=3\ncampaign_id,shot_index,ensemble_kind,v_params,b\n"
-            f"c0,0,LocalClifford,XYZ,000\nc0,1,LocalClifford,{word},000\n")
+    text = ("# n=3\n# campaign_id=c0\n# ensemble_kind=LocalClifford\n# shots=2\n"
+            f"v_params,b\nXYZ,000\n{word},000\n")
     with pytest.raises(ValueError):
         estimator.records_from_csv(text)
 
 
 def test_records_csv_rejects_header_only():
     with pytest.raises(ValueError):
-        estimator.records_from_csv(
-            "# n=2\ncampaign_id,shot_index,ensemble_kind,v_params,b\n")
+        estimator.records_from_csv("# n=2\n# campaign_id=c0\n"
+                                   "# ensemble_kind=GlobalCl2\n# shots=0\nv_params,b\n")

@@ -1,5 +1,5 @@
 """The record CSV: byte-identical to the per-row writer, exact round trips,
-and rejection of malformed rows."""
+and rejection of malformed headers and rows."""
 
 import csv
 import io
@@ -34,14 +34,13 @@ def member(records, i):
                               index=int(records.member_idx[i]))
     index = int(records.member_idx[i]) if kind == KIND_DISCRETE_SUBSAMPLE else -1
     return SampledUnitary(kind, n, theta=float(records.thetas[i]),
-                          phi=float(records.phis[i]), psi=float(records.psis[i]),
-                          index=index)
+                          psi=float(records.psis[i]), index=index)
 
 
 def params_text(v):
     """Semicolon-joined parameter text of one member (round-trips exactly)."""
     if v.kind in (KIND_GLOBAL_SU2, KIND_DISCRETE_SUBSAMPLE):
-        angles = ";".join(repr(float(a)) for a in (v.theta, v.phi, v.psi))
+        angles = ";".join(repr(float(a)) for a in (v.theta, v.psi))
         if v.kind == KIND_DISCRETE_SUBSAMPLE:
             return f"{v.index};{angles}"
         return angles
@@ -52,12 +51,12 @@ def params_text(v):
 
 def from_params_text(kind, n, text):
     if kind == KIND_GLOBAL_SU2:
-        theta, phi, psi = (float(t) for t in text.split(";"))
-        return SampledUnitary(kind, n, theta=theta, phi=phi, psi=psi)
+        theta, psi = (float(t) for t in text.split(";"))
+        return SampledUnitary(kind, n, theta=theta, psi=psi)
     if kind == KIND_DISCRETE_SUBSAMPLE:
-        idx, theta, phi, psi = text.split(";")
-        return SampledUnitary(kind, n, theta=float(theta), phi=float(phi),
-                              psi=float(psi), index=int(idx))
+        idx, theta, psi = text.split(";")
+        return SampledUnitary(kind, n, theta=float(theta), psi=float(psi),
+                              index=int(idx))
     if kind == KIND_GLOBAL_CL2:
         return SampledUnitary(kind, n, basis=text)
     return SampledUnitary(kind, n, word=text)
@@ -67,35 +66,36 @@ def reference_records_to_csv(records, metadata=None):
     buf = io.StringIO()
     for key, value in (metadata or {}).items():
         buf.write(f"# {key}={value}\n")
-    buf.write(f"# n={records.n}\n")
+    buf.write(f"# n={records.n}\n# campaign_id={records.campaign_id}\n"
+              f"# ensemble_kind={records.kind}\n# shots={len(records)}\n")
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["campaign_id", "shot_index", "ensemble_kind", "v_params", "b"])
+    writer.writerow(["v_params", "b"])
     if records.kind == KIND_LOCAL_CLIFFORD:
         params = records.words
     else:
         params = [params_text(member(records, i)) for i in range(len(records))]
     for i, text in enumerate(params):
-        writer.writerow([records.campaign_id, i, records.kind, text,
-                         format(int(records.b[i]), f"0{records.n}b")])
+        writer.writerow([text, format(int(records.b[i]), f"0{records.n}b")])
     return buf.getvalue()
 
 
 def reference_records_from_csv(text):
     metadata, rows = {}, []
     for line in text.splitlines():
-        if line.startswith("#"):
+        if line.startswith("#") and not rows:
             key, _, value = line[1:].strip().partition("=")
             metadata[key.strip()] = value
         elif line:
             rows.append(line)
     reader = csv.reader(rows)
     assert next(reader) == estimator.RECORD_COLUMNS.split(",")
-    n = int(metadata["n"])
+    n, campaign_id, kind, shots = (metadata.pop(key) for key in estimator.RECORD_KEYS)
+    n = int(n)
     params, bs = [], []
-    for row in reader:
-        campaign_id, _, kind, text, b_text = row
+    for text, b_text in reader:
         params.append(text)
         bs.append(int(b_text, 2))
+    assert len(bs) == int(shots)
     b = np.asarray(bs, dtype=np.int64)
     if kind == KIND_LOCAL_CLIFFORD:
         bases = np.array([[ensembles.CL2_BASES.index(ch) for ch in word]
@@ -112,7 +112,6 @@ def reference_records_from_csv(text):
     return estimator.Records(
         kind, n, campaign_id, b, member_idx=member_idx,
         thetas=np.array([u.theta for u in units]),
-        phis=np.array([u.phi for u in units]),
         psis=np.array([u.psi for u in units])), metadata
 
 
@@ -124,7 +123,7 @@ def assert_same_records(got, want):
     if want.kind in (KIND_GLOBAL_CL2, KIND_DISCRETE_SUBSAMPLE):
         assert np.array_equal(got.member_idx, want.member_idx)
     if want.kind in (KIND_GLOBAL_SU2, KIND_DISCRETE_SUBSAMPLE):
-        for name in ("thetas", "phis", "psis"):
+        for name in ("thetas", "psis"):
             a = np.asarray(getattr(got, name), dtype=np.float64)
             w = np.asarray(getattr(want, name), dtype=np.float64)
             assert np.array_equal(a.view(np.uint64), w.view(np.uint64)), name
@@ -137,7 +136,7 @@ def assert_same_records(got, want):
 # exponent-form reprs, signed zero, subnormals and infinities
 SPECIAL_ANGLES = [1e-05, 5e-324, 0.0, -0.0, 1e16, -2.5e-08, 1.7976931348623157e308,
                   float("inf"), -float("inf"), np.pi]
-ID_CHARS = "".join(chr(c) for c in range(32, 127) if chr(c) not in ',;"#')
+ID_CHARS = "".join(chr(c) for c in range(32, 127) if chr(c) not in ',;"')
 TEXT_CHARS = "".join(chr(c) for c in range(32, 127))
 
 
@@ -147,7 +146,7 @@ def record_sets(draw):
     n = draw(st.integers(1, 8))
     count = draw(st.integers(1, 300))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    campaign_id = draw(st.text(alphabet=ID_CHARS, max_size=8))
+    campaign_id = draw(st.text(alphabet=ID_CHARS, max_size=8).map(str.rstrip))
     b = rng.integers(0, 1 << n, size=count)
     if kind == KIND_LOCAL_CLIFFORD:
         bases = rng.integers(0, 3, size=(count, n)).astype(np.int8)
@@ -167,19 +166,19 @@ def record_sets(draw):
         values[special] = rng.choice(pool, size=int(special.sum()))
         return values
 
-    thetas, phis, psis = column(), column(), column()
+    thetas, psis = column(), column()
     member_idx = None
     if kind == KIND_DISCRETE_SUBSAMPLE:
         member_idx = rng.integers(0, size if tied else 1000, size=count)
         if tied:
-            thetas, phis, psis = thetas[member_idx], phis[member_idx], psis[member_idx]
+            thetas, psis = thetas[member_idx], psis[member_idx]
     return estimator.Records(kind, n, campaign_id, b, member_idx=member_idx,
-                             thetas=thetas, phis=phis, psis=psis)
+                             thetas=thetas, psis=psis)
 
 
 metadata_dicts = st.dictionaries(
     st.text(alphabet="abcdefghijklmnopqrstuvwxyz_0123456789", min_size=1,
-            max_size=6).filter(lambda k: k != "n"),
+            max_size=6).filter(lambda k: k not in estimator.RECORD_KEYS),
     st.text(alphabet=TEXT_CHARS, max_size=12).map(str.rstrip), max_size=4)
 
 
@@ -189,8 +188,9 @@ def test_csv_matches_per_row_reference_and_round_trips(records, metadata):
     text = estimator.records_to_csv(records, metadata)
     assert text == reference_records_to_csv(records, metadata)
     back, meta = estimator.records_from_csv(text)
-    assert meta == {**metadata, "n": str(records.n)}
+    assert meta == metadata
     assert_same_records(back, records)
+    assert estimator.records_to_csv(back, meta) == text
     ref_back, ref_meta = reference_records_from_csv(text)
     assert ref_meta == meta
     assert_same_records(back, ref_back)
@@ -199,11 +199,10 @@ def test_csv_matches_per_row_reference_and_round_trips(records, metadata):
 def test_exponent_form_angles_round_trip():
     angles = np.array([1e-05, 5e-324, 0.0, -0.0, 1e+16, 2.5e-08])
     records = estimator.Records(KIND_GLOBAL_SU2, 2, "c0", np.arange(6) % 4,
-                                thetas=angles, phis=angles[::-1].copy(),
-                                psis=angles)
+                                thetas=angles, psis=angles[::-1].copy())
     text = estimator.records_to_csv(records)
-    assert text.splitlines()[2] == "c0,0,GlobalSU2,1e-05;2.5e-08;1e-05,00"
-    assert text.splitlines()[4] == "c0,2,GlobalSU2,0.0;-0.0;0.0,10"
+    assert text.splitlines()[5] == "1e-05;2.5e-08,00"
+    assert text.splitlines()[7] == "0.0;-0.0,10"
     assert text == reference_records_to_csv(records)
     assert_same_records(estimator.records_from_csv(text)[0], records)
 
@@ -219,8 +218,7 @@ def test_rows_span_several_write_blocks():
 
 
 def test_reader_accepts_crlf_and_a_missing_final_newline():
-    text = ("# n=2\r\ncampaign_id,shot_index,ensemble_kind,v_params,b\r\n"
-            "c0,0,LocalClifford,XY,01\r\nc0,1,LocalClifford,ZZ,10")
+    text = head("LocalClifford", 2).replace("\n", "\r\n") + "XY,01\r\nZZ,10"
     records, _ = estimator.records_from_csv(text)
     assert records.words == ["XY", "ZZ"] and records.b.tolist() == [1, 2]
 
@@ -246,61 +244,55 @@ def test_metadata_header_round_trips():
 # Rejection of malformed records
 # ---------------------------------------------------------------------------
 
-HEAD = "# n=2\ncampaign_id,shot_index,ensemble_kind,v_params,b\n"
+
+def head(kind, shots, n=2):
+    return (f"# n={n}\n# campaign_id=c0\n# ensemble_kind={kind}\n# shots={shots}\n"
+            "v_params,b\n")
 
 
-def read(rows):
-    return estimator.records_from_csv(HEAD + "".join(r + "\n" for r in rows))
+def read(kind, rows, shots=None):
+    shots = len(rows) if shots is None else shots
+    return estimator.records_from_csv(head(kind, shots) + "".join(r + "\n" for r in rows))
 
 
 @pytest.mark.parametrize("b_text", ["0101", "1", "+1", "012", "", "1_0"])
 def test_rejects_b_that_is_not_n_binary_digits(b_text):
     with pytest.raises(ValueError):
-        read(["c0,0,GlobalCl2,X,00", f"c0,1,GlobalCl2,Z,{b_text}"])
+        read("GlobalCl2", ["X,00", f"Z,{b_text}"])
 
 
 @pytest.mark.parametrize("row", [
-    '"c,0",1,LocalClifford,XY,00',     # a quoted comma: six fields here
-    "c0,1,LocalClifford,XY,00,",
-    "c0,1,LocalClifford,XY",
+    '"X,Y",00',                        # a quoted comma: three fields here
+    "XY,00,",
+    "XY",
     "",                                # a blank row
+    "c0,1,LocalClifford,XY,00",        # a row of the old five-column layout
 ])
-def test_rejects_rows_without_five_fields(row):
-    with pytest.raises(ValueError, match="fields"):
-        read(["c0,0,LocalClifford,XY,00", row])
+def test_rejects_rows_without_two_fields(row):
+    with pytest.raises(ValueError, match="exactly one ','"):
+        read("LocalClifford", ["XY,00", row])
 
 
-@pytest.mark.parametrize("rows", [
-    ["c0,0,GlobalCl2,X,00", "c1,1,GlobalCl2,X,00"],
-    ["c0,0,GlobalCl2,X,00", "c00,1,GlobalCl2,X,00"],
-    ["c0,0,LocalClifford,XY,00", "c0,1,GlobalCl2,X,00"],
-])
-def test_rejects_rows_that_disagree_on_campaign_or_kind(rows):
-    with pytest.raises(ValueError, match="disagree"):
-        read(rows)
-
-
-def test_rejects_kinds_that_disagree_on_text_both_could_read():
-    # at n = 1, "X" is a per-site word and a Cl(2) basis alike
-    with pytest.raises(ValueError, match="disagree"):
-        estimator.records_from_csv(HEAD.replace("n=2", "n=1")
-                                   + "c0,0,LocalClifford,X,0\nc0,1,GlobalCl2,X,1\n")
-
-
-@pytest.mark.parametrize("index", ["0", "2", "-1", "01x"])
-def test_rejects_shot_index_out_of_sequence(index):
-    with pytest.raises(ValueError):
-        read(["c0,0,GlobalCl2,X,00", f"c0,{index},GlobalCl2,X,00"])
+@pytest.mark.parametrize("shots", ["1", "3", "-1", "02", ""])
+def test_rejects_row_count_other_than_shots(shots):
+    with pytest.raises(ValueError, match="shots"):
+        read("GlobalCl2", ["X,00", "Z,01"], shots=shots)
 
 
 @pytest.mark.parametrize("kind, params", [
-    ("GlobalSU2", "0.1;0.2"),
+    ("GlobalSU2", "0.1"),
+    ("GlobalSU2", "0.1;0.2;0.3"),            # the old theta;phi;psi
     ("GlobalSU2", "0.1;0.2;0.3;0.4"),
+    ("GlobalSU2", "0.1;"),
     ("GlobalSU2", "0.1;;0.3"),
+    ("GlobalSU2", "abc;0.3"),
     ("GlobalSU2", "0.1;abc;0.3"),
+    ("DiscreteSubsample", "-1;0.1;0.3"),
+    ("DiscreteSubsample", "+1;0.1;0.3"),
     ("DiscreteSubsample", "-1;0.1;0.2;0.3"),
     ("DiscreteSubsample", "+1;0.1;0.2;0.3"),
     ("DiscreteSubsample", "0.1;0.2;0.3"),
+    ("DiscreteSubsample", "1;0.1"),
     ("GlobalCl2", "x"),
     ("GlobalCl2", "XY"),
     ("LocalClifford", "X"),
@@ -308,27 +300,49 @@ def test_rejects_shot_index_out_of_sequence(index):
 ])
 def test_rejects_malformed_v_params(kind, params):
     with pytest.raises(ValueError):
-        read([f"c0,0,{kind},{params},00"])
+        read(kind, [f"{params},00"])
 
 
 def test_rejects_unknown_kind():
     with pytest.raises(ValueError, match="unknown ensemble kind"):
-        read(["c0,0,Foo,1;0.1;0.2;0.3,00"])
+        read("Foo", ["1;0.1;0.3,00"])
 
 
 def test_rejects_missing_n_and_nul_bytes():
     with pytest.raises(ValueError, match="n="):
-        estimator.records_from_csv(HEAD[6:] + "c0,0,GlobalCl2,X,00\n")
+        estimator.records_from_csv(head("GlobalCl2", 1)[6:] + "X,00\n")
     with pytest.raises(ValueError, match="NUL"):
-        read(["c0,0,GlobalCl2,X\0,00"])
+        read("GlobalCl2", ["X\0,00"])
+
+
+@pytest.mark.parametrize("key", ["campaign_id", "ensemble_kind", "shots"])
+def test_rejects_a_missing_header_line(key):
+    text = "".join(line + "\n" for line in head("GlobalCl2", 1).splitlines()
+                   if not line.startswith(f"# {key}="))
+    with pytest.raises(ValueError, match=f"'# {key}='"):
+        estimator.records_from_csv(text + "X,00\n")
+
+
+def test_rejects_the_old_five_column_layout_naming_the_header():
+    text = ("# seed=0\n# n=2\ncampaign_id,shot_index,ensemble_kind,v_params,b\n"
+            "c0,0,GlobalCl2,X,00\n")
+    with pytest.raises(ValueError, match="'v_params,b'"):
+        estimator.records_from_csv(text)
 
 
 @pytest.mark.parametrize("campaign_id", ["a,b", 'say "hi"', "a;b", "line\nbreak",
-                                         "tab\there", "café"])
+                                         "tab\there", "café", "blank ", " "])
 def test_records_reject_campaign_ids_that_are_not_plain_fields(campaign_id):
     with pytest.raises(ValueError, match="campaign_id"):
         estimator.Records(KIND_GLOBAL_CL2, 1, campaign_id, np.array([0]),
                           member_idx=np.array([0]))
+
+
+def test_campaign_id_keeps_leading_blanks_and_header_characters():
+    records = estimator.Records(KIND_GLOBAL_CL2, 1, " a=b #c", np.array([0, 1]),
+                                member_idx=np.array([2, 0]))
+    back, _ = estimator.records_from_csv(estimator.records_to_csv(records))
+    assert back.campaign_id == " a=b #c"
 
 
 def test_writer_rejects_outcomes_outside_the_register():
@@ -336,3 +350,11 @@ def test_writer_rejects_outcomes_outside_the_register():
                                 member_idx=np.array([0, 1]))
     with pytest.raises(ValueError, match="outcomes"):
         estimator.records_to_csv(records)
+
+
+@pytest.mark.parametrize("key", estimator.RECORD_KEYS)
+def test_writer_rejects_reserved_metadata_keys(key):
+    records = estimator.Records(KIND_GLOBAL_CL2, 2, "c0", np.array([0, 3]),
+                                member_idx=np.array([0, 1]))
+    with pytest.raises(ValueError, match="reserved"):
+        estimator.records_to_csv(records, {"seed": 0, key: "x"})
