@@ -16,7 +16,8 @@ def read_metadata_header(text: str) -> tuple[dict, str]:
     """The leading ``#`` lines of text as a dict, and the text after them.
 
     Blank lines among the header lines are skipped. Keys are stripped;
-    values keep everything after the first ``=`` except trailing space.
+    values keep everything after the first ``=`` except trailing space. A key
+    that appears twice raises ValueError.
     """
     metadata: dict = {}
     pos = 0
@@ -28,6 +29,9 @@ def read_metadata_header(text: str) -> tuple[dict, str]:
             break
         if line:
             key, _, value = line[1:].strip().partition("=")
-            metadata[key.strip()] = value
+            key = key.strip()
+            if key in metadata:
+                raise ValueError(f"header key {key!r} appears twice")
+            metadata[key] = value
         pos = end + 1
     return metadata, text[pos:]

@@ -32,6 +32,10 @@ CHANNEL_CHUNK = 20_000
 # kernel entries, which are ||O||_F times an inverse-channel gain; the cap
 # splits the float range evenly between the two (1.16e77 each).
 OBSERVABLE_NORM_CAP = sys.float_info.max ** 0.25
+# longest observable word. Its dense operator takes 16 * 4^letters bytes
+# (256 MiB at 12 letters) and the Pauli decomposition behind the kernels
+# about 3.7 times that; a longer word is rejected before either is built.
+OBSERVABLE_MAX_LETTERS = 12
 
 
 # ---------------------------------------------------------------------------
@@ -214,6 +218,9 @@ def _observable(spec: str, g: float, alpha: float) -> np.ndarray:
         body = term.lstrip("+-")
         coeff_text, star, word = body.rpartition("*")
         word = word.strip().upper()
+        if len(word) > OBSERVABLE_MAX_LETTERS:
+            raise ConfigError(f"observable word of {len(word)} letters in "
+                              f"{spec[:40]!r}: at most {OBSERVABLE_MAX_LETTERS}")
         if not word or (total is not None and 1 << len(word) != len(total)):
             raise ConfigError(f"bad observable term {term!r} in {spec!r}: want "
                               "[coefficient*]word, all words of one length")

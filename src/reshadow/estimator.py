@@ -644,14 +644,19 @@ def _join_cells(cells: list) -> bytes:
 
 def records_to_csv(records: Records, metadata: dict | None = None) -> str:
     """The record CSV of `records` under the ``# key=value`` lines of
-    `metadata`, which may not use a key of RECORD_KEYS."""
+    `metadata`, which may not use a key of RECORD_KEYS nor two keys that read
+    back equal (the reader cuts a key at its first ``=`` and strips it)."""
     n, count = records.n, len(records)
     if count and not 0 <= records.b.min() <= records.b.max() < 1 << n:
         raise ValueError(f"outcomes must lie in [0, 2^{n})")
     metadata = dict(metadata or {})
-    reserved = sorted({str(key).strip() for key in metadata} & set(RECORD_KEYS))
+    keys = [str(key).partition("=")[0].strip() for key in metadata]
+    reserved = sorted(set(keys) & set(RECORD_KEYS))
     if reserved:
         raise ValueError(f"metadata keys {reserved} are reserved for the record header")
+    repeated = sorted({key for key in keys if keys.count(key) > 1})
+    if repeated:
+        raise ValueError(f"metadata keys {repeated} would read back twice")
     metadata.update(zip(RECORD_KEYS, (n, records.campaign_id, records.kind, count)))
     parts = [artifacts.metadata_header(metadata), f"{RECORD_COLUMNS}\n"]
     comma, semicolon, newline = _ascii(","), _ascii(";"), _ascii("\n")

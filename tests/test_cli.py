@@ -173,11 +173,28 @@ def test_unrepresentable_subsample_exits_3(tmp_path):
     ("bias-scan", "mode = alpha\nalpha_grid = 0.1,inf\n"),
     ("phase-classify", "L = 3\n"),                    # 18 qubits
     ("estimate", "observable = XXXXXXXXXXXXXXX\n"),   # 15 qubits
+    ("estimate", "observable = XXXXXXXXXXXXX\n"),     # 13 letters, 1 GiB
+    ("estimate", "observable = XXXXXXXXXXXXXX\n"),    # 14 letters, 4 GiB
+    ("bias-scan", "observable = 0.5*ZZZZZZZZZZZZZ\n"),
+    ("bias-scan", "observable = YYYYYYYYYYYYYY\n"),
 ])
 def test_out_of_range_values_exit_2(tmp_path, sub, text):
     cfg = write_config(tmp_path, text)
     rc = cli.main([sub, "--config", cfg, "--out", str(tmp_path)])
     assert rc == 2
+
+
+@pytest.mark.parametrize("spec", ["X" * 13, "0.5*" + "Z" * 14, "XX+" + "Y" * 14])
+def test_long_observable_word_is_rejected_before_any_dense_build(spec):
+    # a 13-letter dense operator alone would take 1 GiB
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigError, match="at most 12"):
+            cli.build_observable(spec, 1.0, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
 
 
 @pytest.mark.parametrize("sub", ["estimate", "channel-check"])

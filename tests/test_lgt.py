@@ -173,49 +173,60 @@ def test_budget_csv(budget_rows):
 
 
 def reference_winners(link_op, tri_op, ens, epsilon):
-    """Every candidate scored through _stats and q_multi, one kernel at a
-    time, and the first minimum of each strategy's list."""
+    """Each strategy's first minimum over its candidates, every candidate
+    priced on its own kernel tables through adaptive.reweight, as
+    (worst shot factor, (lambda_link, lambda_triangle, link_dominates,
+    var_bound_link))."""
     lambdas = biasvar.default_lambda_grid()
-    links = lgt._ridge_family(link_op, ens.with_n(2), lambdas)
-    tris = lgt._ridge_family(tri_op, ens.with_n(3), lambdas)
 
-    def candidate(link_entry, tri_entry, q):
-        lam_l, k_l, b_l = link_entry
-        lam_t, k_t, b_t = tri_entry
-        return lgt._Candidate(*lgt._stats(k_l, q), b_l, *lgt._stats(k_t, q), b_t,
-                              lam_l, lam_t)
+    def family(op, n):
+        return [(float(lam), k, qcore.spectral_norm(op - estimator.reconstruct(k)))
+                for lam, k in zip(lambdas, biasvar.ridge_kernels(op, ens.with_n(n),
+                                                                 lambdas))]
 
-    plain = candidate(links[0], tris[0], None)
-    adapt = candidate(links[0], tris[0],
-                      adaptive.q_multi([links[0][1], tris[0][1]]))
+    def price(k, q, slack):
+        if q is not None:
+            k = adaptive.reweight(k, q)
+        var = float(np.dot(k.density, (k.values**2).max(axis=1)))
+        return float(estimator.shot_factor(var, float(np.abs(k.values).max()), slack)), var
+
+    def candidate(link_entry, tri_entry, adapt):
+        (lam_l, k_l, bias_l), (lam_t, k_t, bias_t) = link_entry, tri_entry
+        q = adaptive.q_multi([k_l, k_t]) if adapt else None
+        c_link, var_link = price(k_l, q, epsilon - bias_l)
+        c_tri, _ = price(k_t, q, epsilon - bias_t)
+        return max(c_link, c_tri), (lam_l, lam_t, c_link >= c_tri, var_link)
+
+    links, tris = family(link_op, 2), family(tri_op, 3)
     table = {
-        "plain-CS": [plain],
-        "bias-only": [candidate(le, te, None) for le in links for te in tris],
-        "adapt-only": [plain, adapt],
-        "bias+adapt": [candidate(le, te, density)
-                       for le in links for te in tris
-                       for density in (None, adaptive.q_multi([le[1], te[1]]))],
+        "plain-CS": [candidate(links[0], tris[0], False)],
+        "bias-only": [candidate(le, te, False) for le in links for te in tris],
+        "adapt-only": [candidate(links[0], tris[0], adapt) for adapt in (False, True)],
+        "bias+adapt": [candidate(le, te, adapt) for le in links for te in tris
+                       for adapt in (False, True)],
     }
-    return {strategy: min(cands, key=lambda c: c.worst(epsilon)[0])
+    return {strategy: min(cands, key=lambda c: c[0])
             for strategy, cands in table.items()}
 
 
-@pytest.mark.parametrize("ensemble_seed", [1, 2, 5, 9])
-def test_array_ranking_picks_the_reference_winners(ensemble_seed):
-    # seed 1 is configs/lgt_budget.cfg
+# seed 1 is configs/lgt_budget.cfg; at epsilon = 0.5 the bias-only winners
+# are ridge kernels (lambda_link = 100), at 0.1 the unbiased ones
+@pytest.mark.parametrize("ensemble_seed, epsilon", (
+    [pytest.param(seed, 0.1, id=str(seed)) for seed in (1, 2, 5, 9)]
+    + [pytest.param(seed, 0.5, id=f"{seed}-eps0.5") for seed in (1, 2, 5, 9)]))
+def test_array_ranking_picks_the_reference_winners(ensemble_seed, epsilon):
     link, tri = lgt.link_local(1.0, 1.0), lgt.triangle_local(1.0)
     ens = ensembles.subsample_su2(25, np.random.default_rng(ensemble_seed),
                                   targets=(link, tri), n=3)
-    want = reference_winners(link, tri, ens, 0.1)
-    got = lgt.strategy_candidates(link, tri, ens, 0.1)
-    assert got.keys() == want.keys()
-    for strategy, c in got.items():
-        assert (c.lambda_link, c.lambda_tri) == (want[strategy].lambda_link,
-                                                 want[strategy].lambda_tri)
-        assert c == want[strategy]  # the winner's figures, bit for bit
+    want = reference_winners(link, tri, ens, epsilon)
+    assert (want["bias-only"][1][0] > 0) == (epsilon == 0.5)
     lats = [lgt.TriLattice(2, 2), lgt.TriLattice(4, 2)]
-    for row in lgt.energy_budget_comparison(lats, ens):
-        c = want[row.strategy]
-        worst, _ = c.worst(0.1)
+    rows = lgt.energy_budget_comparison(lats, ens, epsilon=epsilon)
+    assert [r.strategy for r in rows] == 2 * list(want)
+    for row in rows:
+        worst, figures = want[row.strategy]
+        # the winner's figures, bit for bit
+        assert (row.lambda_link, row.lambda_triangle, row.link_dominates,
+                row.var_bound_link) == figures
         shots = math.ceil(2.0 * estimator.confidence_log(row.m_terms, 0.1) * worst)
         assert row.n_shots == shots

@@ -352,6 +352,26 @@ def test_writer_rejects_outcomes_outside_the_register():
         estimator.records_to_csv(records)
 
 
+@pytest.mark.parametrize("key", ["campaign_id", "seed"])
+def test_rejects_a_repeated_header_key(key):
+    text = f"# seed=0\n# {key}=b\n" + head("GlobalCl2", 1) + "X,00\n"
+    with pytest.raises(ValueError, match=f"'{key}' appears twice"):
+        estimator.records_from_csv(text)
+
+
+@pytest.mark.parametrize("metadata, key", [
+    ({"seed": 0, " seed ": 1}, "seed"),
+    ({"a": 1, "a=b": 2}, "a"),
+    ({"campaign_id=x": 1}, "campaign_id"),
+])
+def test_writer_rejects_metadata_keys_equal_once_stripped(metadata, key):
+    # the reader cuts each key at its first '=' and strips it
+    records = estimator.Records(KIND_GLOBAL_CL2, 2, "c0", np.array([0, 3]),
+                                member_idx=np.array([0, 1]))
+    with pytest.raises(ValueError, match=f"'{key}'"):
+        estimator.records_to_csv(records, metadata)
+
+
 @pytest.mark.parametrize("key", estimator.RECORD_KEYS)
 def test_writer_rejects_reserved_metadata_keys(key):
     records = estimator.Records(KIND_GLOBAL_CL2, 2, "c0", np.array([0, 3]),
