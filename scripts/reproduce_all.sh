@@ -3,8 +3,8 @@
 # print the sha256 of every artifact (results/ is not committed, so this
 # listing is the record of the artifact bytes; the one exception is
 # results/bias_scan_alpha/, whose alpha-cost descent moves with any change to
-# its rounding, so a rerun that changes it shows in git diff). The package is
-# imported from src/, so a plain checkout needs no install.
+# its rounding, so a rerun that changes it shows in git diff and fails CI).
+# The package is imported from src/, so a plain checkout needs no install.
 set -e
 cd "$(dirname "$0")/.."
 export PYTHONPATH="$PWD/src${PYTHONPATH:+:$PYTHONPATH}"

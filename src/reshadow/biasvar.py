@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import artifacts, estimator, qcore, visible
+from . import artifacts, estimator, gates, qcore, visible
 from .ensembles import Ensemble
 from .errors import ConvergenceError
 from .estimator import Budget, KernelTable
@@ -38,7 +38,7 @@ HALVINGS = 40  # trial steps per backtracking search
 
 
 # ---------------------------------------------------------------------------
-# Cost function
+# Bias and variance
 # ---------------------------------------------------------------------------
 
 
@@ -50,13 +50,28 @@ def mixed_variance(k: KernelTable) -> float:
     return second - mean**2
 
 
-def cost(k: KernelTable, o: np.ndarray, shots: int, m_observables: int,
-         delta: float, alpha: float) -> float:
-    """alpha-weighted bias plus the mixed-state statistical error at N shots."""
-    bias = qcore.spectral_norm(o - estimator.reconstruct(k))
-    stat = (2.0 * mixed_variance(k) * estimator.confidence_log(m_observables, delta)
-            / shots)
-    return alpha * bias + math.sqrt(max(stat, 0.0))
+def _residual_norms(o_vec: np.ndarray, approx: np.ndarray) -> tuple:
+    """||O - O~||_inf for each row vec(O~) of ``approx``, and the residuals
+    vec(O - O~); the Hermitian parts of all rows share one batched eigvalsh."""
+    r = o_vec - approx
+    res = r.reshape(len(r), math.isqrt(o_vec.size), -1)
+    herm = 0.5 * (res + res.conj().transpose(0, 2, 1))
+    return np.abs(np.linalg.eigvalsh(herm)).max(axis=1), r
+
+
+def kernel_biases(o: np.ndarray, kernels: list) -> list:
+    """||O - O~||_inf of each discrete kernel of one ensemble, O~ =
+    estimator.reconstruct(k), from one family-row matrix M for all kernels.
+    O~ is recomposed from its family amplitudes rather than taken as G y:
+    visible.family_basis, behind _minimize_alpha's G, is 4.3 GB at n = 8."""
+    m, sqrt_p = estimator._family_rows(kernels[0].ens)
+    o_vec = np.asarray(o, dtype=complex).ravel()
+    biases = []
+    for blk in gates.blocks(len(kernels), o_vec.size):
+        approx = np.stack([visible.visible_from_family_coefficients(
+            k.n, m @ (sqrt_p[:, None] * k.values).ravel()).ravel() for k in kernels[blk]])
+        biases += _residual_norms(o_vec, approx)[0].tolist()
+    return biases
 
 
 # ---------------------------------------------------------------------------
@@ -74,9 +89,8 @@ class BiasScanResult:
     scan: tuple = field(default_factory=tuple, repr=False)
 
 
-def _assemble(param: float, k: KernelTable, o: np.ndarray, shots: int,
+def _assemble(param: float, k: KernelTable, bias: float, shots: int,
               m_observables: int, delta: float) -> BiasScanResult:
-    bias = qcore.spectral_norm(o - estimator.reconstruct(k))
     var_bound = estimator.var_max_bound(k)
     error_bound = bias + math.sqrt(
         2.0 * var_bound * estimator.confidence_log(m_observables, delta) / shots)
@@ -153,8 +167,9 @@ def ridge_kernels(o: np.ndarray, ens: Ensemble, lambdas) -> list:
 
 def ridge_scan(o: np.ndarray, ens: Ensemble, lambdas, shots: int,
                m_observables: int, delta: float) -> list:
-    return [_assemble(float(lam), k, o, shots, m_observables, delta)
-            for lam, k in zip(lambdas, ridge_kernels(o, ens, lambdas))]
+    kernels = ridge_kernels(o, ens, lambdas)
+    return [_assemble(float(lam), k, bias, shots, m_observables, delta)
+            for lam, k, bias in zip(lambdas, kernels, kernel_biases(o, kernels))]
 
 
 # ---------------------------------------------------------------------------
@@ -192,10 +207,8 @@ def _minimize_alpha(o, a, sqrt_p, alpha, shots, m_observables, delta, y0,
         which can differ from y @ y on a fresh array in the last bit when
         the variance cancels to rounding (a 3-member Cl(2) system does).
         """
-        r = o_vec[:, None] - np.matmul(g_op, ys.astype(complex)[:, :, None])
-        res = r.reshape(len(ys), dim, dim)
-        herm = 0.5 * (res + res.conj().transpose(0, 2, 1))
-        bias = np.abs(np.linalg.eigvalsh(herm)).max(axis=1)
+        bias, r = _residual_norms(
+            o_vec, np.matmul(g_op, ys.astype(complex)[:, :, None])[:, :, 0])
         yy = np.matmul(ys[:, None, :], ys[:, :, None])[:, 0, 0]
         gy = np.matmul(g, ys[:, :, None])[:, 0]
         var = yy / dim - gy**2
@@ -259,17 +272,18 @@ def alpha_scan(o: np.ndarray, ens: Ensemble, shots: int, m_observables: int,
         raise ValueError("need at least one alpha")
     a, b, sqrt_p, unreached = estimator.stacked_system(o, ens)
     y0, _ = estimator._solve_min_norm(a, b, unreached)
-    rows = []
+    kernels = []
     for alpha in alphas:
         y, _, converged = _minimize_alpha(o, a, sqrt_p, float(alpha), shots,
                                           m_observables, delta, y0, max_iter)
-        row = _assemble(float(alpha), estimator._kernel_from_y(ens, y, sqrt_p), o,
-                        shots, m_observables, delta)
+        kernels.append(estimator._kernel_from_y(ens, y, sqrt_p))
         if not converged:
-            raise ConvergenceError(
-                f"alpha={alpha}: no convergence in {max_iter} iterations",
-                best=row)
-        rows.append(row)
+            break
+    rows = [_assemble(float(alpha), k, bias, shots, m_observables, delta)
+            for alpha, k, bias in zip(alphas, kernels, kernel_biases(o, kernels))]
+    if not converged:
+        raise ConvergenceError(f"alpha={rows[-1].lambda_or_alpha}: no convergence "
+                               f"in {max_iter} iterations", best=rows[-1])
     best = min(rows, key=lambda r: r.error_bound)
     best.scan = tuple(rows)
     return best

@@ -256,8 +256,6 @@ def build_ensemble(kind: str, n: int, members: int, ensemble_seed: int,
         return ensembles.global_su2(n)
     if name == "global_cl2":
         return ensembles.global_cl2(n)
-    if name == "local_clifford":
-        return ensembles.local_clifford(n)
     if name == "subsample_su2":
         rng = np.random.default_rng(ensemble_seed)
         return ensembles.subsample_su2(members, rng, targets=targets, n=n)
@@ -479,7 +477,7 @@ def cmd_lgt_energy(cfg, seed, out_dir, threads) -> int:
                                   f"({exc}); use subsample_su2") from exc
     rows = lgt.energy_budget_comparison(
         lats, ens, epsilon=cfg["epsilon"], delta=cfg["delta"], g=cfg["g"],
-        alpha=cfg["alpha"], q_variant=cfg["q_variant"])
+        alpha=cfg["alpha"])
     _write(out_dir, "lgt_budget.csv",
            lgt.budget_to_csv(rows, metadata_for(seed, cfg)))
     for r in rows:
@@ -542,7 +540,6 @@ SCHEMAS = {
         "shots": (_at_least(1), 10_000),
         "method": (_choice("mean", "median_of_means"), "median_of_means"),
         "m_observables": (_at_least(1), 1),
-        "epsilon": (_probability, 0.1),
         "delta": (_probability, 0.1),
     },
     "bias-scan": {
@@ -573,8 +570,6 @@ SCHEMAS = {
         "delta": (_probability, 0.1),
         "g": (_coupling, 1.0),
         "alpha": (_finite, 1.0),
-        # the budgets always price Q as max|K| (lgt._stats)
-        "q_variant": (_choice("max_abs_k"), "max_abs_k"),
     },
     "phase-classify": {
         "L": (_at_least(2), 2),

@@ -35,7 +35,6 @@ import numpy as np
 from . import adaptive, artifacts, biasvar, estimator, qcore, visible
 from .ensembles import Ensemble
 from .errors import ConfigError
-from .estimator import KernelTable
 
 STRATEGIES = ("plain-CS", "bias-only", "adapt-only", "bias+adapt")
 
@@ -174,7 +173,6 @@ class BudgetRow:
     epsilon: float
     delta: float
     var_bound_link: float
-    q_variant: str
     n_shots: int
     link_dominates: bool
     lambda_link: float
@@ -201,19 +199,8 @@ class _Candidate:
 
 
 def _ridge_family(op: np.ndarray, ens: Ensemble, lambdas) -> list:
-    return [(float(lam), k, qcore.spectral_norm(op - estimator.reconstruct(k)))
-            for lam, k in zip(lambdas, biasvar.ridge_kernels(op, ens, lambdas))]
-
-
-def _stats(k: KernelTable, q: np.ndarray | None):
-    """(var bound, max|K|) under the given density (None = native)."""
-    if q is None:
-        table, dens = k.values, k.density
-    else:
-        kq = adaptive.reweight(k, q)
-        table, dens = kq.values, q
-    var = float(np.dot(dens, (table**2).max(axis=1)))
-    return var, float(np.abs(table).max())
+    kernels = biasvar.ridge_kernels(op, ens, lambdas)
+    return list(zip(map(float, lambdas), kernels, biasvar.kernel_biases(op, kernels)))
 
 
 def _scores(links: list, tris: list, p: np.ndarray, epsilon: float) -> np.ndarray:
@@ -257,19 +244,23 @@ def strategy_candidates(link_op: np.ndarray, tri_op: np.ndarray, ens: Ensemble,
     is done once for all requested sizes. Each strategy's candidates are
     ranked on arrays (`_scores`); the winner is the first minimum in the
     order (link lambda, triangle lambda, density), and its figures are then
-    computed through adaptive.reweight like any single kernel's.
+    priced like any single kernel's: estimator.var_max_bound and kernel_q,
+    after adaptive.reweight when the strategy adapts.
     """
     lambdas = biasvar.default_lambda_grid()
     links = _ridge_family(link_op, ens.with_n(2), lambdas)
     tris = _ridge_family(tri_op, ens.with_n(3), lambdas)
     scores = _scores(links, tris, ens.weights, epsilon)
 
+    def figures(k):
+        return estimator.var_max_bound(k), estimator.kernel_q(k, "max_abs_k")
+
     def candidate(i, j, adapt):
         (lam_l, k_l, b_l), (lam_t, k_t, b_t) = links[i], tris[j]
-        q = adaptive.q_multi([k_l, k_t]) if adapt else None
-        var_l, q_l = _stats(k_l, q)
-        var_t, q_t = _stats(k_t, q)
-        return _Candidate(var_l, q_l, b_l, var_t, q_t, b_t, lam_l, lam_t)
+        if adapt:
+            q = adaptive.q_multi([k_l, k_t])
+            k_l, k_t = adaptive.reweight(k_l, q), adaptive.reweight(k_t, q)
+        return _Candidate(*figures(k_l), b_l, *figures(k_t), b_t, lam_l, lam_t)
 
     def first_min(table):
         return candidate(*np.unravel_index(int(np.argmin(table)), table.shape))
@@ -284,8 +275,7 @@ def strategy_candidates(link_op: np.ndarray, tri_op: np.ndarray, ens: Ensemble,
 
 def energy_budget_comparison(lats, ens: Ensemble, epsilon: float = 0.1,
                              delta: float = 0.1, g: float = 1.0,
-                             alpha: float = 1.0,
-                             q_variant: str = "max_abs_k") -> list:
+                             alpha: float = 1.0) -> list:
     """Shot budgets of the four strategies for each requested lattice.
 
     Budgets use the bare max|K| flavour of Q; the link term is expected to set
@@ -318,7 +308,7 @@ def energy_budget_comparison(lats, ens: Ensemble, epsilon: float = 0.1,
             rows.append(BudgetRow(
                 strategy=strategy, n_qubits=lat.n_qubits, m_terms=m,
                 epsilon=epsilon, delta=delta, var_bound_link=c.var_link,
-                q_variant=q_variant, n_shots=shots, link_dominates=by_link,
+                n_shots=shots, link_dominates=by_link,
                 lambda_link=c.lambda_link, lambda_triangle=c.lambda_tri))
     return rows
 
@@ -330,5 +320,5 @@ def budget_to_csv(rows: list, metadata: dict | None = None) -> str:
               "Q_variant,N_shots\n")
     for r in rows:
         buf.write(f"{r.strategy},{r.n_qubits},{r.m_terms},{r.epsilon!r},"
-                  f"{r.delta!r},{r.var_bound_link!r},{r.q_variant},{r.n_shots}\n")
+                  f"{r.delta!r},{r.var_bound_link!r},max_abs_k,{r.n_shots}\n")
     return buf.getvalue()

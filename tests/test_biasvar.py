@@ -117,13 +117,36 @@ def test_scan_csv(link, ens):
     assert lines[-1].endswith("inf")
 
 
-def test_cost_scales_with_alpha_and_shots(link, ens):
-    k = biasvar.ridge_bias(link, ens, 1e-1)
-    bias = qcore.spectral_norm(link - estimator.reconstruct(k))
-    c0 = biasvar.cost(k, link, 1000, 1, 0.1, 0.0)
-    c2 = biasvar.cost(k, link, 1000, 1, 0.1, 2.0)
-    assert c2 - c0 == pytest.approx(2.0 * bias, rel=1e-9)
-    assert biasvar.cost(k, link, 4000, 1, 0.1, 0.0) == pytest.approx(c0 / 2.0)
+def assert_dense_biases(o, kernels, biases):
+    """Each bias equals the dense ||O - reconstruct(K)||_2 (an SVD)."""
+    dense = [qcore.spectral_norm(o - estimator.reconstruct(k)) for k in kernels]
+    tol = 1e-14 * max(1.0, qcore.hs_norm(o))
+    np.testing.assert_allclose(biases, dense, rtol=0, atol=tol)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 5, 9])
+def test_kernel_biases_match_dense_reconstruction(seed):
+    link, tri = lgt.link_local(1.0, 1.0), lgt.triangle_local(1.0)
+    ens = ensembles.subsample_su2(25, np.random.default_rng(seed),
+                                  targets=(link, tri), n=3)
+    for op, n in ((link, 2), (tri, 3)):
+        kernels = biasvar.ridge_kernels(op, ens.with_n(n), biasvar.default_lambda_grid())
+        biases = biasvar.kernel_biases(op, kernels)
+        assert all(type(b) is float for b in biases)
+        assert_dense_biases(op, kernels, biases)
+
+
+def test_kernel_biases_of_a_cl2_kernel():
+    o = (qcore.PauliString.from_word("XXX").to_dense()
+         + 0.5 * qcore.PauliString.from_word("ZZZ").to_dense())
+    k = estimator.kernel_cs(o, ensembles.global_cl2(3))
+    assert_dense_biases(o, [k], biasvar.kernel_biases(o, [k]))
+
+
+def test_alpha_scan_biases_match_dense_reconstruction(link, ens):
+    rows = biasvar.alpha_scan(link, ens, 1000, 1, 0.1, np.logspace(-2, 2, 9)).scan
+    assert len(rows) == 9
+    assert_dense_biases(link, [r.kernel for r in rows], [r.bias for r in rows])
 
 
 def test_alpha_scan_returns_best_of_scan(link, ens):

@@ -93,6 +93,15 @@ def test_unknown_key_exits_2(tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("sub, key", [("estimate", "epsilon"),
+                                      ("lgt-energy", "q_variant")])
+def test_keys_no_subcommand_reads_exit_2_as_unknown(tmp_path, capsys, sub, key):
+    # estimate never read epsilon; lgt-energy always prices Q as max|K|
+    cfg = write_config(tmp_path, f"{key} = 0.1\n")
+    assert cli.main([sub, "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert f"unknown config keys for {sub}: {key}" in capsys.readouterr().err
+
+
 def test_bad_thread_count_exits_2(tmp_path):
     rc = cli.main(["estimate", "--threads", "0", "--out", str(tmp_path)])
     assert rc == 2
@@ -119,7 +128,6 @@ def test_unrepresentable_subsample_exits_3(tmp_path):
     ("bias-scan", "delta = 0.9\n"),
     ("bias-scan", "m_observables = 0\n"),
     ("lgt-energy", "delta = 5\n"),
-    ("estimate", "epsilon = 7\n"),
     ("estimate", "delta = -1\n"),
     ("lgt-energy", "members = 0\n"),
     ("phase-classify", "L = 0\n"),
@@ -140,7 +148,6 @@ def test_unrepresentable_subsample_exits_3(tmp_path):
     ("channel-check", "n = 7\n"),
     ("estimate", "method = foo\n"),
     ("bias-scan", "q_variant = foo\n"),
-    ("lgt-energy", "q_variant = theorem\n"),
     ("lgt-energy", "ensemble = global_cl2\n"),
     ("estimate", "g = 0\n"),
     ("bias-scan", "g = 1e-200\n"),
