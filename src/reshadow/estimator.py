@@ -27,7 +27,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from . import artifacts, channels, ensembles, gates, qcore, visible
 from .ensembles import (
@@ -69,9 +68,11 @@ class Records:
     LocalClifford words are kept as ``bases``, an int8 (N, n) table of
     indices into CL2_BASES (site 0 first); ``words`` spells them as text.
     A global SU(2) rotation is kept as its (theta, psi): the outer Euler
-    angle phi cancels in V†|b><b|V and is not recorded. The campaign id is
-    printable ASCII without ``,``, ``;``, ``"`` or a trailing blank, which
-    the ``# campaign_id=`` line of the record CSV would lose.
+    angle phi cancels in V†|b><b|V and is not recorded. Angles must be
+    finite; the record CSV writes each as the 16 hex digits of its IEEE-754
+    bits, which read back bit for bit. The campaign id is printable ASCII
+    without ``,``, ``;``, ``"`` or a trailing blank, which the
+    ``# campaign_id=`` line of the record CSV would lose.
     """
 
     def __init__(self, kind: str, n: int, campaign_id: str, b: np.ndarray,
@@ -86,6 +87,9 @@ class Records:
                 or campaign_id.endswith(" ")):
             raise ValueError(f"campaign_id {campaign_id!r} must be printable "
                              f"ASCII without ',', ';', '\"' or a trailing blank")
+        for name, angles in (("thetas", thetas), ("psis", psis)):
+            if angles is not None and not np.isfinite(angles).all():
+                raise ValueError(f"{name} must be finite")
         self.kind = kind
         self.n = n
         self.campaign_id = campaign_id
@@ -583,63 +587,53 @@ def reconstruct(k: KernelTable) -> np.ndarray:
 # ``# n=``, ``# campaign_id=``, ``# ensemble_kind=`` and ``# shots=`` (the row
 # count), then the column line and one row per shot: v_params,b. v_params is
 # the basis word (LocalClifford), the basis letter (GlobalCl2), theta;psi
-# (GlobalSU2) or index;theta;psi (DiscreteSubsample), angles as Python repr;
-# b is the outcome as n binary digits, site 0 first. Both directions are
-# columnar: a column is a NUL-padded (rows, width) byte table, and neither
-# direction builds a Python object per row.
+# (GlobalSU2) or index;theta;psi (DiscreteSubsample); b is the outcome as n
+# binary digits, site 0 first. An angle is the 16 lowercase hex digits of its
+# big-endian IEEE-754 bits, so it reads back bit for bit:
+# ``struct.unpack(">d", bytes.fromhex(cell))[0]``. The member index is
+# zero-padded to the digits of the largest index in the records. Every row of
+# a file therefore has one width, and both directions work on one
+# (rows, width) byte table, column slice by column slice.
 
 RECORD_COLUMNS = "v_params,b"
 RECORD_KEYS = ("n", "campaign_id", "ensemble_kind", "shots")
 
-_NEWLINE, _COMMA, _SEMICOLON, _ZERO = b"\n,;0"
+_NEWLINE, _COMMA, _SEMICOLON, _ZERO, _ONE = b"\n,;01"
+
+_HEX_ANGLE = ("16 lowercase hex digits of its big-endian IEEE-754 bits, as "
+              "struct.pack('>d', x).hex()")
+_ROW_LAYOUTS = {
+    KIND_LOCAL_CLIFFORD: "a word of one X, Y or Z per site",
+    KIND_GLOBAL_CL2: "one basis letter X, Y or Z",
+    KIND_GLOBAL_SU2: f"theta;psi, each angle {_HEX_ANGLE}",
+    KIND_DISCRETE_SUBSAMPLE: f"index;theta;psi, each angle {_HEX_ANGLE}",
+}
+
+# byte -> its two hex digits read as one uint16, and back (256 if not two
+# lowercase hex digits)
+_HEX_PAIRS = np.frombuffer("".join(f"{i:02x}" for i in range(256)).encode(),
+                           dtype=np.uint16)
+_HEX_BYTE = np.full(1 << 16, 256, dtype=np.uint16)
+_HEX_BYTE[_HEX_PAIRS] = np.arange(256)
 
 
-def _field(raw: np.ndarray, start: np.ndarray, stop: np.ndarray) -> np.ndarray:
-    """raw[start:stop] of every row as a NUL-padded (rows, width) table."""
-    length = stop - start
-    width = int(length.max())
-    if width == 0:
-        return np.zeros((start.size, 0), dtype=np.uint8)
-    if start.max() + width > raw.size:
-        raw = np.concatenate([raw, np.zeros(width, dtype=np.uint8)])
-    cells = sliding_window_view(raw, width)[start]
-    cells *= np.arange(width) < length[:, None]
-    return cells
+def _hex_cells(values: np.ndarray) -> np.ndarray:
+    """(rows, 16) table of the big-endian IEEE-754 bits of each float in hex."""
+    octets = np.asarray(values, dtype=">f8").view(np.uint8).reshape(-1, 8)
+    return np.take(_HEX_PAIRS, octets).view(np.uint8)
 
 
-def _ascii(text: str) -> np.ndarray:
-    return np.frombuffer(text.encode("ascii"), dtype=np.uint8)[None, :]
-
-
-def _float_cells(values: np.ndarray) -> np.ndarray:
-    """repr of each float, formatted once per distinct bit pattern."""
-    bits = np.ascontiguousarray(values, dtype=np.float64).view(np.uint64)
-    distinct, inverse = np.unique(bits, return_inverse=True)
-    text = ",".join(map(repr, distinct.view(np.float64).tolist())) + ","
-    raw = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
-    stop = np.flatnonzero(raw == _COMMA)
-    return _field(raw, np.r_[0, stop[:-1] + 1], stop)[inverse]
-
-
-def _int_cells(values: np.ndarray) -> np.ndarray:
-    """Decimal text of non-negative integers."""
+def _index_cells(values: np.ndarray) -> np.ndarray:
+    """Decimal digits of non-negative integers, zero-padded to the largest."""
     values = np.asarray(values, dtype=np.int64)
     if values.min() < 0:
         raise ValueError("member indices must be non-negative")
-    width = len(str(int(values.max())))
-    power = 10 ** np.arange(width - 1, -1, -1)
-    digits = (values[:, None] // power % 10 + _ZERO).astype(np.uint8)
-    skip = width - np.maximum((values[:, None] >= power).sum(axis=1), 1)
-    at = np.arange(width) + skip[:, None]  # left-align: drop leading zeros
-    return np.take_along_axis(digits, np.minimum(at, width - 1), axis=1) * (at < width)
-
-
-def _join_cells(cells: list) -> bytes:
-    """Rows laid out as the concatenation of their NUL-padded cells."""
-    rows = max(c.shape[0] for c in cells)
-    table = np.concatenate([np.broadcast_to(c, (rows, c.shape[1])) for c in cells],
-                           axis=1)
-    return table[table != 0].tobytes()
+    cells = np.empty((values.size, len(str(int(values.max())))), dtype=np.uint8)
+    for j in range(cells.shape[1] - 1, -1, -1):  # numpy divides by a scalar fastest
+        rest = values // 10
+        cells[:, j] = values - 10 * rest + _ZERO
+        values = rest
+    return cells
 
 
 def records_to_csv(records: Records, metadata: dict | None = None) -> str:
@@ -647,7 +641,9 @@ def records_to_csv(records: Records, metadata: dict | None = None) -> str:
     `metadata`, which may not use a key of RECORD_KEYS nor two keys that read
     back equal (the reader cuts a key at its first ``=`` and strips it)."""
     n, count = records.n, len(records)
-    if count and not 0 <= records.b.min() <= records.b.max() < 1 << n:
+    if not count:
+        raise ValueError("no records to write: a record CSV holds at least one row")
+    if not 0 <= records.b.min() <= records.b.max() < 1 << n:
         raise ValueError(f"outcomes must lie in [0, 2^{n})")
     metadata = dict(metadata or {})
     keys = [str(key).partition("=")[0].strip() for key in metadata]
@@ -658,60 +654,40 @@ def records_to_csv(records: Records, metadata: dict | None = None) -> str:
     if repeated:
         raise ValueError(f"metadata keys {repeated} would read back twice")
     metadata.update(zip(RECORD_KEYS, (n, records.campaign_id, records.kind, count)))
-    parts = [artifacts.metadata_header(metadata), f"{RECORD_COLUMNS}\n"]
-    comma, semicolon, newline = _ascii(","), _ascii(";"), _ascii("\n")
-    for start in range(0, count, CHUNK):
-        rows = slice(start, min(start + CHUNK, count))
-        if records.kind == KIND_LOCAL_CLIFFORD:
-            params = [_BASIS_CODES[records.bases[rows]]]
-        elif records.kind == KIND_GLOBAL_CL2:
-            params = [_BASIS_CODES[records.member_idx[rows]][:, None]]
-        else:
-            theta, psi = (_float_cells(a[rows]) for a in (records.thetas, records.psis))
-            params = [theta, semicolon, psi]
-            if records.kind == KIND_DISCRETE_SUBSAMPLE:
-                params = [_int_cells(records.member_idx[rows]), semicolon] + params
-        bits = (_site_bits(records.b[rows], n) + _ZERO).astype(np.uint8)
-        parts.append(_join_cells([*params, comma, bits, newline]).decode("ascii"))
-    return "".join(parts)
+
+    def mark(code):
+        return np.full((count, 1), code, dtype=np.uint8)
+
+    if records.kind == KIND_LOCAL_CLIFFORD:
+        params = [_BASIS_CODES[records.bases]]
+    elif records.kind == KIND_GLOBAL_CL2:
+        params = [_BASIS_CODES[records.member_idx][:, None]]
+    else:
+        params = [_hex_cells(records.thetas), mark(_SEMICOLON), _hex_cells(records.psis)]
+        if records.kind == KIND_DISCRETE_SUBSAMPLE:
+            params = [_index_cells(records.member_idx), mark(_SEMICOLON), *params]
+    bits = (_site_bits(records.b, n) + _ZERO).astype(np.uint8)
+    table = np.concatenate([*params, mark(_COMMA), bits, mark(_NEWLINE)], axis=1)
+    return (artifacts.metadata_header(metadata) + f"{RECORD_COLUMNS}\n"
+            + table.tobytes().decode("ascii"))
 
 
-def _marks_per_row(marks, low, high, per_row: int) -> np.ndarray | None:
-    """The sorted positions `marks` as a (rows, per_row) table, or None
-    unless each row holds exactly per_row of them strictly inside
-    (low, high). Rows are disjoint and in order, so it is enough that the
-    count is right and each row's block of per_row marks lies inside it."""
-    if marks.size != per_row * low.size:
-        return None
-    marks = marks.reshape(low.size, per_row)
-    if (marks[:, 0] <= low).any() or (marks[:, -1] >= high).any():
-        return None
-    return marks
+def _hex_floats(cells: np.ndarray, kind: str) -> np.ndarray:
+    """Floats from a (rows, 16) table of hex bit patterns."""
+    octets = np.take(_HEX_BYTE, np.ascontiguousarray(cells).view(np.uint16))
+    if (octets > 255).any():
+        raise ValueError(f"{kind} angles must each be {_HEX_ANGLE}")
+    return octets.astype(np.uint8).view(">f8").ravel().astype(np.float64)
 
 
-def _check_chars(cells: np.ndarray, alphabet: str, what: str) -> None:
-    allowed = np.zeros(256, dtype=bool)
-    allowed[list((alphabet + "\0").encode())] = True
-    if cells.shape[1] == 0 or not (allowed[cells].all() and cells[:, 0].all()):
-        raise ValueError(f"{what} must be a non-empty string over {alphabet!r}")
-
-
-def _decimal(cells: np.ndarray, what: str) -> np.ndarray:
-    """Non-negative decimal integers from NUL-padded digit cells."""
-    _check_chars(cells, "0123456789", what)
+def _member_indices(cells: np.ndarray) -> np.ndarray:
+    """Non-negative integers from a (rows, digits) table of decimal digits."""
     if cells.shape[1] > 18:
-        raise ValueError(f"{what} has more than 18 digits")
-    length = (cells != 0).sum(axis=1)
-    power = length[:, None] - 1 - np.arange(cells.shape[1])
+        raise ValueError("member index has more than 18 digits")
     digits = cells.astype(np.int64) - _ZERO
-    return np.where(power >= 0, digits * 10 ** np.maximum(power, 0), 0).sum(axis=1)
-
-
-def _fixed(raw, start, stop, width: int, what: str) -> np.ndarray:
-    """(rows, width) table of a field that must be exactly `width` bytes long."""
-    if (stop - start != width).any():
-        raise ValueError(f"{what} must be exactly {width} characters")
-    return raw[start[:, None] + np.arange(width)]
+    if ((digits < 0) | (digits > 9)).any():
+        raise ValueError("member index must be decimal digits")
+    return digits @ 10 ** np.arange(cells.shape[1] - 1, -1, -1)
 
 
 def records_from_csv(text: str) -> tuple[Records, dict]:
@@ -719,9 +695,10 @@ def records_from_csv(text: str) -> tuple[Records, dict]:
     caller's metadata, without the RECORD_KEYS lines.
 
     Raises ValueError on a column line other than RECORD_COLUMNS (a file of
-    an older layout among them), a missing RECORD_KEYS line, a row count
-    other than ``shots``, rows without exactly one ',', outcomes that are not
-    n binary digits, and malformed v_params.
+    an older layout among them), a missing RECORD_KEYS line, a first row
+    that does not fit the kind's layout (decimal angles among them), a row of
+    another width than the first, a row count other than ``shots``, outcomes
+    that are not n binary digits, and malformed v_params.
     """
     if "\r" in text:
         text = text.replace("\r\n", "\n")
@@ -747,52 +724,51 @@ def records_from_csv(text: str) -> tuple[Records, dict]:
     if not raw.all():
         raise ValueError("record CSV holds a NUL byte")
 
-    ends = np.flatnonzero(raw == _NEWLINE)
-    if str(ends.size) != shots:
-        raise ValueError(f"record CSV holds {ends.size} rows, its header says "
+    width = body.index("\n") + 1
+    comma = width - n - 2  # v_params fill the row up to ',', b and '\n'
+    fits = {KIND_LOCAL_CLIFFORD: comma == n, KIND_GLOBAL_CL2: comma == 1,
+            KIND_GLOBAL_SU2: comma == 33, KIND_DISCRETE_SUBSAMPLE: comma >= 35}
+    if not fits[kind]:
+        raise ValueError(f"{kind} record rows must be v_params,b with b {n} binary "
+                         f"digits and v_params {_ROW_LAYOUTS[kind]}")
+    rows = raw.size // width
+    table = raw[:rows * width].reshape(rows, width)
+    if rows * width != raw.size or (table[:, -1] != _NEWLINE).any():
+        lengths = np.diff(np.flatnonzero(raw == _NEWLINE), prepend=-1)
+        row = int(np.flatnonzero(lengths != width)[0]) + 1
+        raise ValueError(f"record rows must all be as wide as the first "
+                         f"({width - 1} characters); row {row} is not")
+    if str(rows) != shots:
+        raise ValueError(f"record CSV holds {rows} rows, its header says "
                          f"shots={shots}")
-    begins = np.r_[0, ends[:-1] + 1]
-    commas = _marks_per_row(np.flatnonzero(raw == _COMMA), begins - 1, ends, 1)
-    if commas is None:
-        raise ValueError("each record row must be v_params,b with exactly one ','")
-    p_start, p_stop = begins, commas[:, 0]
-    bits = _fixed(raw, p_stop + 1, ends, n, "b")
-    _check_chars(bits, "01", "b")
-    b = (bits - _ZERO).astype(np.int64) @ (1 << np.arange(n - 1, -1, -1))
+    if (table[:, comma] != _COMMA).any():
+        raise ValueError(f"each record row must end in ',' and the {n} digits of b")
+    bits = table[:, comma + 1:-1]
+    if not ((bits == _ZERO) | (bits == _ONE)).all():
+        raise ValueError(f"b must be {n} binary digits")
+    b = (bits == _ONE) @ (1 << np.arange(n - 1, -1, -1))
+    params = table[:, :comma]
 
     if kind == KIND_LOCAL_CLIFFORD:
-        bases = _BASIS_OF_CODE[_fixed(raw, p_start, p_stop, n, "v_params")]
+        bases = _BASIS_OF_CODE[params]
         if (bases < 0).any():
             raise ValueError("per-site words use letters outside X, Y, Z")
         return Records(kind, n, campaign_id, b, bases=bases), metadata
     if kind == KIND_GLOBAL_CL2:
-        member_idx = _BASIS_OF_CODE[_fixed(raw, p_start, p_stop, 1, "v_params")[:, 0]]
+        member_idx = _BASIS_OF_CODE[params[:, 0]]
         if (member_idx < 0).any():
             raise ValueError("Cl(2) bases must be X, Y or Z")
         return Records(kind, n, campaign_id, b,
                        member_idx=member_idx.astype(np.int64)), metadata
 
-    # [index;]theta;psi. The outcomes are checked above, so every ';' in the
-    # body must sit in a v_params field.
-    parts = 2 if kind == KIND_GLOBAL_SU2 else 3
-    semis = _marks_per_row(np.flatnonzero(raw == _SEMICOLON), p_start - 1, p_stop,
-                           parts - 1)
-    if semis is None:
-        raise ValueError(f"{kind} v_params need {parts} ';'-separated parts")
-    cut = np.column_stack([p_start - 1, semis, p_stop])
-    member_idx, spread = None, slice(None)
+    # [index;]theta;psi: the angles fill the last 33 characters
+    semis = [comma - 17] + ([comma - 34] if kind == KIND_DISCRETE_SUBSAMPLE else [])
+    if (params[:, semis] != _SEMICOLON).any():
+        raise ValueError(f"{kind} v_params must be {_ROW_LAYOUTS[kind]}")
+    thetas, psis = (_hex_floats(params[:, at:at + 16], kind)
+                    for at in (comma - 33, comma - 16))
+    member_idx = None
     if kind == KIND_DISCRETE_SUBSAMPLE:
-        member_idx = _decimal(_field(raw, cut[:, 0] + 1, cut[:, 1]), "member index")
-        _, first, inverse = np.unique(member_idx, return_index=True, return_inverse=True)
-        params = _field(raw, p_start, p_stop)
-        if np.array_equal(params, params[first[inverse]]):
-            # every row of a member repeats its text: read its angles once
-            cut, spread = cut[first], inverse
-    start, stop = cut[:, -3:-1].T.ravel() + 1, cut[:, -2:].T.ravel()
-    if (stop <= start).any():
-        raise ValueError("empty angle in v_params")
-    angles = _field(raw, start, stop)
-    angles = angles.view(f"S{angles.shape[1]}").ravel().astype(np.float64)
-    thetas, psis = angles.reshape(2, -1)[:, spread]
+        member_idx = _member_indices(params[:, :comma - 34])
     return Records(kind, n, campaign_id, b, member_idx=member_idx, thetas=thetas,
                    psis=psis), metadata

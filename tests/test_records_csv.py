@@ -3,6 +3,7 @@ and rejection of malformed headers and rows."""
 
 import csv
 import io
+import struct
 
 import numpy as np
 import pytest
@@ -16,6 +17,8 @@ from reshadow.ensembles import (
     KIND_LOCAL_CLIFFORD,
     SampledUnitary,
 )
+
+from conftest import assert_same_text
 
 # ---------------------------------------------------------------------------
 # Reference: the per-row csv-module writer and reader the columnar code replaced
@@ -37,12 +40,21 @@ def member(records, i):
                           psi=float(records.psis[i]), index=index)
 
 
-def params_text(v):
-    """Semicolon-joined parameter text of one member (round-trips exactly)."""
+def hex_angle(x):
+    return struct.pack(">d", x).hex()
+
+
+def from_hex_angle(text):
+    return struct.unpack(">d", bytes.fromhex(text))[0]
+
+
+def params_text(v, digits=1):
+    """Semicolon-joined parameter text of one member, a subsample's index
+    zero-padded to `digits` (round-trips exactly)."""
     if v.kind in (KIND_GLOBAL_SU2, KIND_DISCRETE_SUBSAMPLE):
-        angles = ";".join(repr(float(a)) for a in (v.theta, v.psi))
+        angles = ";".join(hex_angle(a) for a in (v.theta, v.psi))
         if v.kind == KIND_DISCRETE_SUBSAMPLE:
-            return f"{v.index};{angles}"
+            return f"{v.index:0{digits}d};{angles}"
         return angles
     if v.kind == KIND_GLOBAL_CL2:
         return v.basis
@@ -51,12 +63,12 @@ def params_text(v):
 
 def from_params_text(kind, n, text):
     if kind == KIND_GLOBAL_SU2:
-        theta, psi = (float(t) for t in text.split(";"))
+        theta, psi = (from_hex_angle(t) for t in text.split(";"))
         return SampledUnitary(kind, n, theta=theta, psi=psi)
     if kind == KIND_DISCRETE_SUBSAMPLE:
         idx, theta, psi = text.split(";")
-        return SampledUnitary(kind, n, theta=float(theta), psi=float(psi),
-                              index=int(idx))
+        return SampledUnitary(kind, n, theta=from_hex_angle(theta),
+                              psi=from_hex_angle(psi), index=int(idx))
     if kind == KIND_GLOBAL_CL2:
         return SampledUnitary(kind, n, basis=text)
     return SampledUnitary(kind, n, word=text)
@@ -73,7 +85,10 @@ def reference_records_to_csv(records, metadata=None):
     if records.kind == KIND_LOCAL_CLIFFORD:
         params = records.words
     else:
-        params = [params_text(member(records, i)) for i in range(len(records))]
+        digits = 1
+        if records.kind == KIND_DISCRETE_SUBSAMPLE:
+            digits = len(str(int(max(records.member_idx))))
+        params = [params_text(member(records, i), digits) for i in range(len(records))]
     for i, text in enumerate(params):
         writer.writerow([text, format(int(records.b[i]), f"0{records.n}b")])
     return buf.getvalue()
@@ -133,9 +148,10 @@ def assert_same_records(got, want):
 # Property: byte-equal to the reference, exact round trip
 # ---------------------------------------------------------------------------
 
-# exponent-form reprs, signed zero, subnormals and infinities
-SPECIAL_ANGLES = [1e-05, 5e-324, 0.0, -0.0, 1e16, -2.5e-08, 1.7976931348623157e308,
-                  float("inf"), -float("inf"), np.pi]
+# signed zero, subnormals, the smallest normal and the largest finite floats
+SPECIAL_ANGLES = [1e-05, 5e-324, -5e-324, 0.0, -0.0, 1e16, -2.5e-08,
+                  2.2250738585072014e-308, 1.7976931348623157e308,
+                  -1.7976931348623157e308, np.pi]
 ID_CHARS = "".join(chr(c) for c in range(32, 127) if chr(c) not in ',;"')
 TEXT_CHARS = "".join(chr(c) for c in range(32, 127))
 
@@ -154,8 +170,9 @@ def record_sets(draw):
     if kind == KIND_GLOBAL_CL2:
         return estimator.Records(kind, n, campaign_id, b,
                                  member_idx=rng.integers(0, 3, size=count))
-    pool = np.array(draw(st.lists(st.floats(allow_nan=False) | st.sampled_from(
-        SPECIAL_ANGLES), min_size=1, max_size=12)))
+    pool = np.array(draw(st.lists(
+        st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(SPECIAL_ANGLES),
+        min_size=1, max_size=12)))
     # a subsample's rows usually repeat their member's angles; not always
     tied = kind == KIND_DISCRETE_SUBSAMPLE and draw(st.booleans())
     size = draw(st.integers(1, 40)) if tied else count
@@ -186,24 +203,31 @@ metadata_dicts = st.dictionaries(
 @given(records=record_sets(), metadata=metadata_dicts)
 def test_csv_matches_per_row_reference_and_round_trips(records, metadata):
     text = estimator.records_to_csv(records, metadata)
-    assert text == reference_records_to_csv(records, metadata)
+    assert_same_text(text, reference_records_to_csv(records, metadata))
     back, meta = estimator.records_from_csv(text)
     assert meta == metadata
     assert_same_records(back, records)
-    assert estimator.records_to_csv(back, meta) == text
+    assert_same_text(estimator.records_to_csv(back, meta), text)
     ref_back, ref_meta = reference_records_from_csv(text)
     assert ref_meta == meta
     assert_same_records(back, ref_back)
 
 
-def test_exponent_form_angles_round_trip():
-    angles = np.array([1e-05, 5e-324, 0.0, -0.0, 1e+16, 2.5e-08])
-    records = estimator.Records(KIND_GLOBAL_SU2, 2, "c0", np.arange(6) % 4,
+def test_special_angles_write_fixed_hex_rows():
+    angles = np.array([0.0, -0.0, 5e-324, 1.7976931348623157e308, 1.0, -np.pi])
+    records = estimator.Records(KIND_DISCRETE_SUBSAMPLE, 2, "c0", np.arange(6) % 4,
+                                member_idx=np.array([3, 12, 0, 7, 12, 3]),
                                 thetas=angles, psis=angles[::-1].copy())
     text = estimator.records_to_csv(records)
-    assert text.splitlines()[5] == "1e-05;2.5e-08,00"
-    assert text.splitlines()[7] == "0.0;-0.0,10"
-    assert text == reference_records_to_csv(records)
+    assert text.splitlines()[5:] == [
+        "03;0000000000000000;c00921fb54442d18,00",
+        "12;8000000000000000;3ff0000000000000,01",
+        "00;0000000000000001;7fefffffffffffff,10",
+        "07;7fefffffffffffff;0000000000000001,11",
+        "12;3ff0000000000000;8000000000000000,00",
+        "03;c00921fb54442d18;0000000000000000,01",
+    ]
+    assert_same_text(text, reference_records_to_csv(records))
     assert_same_records(estimator.records_from_csv(text)[0], records)
 
 
@@ -213,7 +237,7 @@ def test_rows_span_several_write_blocks():
     ens = ensembles.subsample_su2(5, rng, n=3)
     records = estimator.run_campaign(np.eye(8)[0].astype(complex), ens, count, rng)
     text = estimator.records_to_csv(records, {"seed": 4})
-    assert text == reference_records_to_csv(records, {"seed": 4})
+    assert_same_text(text, reference_records_to_csv(records, {"seed": 4}))
     assert_same_records(estimator.records_from_csv(text)[0], records)
 
 
@@ -269,7 +293,7 @@ def test_rejects_b_that_is_not_n_binary_digits(b_text):
     "c0,1,LocalClifford,XY,00",        # a row of the old five-column layout
 ])
 def test_rejects_rows_without_two_fields(row):
-    with pytest.raises(ValueError, match="exactly one ','"):
+    with pytest.raises(ValueError, match="as wide as the first .* row 2 "):
         read("LocalClifford", ["XY,00", row])
 
 
@@ -301,6 +325,75 @@ def test_rejects_row_count_other_than_shots(shots):
 def test_rejects_malformed_v_params(kind, params):
     with pytest.raises(ValueError):
         read(kind, [f"{params},00"])
+
+
+# theta = 1.0, psi = 2.0
+ANGLES = "3ff0000000000000;4000000000000000"
+
+
+@pytest.mark.parametrize("kind, first", [
+    ("GlobalSU2", "1.0;2.0"),
+    ("GlobalSU2", "0.10000000000000;0.20000000000000"),  # as wide as hex
+    ("DiscreteSubsample", "3;1.0;2.0"),
+    ("DiscreteSubsample", "3;0.10000000000000;0.20000000000000"),
+])
+def test_rejects_decimal_angles_naming_the_hex_layout(kind, first):
+    index = "3;" if kind == "DiscreteSubsample" else ""
+    rows = [f"{first},01", f"{index}{ANGLES},01"]
+    with pytest.raises(ValueError, match="hex digits of its big-endian IEEE-754 bits"):
+        read(kind, rows)
+    with pytest.raises(ValueError, match="hex digits"):
+        read(kind, rows[:1])
+
+
+def test_rejects_rows_of_unequal_width():
+    with pytest.raises(ValueError, match="as wide as the first .* row 3 "):
+        read("DiscreteSubsample", [f"03;{ANGLES},01", f"11;{ANGLES},10",
+                                   f"7;{ANGLES},00", f"12;{ANGLES},11"])
+
+
+@pytest.mark.parametrize("kind, params", [
+    ("GlobalSU2", ANGLES.upper()),
+    ("GlobalSU2", "3ff000000000000;4000000000000000"),     # 15 digits
+    ("GlobalSU2", "3ff0000000000000;40000000000000000"),   # 17 digits
+    ("DiscreteSubsample", "1;3ff000000000000;4000000000000000"),
+    ("DiscreteSubsample", "1;3ff00000000000000;4000000000000000"),
+    ("DiscreteSubsample", "12;3ff0000000000000;400000000000000"),
+    ("DiscreteSubsample", "1;3FF0000000000000;4000000000000000"),
+    ("GlobalSU2", "0x3ff000000000000;4000000000000000"),
+])
+def test_rejects_angles_that_are_not_16_lowercase_hex_digits(kind, params):
+    with pytest.raises(ValueError, match="16 lowercase hex digits"):
+        read(kind, [f"{params},01"])
+
+
+@pytest.mark.parametrize("kind, params", [
+    ("GlobalSU2", ANGLES.replace(";", ",")),
+    ("GlobalSU2", ANGLES.replace(";", " ")),
+    ("DiscreteSubsample", "1:" + ANGLES),
+    ("DiscreteSubsample", "1;" + ANGLES.replace(";", "0")),
+])
+def test_rejects_v_params_without_their_semicolons(kind, params):
+    with pytest.raises(ValueError, match="theta;psi"):
+        read(kind, [f"{params},01"])
+
+
+@pytest.mark.parametrize("pattern", ["7ff8000000000000", "fff0000000000000",
+                                     "7ff0000000000000", "fff8000000000001"])
+def test_rejects_nan_and_infinite_bit_patterns(pattern):
+    with pytest.raises(ValueError, match="thetas must be finite"):
+        read("GlobalSU2", [f"{ANGLES},01", f"{pattern};{ANGLES[:16]},10"])
+    with pytest.raises(ValueError, match="psis must be finite"):
+        read("DiscreteSubsample", [f"0;{ANGLES[:16]};{pattern},10"])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("name", ["thetas", "psis"])
+def test_records_reject_non_finite_angles(bad, name):
+    angles = {"thetas": np.array([0.1, 0.2]), "psis": np.array([0.3, 0.4])}
+    angles[name][1] = bad
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        estimator.Records(KIND_GLOBAL_SU2, 1, "c0", np.array([0, 1]), **angles)
 
 
 def test_rejects_unknown_kind():
@@ -343,6 +436,14 @@ def test_campaign_id_keeps_leading_blanks_and_header_characters():
                                 member_idx=np.array([2, 0]))
     back, _ = estimator.records_from_csv(estimator.records_to_csv(records))
     assert back.campaign_id == " a=b #c"
+
+
+def test_writer_rejects_zero_records():
+    # the reader refuses a header without rows, so the writer makes none
+    records = estimator.Records(KIND_GLOBAL_CL2, 2, "c0", np.array([], dtype=int),
+                                member_idx=np.array([], dtype=int))
+    with pytest.raises(ValueError, match="no records"):
+        estimator.records_to_csv(records)
 
 
 def test_writer_rejects_outcomes_outside_the_register():
