@@ -41,14 +41,18 @@ def reweight(k: KernelTable, q: np.ndarray) -> KernelTable:
     return KernelTable(ens_q, values=values * ratio[:, None], residual=k.residual)
 
 
-def q_optimal(k: KernelTable) -> np.ndarray:
-    """Density minimizing the worst-case variance bound: q ∝ p max_b |K|."""
-    values = _require_table(k)
-    w = k.density * np.abs(values).max(axis=1)
+def _normalized(w: np.ndarray) -> np.ndarray:
+    """The density w / sum(w) of non-negative member weights w."""
     total = w.sum()
     if total <= 0:
         raise ValueError("kernel is identically zero")
     return w / total
+
+
+def q_optimal(k: KernelTable) -> np.ndarray:
+    """Density minimizing the worst-case variance bound: q ∝ p max_b |K|."""
+    values = _require_table(k)
+    return _normalized(k.density * np.abs(values).max(axis=1))
 
 
 def _members(k: KernelTable) -> list:
@@ -70,18 +74,10 @@ def q_multi(ks: list) -> np.ndarray:
                 or not np.allclose(k.density, first.density)):
             raise ValueError("kernels do not share an ensemble")
     peak = np.max([np.abs(v).max(axis=1) for v in values], axis=0)
-    w = first.density * peak
-    total = w.sum()
-    if total <= 0:
-        raise ValueError("kernels are identically zero")
-    return w / total
+    return _normalized(first.density * peak)
 
 
 def q_maxmixed(k: KernelTable) -> np.ndarray:
     """Variance minimizer for the maximally mixed state: q ∝ p (sum_b K^2)^{1/2}."""
     values = _require_table(k)
-    w = k.density * np.sqrt((values**2).sum(axis=1))
-    total = w.sum()
-    if total <= 0:
-        raise ValueError("kernel is identically zero")
-    return w / total
+    return _normalized(k.density * np.sqrt((values**2).sum(axis=1)))

@@ -22,19 +22,25 @@ from __future__ import annotations
 
 import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import artifacts, estimator, gates, qcore, visible
 from .ensembles import Ensemble
-from .errors import ConvergenceError
+from .errors import ConvergenceError, DimensionCapError
 from .estimator import Budget, KernelTable
 
 STOP_REL_CHANGE = 1e-8
 STOP_PATIENCE = 10
 MAX_ITER = 500
 HALVINGS = 40  # trial steps per backtracking search
+# largest register of alpha_scan. Its dense map G = family_basis(n)^T M starts
+# from visible.family_basis(n), F(n) * 4^n complex entries of 16 bytes for
+# F(n) = visible.expected_set_count(n): 45 MB at n = 6, where a whole alpha
+# run on a Cl(2) ensemble peaks at 124 MB of RSS, but 445 MB at n = 7, where
+# it peaks at 894 MB.
+ALPHA_N_CAP = 6
 
 
 # ---------------------------------------------------------------------------
@@ -86,7 +92,6 @@ class BiasScanResult:
     bias: float
     var_bound: float
     error_bound: float
-    scan: tuple = field(default_factory=tuple, repr=False)
 
 
 def _assemble(param: float, k: KernelTable, bias: float, shots: int,
@@ -124,10 +129,9 @@ def scan_to_csv(rows: list, epsilon: float, delta: float, m_observables: int,
 # ---------------------------------------------------------------------------
 
 
-def default_lambda_grid(points: int = 25, low: float = 1e-4,
-                        high: float = 1e2) -> np.ndarray:
-    return np.concatenate([[0.0], np.logspace(math.log10(low), math.log10(high),
-                                              points)])
+def default_lambda_grid() -> np.ndarray:
+    """lambda = 0 and 25 log-spaced points from 1e-4 to 1e2."""
+    return np.concatenate([[0.0], np.logspace(-4.0, 2.0, 25)])
 
 
 def _ridge_factors(o: np.ndarray, ens: Ensemble) -> tuple:
@@ -260,16 +264,22 @@ def _minimize_alpha(o, a, sqrt_p, alpha, shots, m_observables, delta, y0,
 
 
 def alpha_scan(o: np.ndarray, ens: Ensemble, shots: int, m_observables: int,
-               delta: float, alphas, max_iter: int = MAX_ITER) -> BiasScanResult:
-    """Minimize the alpha-cost for each alpha; return the scan's best row.
+               delta: float, alphas, max_iter: int = MAX_ITER) -> list:
+    """Minimize the alpha-cost for each alpha; one row per alpha, in order.
 
-    "Best" means the smallest worst-case error bound assembled from the
-    state-independent variance bound, mirroring the scan-then-select method.
-    The full scan is attached as ``result.scan``.
+    Registers above ALPHA_N_CAP qubits raise DimensionCapError before any
+    system is built.
     """
     alphas = list(alphas)
     if not alphas:
         raise ValueError("need at least one alpha")
+    n = qcore.num_qubits(o)
+    if n > ALPHA_N_CAP:
+        raise DimensionCapError(
+            f"alpha mode is capped at {ALPHA_N_CAP} qubits (got {n}): its dense "
+            f"map starts from visible.family_basis(n), "
+            f"{visible.expected_set_count(n) * 16 * 4**n / 1e6:.0f} MB at n = {n}; "
+            f"use mode = lambda")
     a, b, sqrt_p, unreached = estimator.stacked_system(o, ens)
     y0, _ = estimator._solve_min_norm(a, b, unreached)
     kernels = []
@@ -284,7 +294,5 @@ def alpha_scan(o: np.ndarray, ens: Ensemble, shots: int, m_observables: int,
     if not converged:
         raise ConvergenceError(f"alpha={rows[-1].lambda_or_alpha}: no convergence "
                                f"in {max_iter} iterations", best=rows[-1])
-    best = min(rows, key=lambda r: r.error_bound)
-    best.scan = tuple(rows)
-    return best
+    return rows
 

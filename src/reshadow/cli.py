@@ -21,7 +21,6 @@ import re
 import sys
 
 import numpy as np
-import scipy
 
 from . import __version__, artifacts, biasvar, channels, ensembles, estimator, gates
 from . import lgt, phases, qcore, visible
@@ -160,8 +159,7 @@ def metadata_for(seed: int, cfg: dict) -> dict:
     return {
         "seed": seed,
         "config_hash": config_hash(cfg),
-        "versions": f"reshadow={__version__} numpy={np.__version__} "
-                    f"scipy={scipy.__version__}",
+        "versions": f"reshadow={__version__} numpy={np.__version__}",
     }
 
 
@@ -277,7 +275,7 @@ def _mc_msu2(a: np.ndarray, samples: int, rng) -> tuple:
     """Monte-Carlo average of sum_b <b|VaV'|b> V'|b><b|V over Haar SU(2).
 
     Each sample lies in the visible span: by the family identity of
-    ``reshadow.visible``, with W the sample's visible.family_table row, its
+    ``reshadow.visible``, with W the sample's visible.axes_table row, its
     coordinate on B_S is
     y_S = 2^n W_S sum_{S' with the free mask of S} W_S' tr(B_S' a),
     so a block of samples costs one family table, one product with the
@@ -394,8 +392,6 @@ def cmd_estimate(cfg, seed, out_dir, threads) -> int:
     rng = np.random.default_rng(seed)
     obs = build_observable(cfg["observable"], cfg["g"], cfg["alpha"])
     n = qcore.num_qubits(obs)
-    if cfg["n"] and cfg["n"] != n:
-        raise ConfigError(f"observable acts on {n} qubits, config says {cfg['n']}")
     ens = build_ensemble(cfg["ensemble"], n, cfg["members"],
                          cfg["ensemble_seed"], targets=(obs,))
     kernel = solve_kernel(obs, ens)
@@ -405,12 +401,15 @@ def cmd_estimate(cfg, seed, out_dir, threads) -> int:
     value = estimator.estimate(records, kernel, method=cfg["method"],
                                m_observables=cfg["m_observables"],
                                delta=cfg["delta"])
-    rho = state if state.ndim == 2 else np.outer(state, state.conj())
+    if state.ndim == 2:  # tr(rho O) = tr(rho† O) for a density matrix
+        exact = qcore.hs_inner(state, obs).real
+    else:
+        exact = float(np.vdot(state, obs @ state).real)
     meta = metadata_for(seed, cfg)
     summary = dict(meta)
     summary.update({
         "estimate": value,
-        "exact": float(np.trace(rho @ obs).real),
+        "exact": exact,
         "var_max_bound": estimator.var_max_bound(kernel),
         "shots": cfg["shots"],
         "method": cfg["method"],
@@ -444,9 +443,8 @@ def cmd_bias_scan(cfg, seed, out_dir, threads) -> int:
                                   cfg["m_observables"], cfg["delta"])
     else:
         grid = cfg["alpha_grid"] or tuple(np.logspace(-2, 2, 9))
-        rows = list(biasvar.alpha_scan(obs, ens, cfg["shots"],
-                                       cfg["m_observables"], cfg["delta"],
-                                       grid).scan)
+        rows = biasvar.alpha_scan(obs, ens, cfg["shots"], cfg["m_observables"],
+                                  cfg["delta"], grid)
     csv = biasvar.scan_to_csv(rows, cfg["epsilon"], cfg["delta"],
                               cfg["m_observables"], metadata_for(seed, cfg),
                               q_variant=cfg["q_variant"])
@@ -531,7 +529,6 @@ SCHEMAS = {
         "observable": (str, "link"),
         "g": (_coupling, 1.0),
         "alpha": (_finite, 1.0),
-        "n": (int, 0),
         "state": (str, "zero"),
         "ensemble": (_choice("global_su2", "global_cl2", "subsample_su2",
                              fold_case=True), "subsample_su2"),

@@ -9,7 +9,7 @@ Four kinds are supported:
   measurement bases (X, Y, Z with probability 1/3 each);
 * ``LocalClifford`` — an independent random basis per site (random-Pauli
   measurements);
-* ``DiscreteSubsample`` — a finite list of Euler triples with weights.
+* ``DiscreteSubsample`` — a finite list of Euler triples, uniformly weighted.
 
 The conjugated projector V†|b><b|V never depends on phi: the leading
 e^{i Z phi/2} factor sits directly against the diagonal projector and cancels,
@@ -83,7 +83,6 @@ class SampledUnitary:
     psi: float = 0.0
     basis: str = "Z"
     word: str = ""  # per-site basis letters for LocalClifford
-    index: int = -1  # member index for DiscreteSubsample
 
     def single_qubit(self) -> np.ndarray:
         """The 2x2 rotation on every site, phi canonicalized to 0."""
@@ -125,10 +124,8 @@ class Ensemble:
     def __post_init__(self):
         qcore.check_qubit_count(self.n)
         if self.kind == KIND_GLOBAL_CL2 and not self.members:
-            self.members = [
-                SampledUnitary(self.kind, self.n, basis=b, index=i)
-                for i, b in enumerate(CL2_BASES)
-            ]
+            self.members = [SampledUnitary(self.kind, self.n, basis=b)
+                            for b in CL2_BASES]
             self.weights = np.full(3, 1.0 / 3.0)
         if self.weights is not None:
             self.weights = np.asarray(self.weights, dtype=float)
@@ -175,15 +172,15 @@ def local_clifford(n: int) -> Ensemble:
     return Ensemble(KIND_LOCAL_CLIFFORD, n)
 
 
-def discrete_subsample(n: int, triples, weights=None) -> Ensemble:
+def discrete_subsample(n: int, triples) -> Ensemble:
+    """Uniformly weighted members with the given Euler triples."""
     members = [
         SampledUnitary(KIND_DISCRETE_SUBSAMPLE, n, theta=float(t), phi=float(f),
-                       psi=float(p), index=i)
-        for i, (t, f, p) in enumerate(triples)
+                       psi=float(p))
+        for t, f, p in triples
     ]
-    if weights is None:
-        weights = np.full(len(members), 1.0 / len(members))
-    return Ensemble(KIND_DISCRETE_SUBSAMPLE, n, members, weights)
+    return Ensemble(KIND_DISCRETE_SUBSAMPLE, n, members,
+                    np.full(len(members), 1.0 / len(members)))
 
 
 def subsample_su2(n_unitaries: int, rng: np.random.Generator, targets=(),

@@ -197,7 +197,8 @@ def _family_rows(ens: Ensemble) -> tuple[np.ndarray, np.ndarray]:
     if not ens.is_discrete:
         raise ValueError("stacked system needs a discrete ensemble")
     sqrt_p = np.sqrt(ens.weights)
-    w = visible.family_table(_member_gates(ens), ens.n) * sqrt_p[:, None]
+    w = visible.axes_table(visible.bloch_axes(_member_gates(ens)), ens.n)
+    w *= sqrt_p[:, None]
     m = w.T[:, :, None] * visible.family_signs(ens.n)[:, None, :]
     return m.reshape(len(m), -1), sqrt_p
 
@@ -369,11 +370,12 @@ def _local_clifford_chunk(rho, n, count, rng):
 
 
 def run_campaign(rho: np.ndarray, ens: Ensemble, shots: int, rng,
-                 campaign_id: str = "c0", threads: int = 1) -> Records:
+                 threads: int = 1) -> Records:
     """Simulate `shots` randomized measurements of rho under the ensemble.
 
-    ``rho`` may be a state vector or a density matrix. The result is
-    deterministic for a fixed generator state regardless of ``threads``.
+    ``rho`` may be a state vector or a density matrix. The result, with
+    campaign id "c0", is deterministic for a fixed generator state regardless
+    of ``threads``.
     """
     rng = np.random.default_rng(rng) if not isinstance(rng, np.random.Generator) else rng
     n = ens.n
@@ -414,13 +416,13 @@ def run_campaign(rho: np.ndarray, ens: Ensemble, shots: int, rng,
         thetas = psis = None
         if ens.kind == KIND_DISCRETE_SUBSAMPLE:
             thetas, psis = (a[idx] for a in _member_angles(ens))
-        return Records(ens.kind, n, campaign_id, b, member_idx=idx,
+        return Records(ens.kind, n, "c0", b, member_idx=idx,
                        thetas=thetas, psis=psis)
     if ens.kind == KIND_GLOBAL_SU2:
         thetas, psis, b = columns
-        return Records(ens.kind, n, campaign_id, b, thetas=thetas, psis=psis)
+        return Records(ens.kind, n, "c0", b, thetas=thetas, psis=psis)
     bases, b = columns
-    return Records(ens.kind, n, campaign_id, b, bases=bases)
+    return Records(ens.kind, n, "c0", b, bases=bases)
 
 
 # ---------------------------------------------------------------------------
@@ -433,18 +435,16 @@ def default_batches(m_observables: int, delta: float) -> int:
 
 
 def estimate(records: Records, k: KernelTable, method: str = "mean",
-             batches: int | None = None, m_observables: int = 1,
-             delta: float = 0.1) -> float:
-    """Empirical-average (or median-of-means) estimate of tr(rho O)."""
+             m_observables: int = 1, delta: float = 0.1) -> float:
+    """Empirical-average (or median-of-means) estimate of tr(rho O); the
+    median of means takes default_batches(m_observables, delta) batches."""
     if len(records) == 0:
         raise ValueError("no measurement records")
     vals = k.evaluate_records(records)
     if method == "mean":
         return float(vals.mean())
     if method == "median_of_means":
-        if batches is None:
-            batches = default_batches(m_observables, delta)
-        batches = max(1, min(batches, vals.size))
+        batches = max(1, min(default_batches(m_observables, delta), vals.size))
         splits = np.array_split(vals, batches)
         return float(np.median([s.mean() for s in splits]))
     raise ValueError(f"unknown method {method!r}")

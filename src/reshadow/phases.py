@@ -264,13 +264,9 @@ def _patch_inverse_ops(n: int = 3) -> np.ndarray:
 @lru_cache(maxsize=4)
 def _patch_inverse_amps(n: int) -> np.ndarray:
     """Column S: the real family amplitudes of M^{-1}(B_S) (read-only)."""
-    inv = channels.msu2_amplitudes(n, np.eye(feature_count(n)), True)
+    inv = channels.msu2_amplitudes(n, np.eye(visible.expected_set_count(n)), True)
     inv.flags.writeable = False
     return inv
-
-
-def feature_count(n: int = 3) -> int:
-    return len(visible.enumerate_sets(n))
 
 
 def patch_features(rdm: np.ndarray, n_su2: int, rng,
@@ -296,7 +292,6 @@ def patch_features(rdm: np.ndarray, n_su2: int, rng,
 class PhaseKernel:
     matrix: np.ndarray
     lam: float
-    renormalized: bool = True
 
 
 def default_lambda(features: np.ndarray) -> float:
@@ -321,7 +316,7 @@ def build_kernel(features, lam: float | None = None) -> PhaseKernel:
     d = np.sqrt(np.diag(k))
     k = k / np.outer(d, d)
     np.fill_diagonal(k, 1.0)
-    return PhaseKernel(matrix=k, lam=float(lam), renormalized=True)
+    return PhaseKernel(matrix=k, lam=float(lam))
 
 
 def kernel_pca_1d(k: PhaseKernel) -> np.ndarray:
@@ -333,8 +328,6 @@ def kernel_pca_1d(k: PhaseKernel) -> np.ndarray:
     instead lets intra-class scatter dominate the top axis at this few-patch
     scale and loses the phase split for any depth > 0.
     """
-    if not k.renormalized:
-        raise ValueError("renormalize the kernel before PCA")
     m = k.matrix
     s = m.shape[0]
     centered = m - m.mean(axis=0, keepdims=True)

@@ -264,7 +264,8 @@ def bloch_axes(u: np.ndarray) -> np.ndarray:
 
 def axes_table(m: np.ndarray, n: int) -> np.ndarray:
     """(rows, families) table W[j, S] = sqrt(|S|/2^n) m_x^{n_X} m_y^{n_Y} m_z^{n_Z}
-    of the (3, rows) Bloch axes m."""
+    of the (3, rows) Bloch axes m. For m = bloch_axes(u),
+    W[j, S] (-1)^{popcount(b & F_S)} = <b|V_j B_S V_j†|b> for V_j = u_j^{⊗n}."""
     # powers[c, k] = m_c^k by repeated products (so m^0 = 1 also for m = 0)
     powers = np.empty((3, n + 1, m.shape[1]))
     powers[:, 0] = 1.0
@@ -276,16 +277,6 @@ def axes_table(m: np.ndarray, n: int) -> np.ndarray:
     w *= powers[1].T[:, counts[1]]
     w *= powers[2].T[:, counts[2]]
     return w
-
-
-def family_table(u: np.ndarray, n: int) -> np.ndarray:
-    """(rows, families) table W[j, S] = sqrt(|S|/2^n) m_x^{n_X} m_y^{n_Y} m_z^{n_Z}.
-
-    u is a (rows, 2, 2) table of global rotations, one gate for every site,
-    and m_j = bloch_axes(u)[:, j] is the Bloch axis of row j.
-    W[j, S] (-1)^{popcount(b & F_S)} = <b|V_j B_S V_j†|b> for V_j = u_j^{⊗n}.
-    """
-    return axes_table(bloch_axes(u), n)
 
 
 @lru_cache(maxsize=8)
@@ -304,9 +295,9 @@ def family_signs(n: int) -> np.ndarray:
 
 def shot_rows(u: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
     """(shots, families) table <b_j|V_j B_S V_j†|b_j> of shots measuring b_j after
-    V_j = u_j^{⊗n}: family_table row j times (-1)^{popcount(b_j & F_S)}."""
+    V_j = u_j^{⊗n}: axes_table row j times (-1)^{popcount(b_j & F_S)}."""
     _, _, free, _ = _family_layout(n)
-    w = family_table(u, n)
+    w = axes_table(bloch_axes(u), n)
     parity = qcore.parity(np.asarray(b)[:, None] & free).view(np.int8)
     w *= 1 - 2 * parity  # in int8: forming 1.0 - 2.0 * p from uint8 is slow
     return w
@@ -323,7 +314,7 @@ def rotated_diagonal(amps: np.ndarray, u: np.ndarray, n: int) -> np.ndarray:
     _, _, _, starts = _family_layout(n)
     out = np.empty((len(u), 1 << n))
     for block in gates.blocks(len(u), amps.size):
-        w = family_table(u[block], n)
+        w = axes_table(bloch_axes(u[block]), n)
         w *= amps
         # identity masks ascend, so their complements, the free masks, descend
         out[block] = np.add.reduceat(w, starts, axis=1)[:, ::-1]

@@ -144,17 +144,15 @@ def test_kernel_biases_of_a_cl2_kernel():
 
 
 def test_alpha_scan_biases_match_dense_reconstruction(link, ens):
-    rows = biasvar.alpha_scan(link, ens, 1000, 1, 0.1, np.logspace(-2, 2, 9)).scan
+    rows = biasvar.alpha_scan(link, ens, 1000, 1, 0.1, np.logspace(-2, 2, 9))
     assert len(rows) == 9
     assert_dense_biases(link, [r.kernel for r in rows], [r.bias for r in rows])
 
 
-def test_alpha_scan_returns_best_of_scan(link, ens):
-    res = biasvar.alpha_scan(link, ens, 1000, 1, 0.1, (0.5, 2.0))
-    assert len(res.scan) == 2
-    assert res.error_bound == min(r.error_bound for r in res.scan)
-    assert res.lambda_or_alpha in (0.5, 2.0)
-    assert res.bias < qcore.spectral_norm(link)
+def test_alpha_scan_returns_one_row_per_alpha(link, ens):
+    rows = biasvar.alpha_scan(link, ens, 1000, 1, 0.1, (2.0, 0.5))
+    assert [r.lambda_or_alpha for r in rows] == [2.0, 0.5]
+    assert all(r.bias < qcore.spectral_norm(link) for r in rows)
 
 
 def test_alpha_scan_needs_alphas_and_iterations(link, ens):
@@ -167,7 +165,7 @@ def test_alpha_scan_needs_alphas_and_iterations(link, ens):
 def scan_rows(link, ens):
     return [(r.lambda_or_alpha, r.bias, r.var_bound, r.error_bound)
             for r in biasvar.alpha_scan(link, ens, 1000, 1, 0.1,
-                                        np.logspace(-2, 2, 9)).scan]
+                                        np.logspace(-2, 2, 9))]
 
 
 @pytest.mark.parametrize("seed", [0, 2, 5])
@@ -179,6 +177,27 @@ def test_stacked_backtracking_matches_per_trial_loop(link, seed, monkeypatch):
     got = scan_rows(link, ens)
     monkeypatch.setattr(biasvar, "_minimize_alpha", minimize_alpha_loop)
     assert got == scan_rows(link, ens)
+
+
+def test_minimizer_matches_per_trial_loop_converged_or_not(link):
+    """At every alpha of the default grid, converged or not, the stacked
+    minimizer returns the per-trial loop's point, cost and flag bit for bit.
+    Seed 1 covers the unconverged path: its alpha = 10^-1.5 descent runs out
+    of iterations in both."""
+    flags = []
+    for seed in (0, 1, 2, 5, 9):
+        ens = ensembles.subsample_su2(6, np.random.default_rng(seed),
+                                      targets=(link,), n=2)
+        a, b, sqrt_p, unreached = estimator.stacked_system(link, ens)
+        y0, _ = estimator._solve_min_norm(a, b, unreached)
+        for alpha in np.logspace(-2, 2, 9):
+            args = (link, a, sqrt_p, float(alpha), 1000, 1, 0.1, y0)
+            y, f, converged = biasvar._minimize_alpha(*args)
+            y_ref, f_ref, converged_ref = minimize_alpha_loop(*args)
+            assert np.array_equal(y, y_ref), (seed, alpha)
+            assert (f, converged) == (f_ref, converged_ref), (seed, alpha)
+            flags.append(converged)
+    assert not all(flags)
 
 
 def test_one_eigvalsh_per_backtracking_search(link, ens, monkeypatch):

@@ -1,12 +1,16 @@
 """Experiment runner: config handling, exit codes, artifacts, determinism."""
 
 import json
+import os
+import pathlib
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from reshadow import cli, ensembles, estimator, gates, qcore
+from reshadow import biasvar, cli, ensembles, estimator, gates, qcore
 from reshadow.errors import ConfigError
 
 from conftest import assert_same_text, random_hermitian
@@ -93,10 +97,11 @@ def test_unknown_key_exits_2(tmp_path):
     assert rc == 2
 
 
-@pytest.mark.parametrize("sub, key", [("estimate", "epsilon"),
+@pytest.mark.parametrize("sub, key", [("estimate", "epsilon"), ("estimate", "n"),
                                       ("lgt-energy", "q_variant")])
 def test_keys_no_subcommand_reads_exit_2_as_unknown(tmp_path, capsys, sub, key):
-    # estimate never read epsilon; lgt-energy always prices Q as max|K|
+    # estimate never read epsilon and takes its register size from the
+    # observable; lgt-energy always prices Q as max|K|
     cfg = write_config(tmp_path, f"{key} = 0.1\n")
     assert cli.main([sub, "--config", cfg, "--out", str(tmp_path)]) == 2
     assert f"unknown config keys for {sub}: {key}" in capsys.readouterr().err
@@ -104,12 +109,6 @@ def test_keys_no_subcommand_reads_exit_2_as_unknown(tmp_path, capsys, sub, key):
 
 def test_bad_thread_count_exits_2(tmp_path):
     rc = cli.main(["estimate", "--threads", "0", "--out", str(tmp_path)])
-    assert rc == 2
-
-
-def test_dimension_mismatch_exits_2(tmp_path):
-    cfg = write_config(tmp_path, "observable = link\nn = 3\n")
-    rc = cli.main(["estimate", "--config", cfg, "--out", str(tmp_path)])
     assert rc == 2
 
 
@@ -201,6 +200,23 @@ def test_long_observable_word_is_rejected_before_any_dense_build(spec):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert peak < 4 * 2**20
+
+
+def test_alpha_mode_above_its_cap_exits_2_before_any_system(tmp_path, capsys):
+    # visible.family_basis(7), where the alpha map starts, would take 445 MB
+    cfg = write_config(tmp_path, "observable = XXXXXXX+0.5*ZZZZZZZ\n"
+                                 "ensemble = global_cl2\nmode = alpha\n")
+    tracemalloc.start()
+    try:
+        rc = cli.main(["bias-scan", "--config", cfg, "--out", str(tmp_path)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"capped at {biasvar.ALPHA_N_CAP} qubits (got 7)" in err
+    assert "445 MB" in err
     assert peak < 4 * 2**20
 
 
@@ -489,3 +505,34 @@ def test_mc_msu2_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 24 * 2**20
+
+
+# ---------------------------------------------------------------------------
+# Runtime dependencies
+# ---------------------------------------------------------------------------
+
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+
+NO_SCIPY = """
+import importlib, pkgutil, sys
+import reshadow
+for info in pkgutil.iter_modules(reshadow.__path__):
+    importlib.import_module("reshadow." + info.name)
+assert "scipy" not in sys.modules, "a reshadow module imports scipy"
+sys.modules["scipy"] = None  # any later `import scipy` raises ImportError
+from reshadow import cli
+sys.exit(cli.main(["estimate", "--config", sys.argv[1], "--out", sys.argv[2]]))
+"""
+
+
+def test_runtime_needs_no_scipy(tmp_path):
+    """Every module imports, and estimate runs a repo config, without scipy."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", NO_SCIPY, str(ROOT / "configs" / "estimate_link.cfg"),
+         str(tmp_path)], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert (tmp_path / "estimate.json").exists()

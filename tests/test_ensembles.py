@@ -67,9 +67,9 @@ def test_local_clifford_word_realization():
 
 def test_params_text_roundtrip(rng):
     ens = ensembles.subsample_su2(4, rng)
-    for m in ens.members:
-        back = from_params_text(m.kind, m.n, params_text(m))
-        assert back == dataclasses.replace(m, phi=0.0)  # records do not keep phi
+    for i, m in enumerate(ens.members):
+        back = from_params_text(m.kind, m.n, params_text(m, i, 1))
+        assert back == (dataclasses.replace(m, phi=0.0), i)  # records do not keep phi
 
 
 def test_with_n_reregisters_members(rng):

@@ -245,11 +245,6 @@ def test_psd_projection_rejects_negative_mass():
 # ---------------------------------------------------------------------------
 
 
-def test_feature_count_matches_visible_dimension():
-    assert phases.feature_count(3) == 38
-    assert phases.feature_count(3) == len(visible.enumerate_sets(3))
-
-
 def test_identity_feature_is_exact(rng):
     rho = np.eye(8) / 8.0
     feats = phases.patch_features(rho, 50, rng)
@@ -358,12 +353,6 @@ def test_pca_equivariant_up_to_sign(rng):
     c2 = phases.kernel_pca_1d(k2)
     dev = min(np.abs(c2 - c1[perm]).max(), np.abs(c2 + c1[perm]).max())
     assert dev < 1e-10
-
-
-def test_pca_requires_renormalized_kernel():
-    with pytest.raises(ValueError):
-        phases.kernel_pca_1d(phases.PhaseKernel(np.eye(3), 1.0,
-                                                renormalized=False))
 
 
 def test_separation_margin_signs():

@@ -33,11 +33,9 @@ def member(records, i):
                                                     for j in records.bases[i]))
     if kind == KIND_GLOBAL_CL2:
         return SampledUnitary(kind, n,
-                              basis=ensembles.CL2_BASES[int(records.member_idx[i])],
-                              index=int(records.member_idx[i]))
-    index = int(records.member_idx[i]) if kind == KIND_DISCRETE_SUBSAMPLE else -1
+                              basis=ensembles.CL2_BASES[int(records.member_idx[i])])
     return SampledUnitary(kind, n, theta=float(records.thetas[i]),
-                          psi=float(records.psis[i]), index=index)
+                          psi=float(records.psis[i]))
 
 
 def hex_angle(x):
@@ -48,13 +46,13 @@ def from_hex_angle(text):
     return struct.unpack(">d", bytes.fromhex(text))[0]
 
 
-def params_text(v, digits=1):
-    """Semicolon-joined parameter text of one member, a subsample's index
-    zero-padded to `digits` (round-trips exactly)."""
+def params_text(v, index, digits):
+    """Semicolon-joined parameter text of one member, a subsample's member
+    index zero-padded to `digits` (round-trips exactly)."""
     if v.kind in (KIND_GLOBAL_SU2, KIND_DISCRETE_SUBSAMPLE):
         angles = ";".join(hex_angle(a) for a in (v.theta, v.psi))
         if v.kind == KIND_DISCRETE_SUBSAMPLE:
-            return f"{v.index:0{digits}d};{angles}"
+            return f"{index:0{digits}d};{angles}"
         return angles
     if v.kind == KIND_GLOBAL_CL2:
         return v.basis
@@ -62,16 +60,17 @@ def params_text(v, digits=1):
 
 
 def from_params_text(kind, n, text):
+    """The member of one parameter text and its subsample index (else -1)."""
     if kind == KIND_GLOBAL_SU2:
         theta, psi = (from_hex_angle(t) for t in text.split(";"))
-        return SampledUnitary(kind, n, theta=theta, psi=psi)
+        return SampledUnitary(kind, n, theta=theta, psi=psi), -1
     if kind == KIND_DISCRETE_SUBSAMPLE:
         idx, theta, psi = text.split(";")
         return SampledUnitary(kind, n, theta=from_hex_angle(theta),
-                              psi=from_hex_angle(psi), index=int(idx))
+                              psi=from_hex_angle(psi)), int(idx)
     if kind == KIND_GLOBAL_CL2:
-        return SampledUnitary(kind, n, basis=text)
-    return SampledUnitary(kind, n, word=text)
+        return SampledUnitary(kind, n, basis=text), -1
+    return SampledUnitary(kind, n, word=text), -1
 
 
 def reference_records_to_csv(records, metadata=None):
@@ -85,10 +84,12 @@ def reference_records_to_csv(records, metadata=None):
     if records.kind == KIND_LOCAL_CLIFFORD:
         params = records.words
     else:
-        digits = 1
+        digits, index = 1, [-1] * len(records)
         if records.kind == KIND_DISCRETE_SUBSAMPLE:
             digits = len(str(int(max(records.member_idx))))
-        params = [params_text(member(records, i), digits) for i in range(len(records))]
+            index = records.member_idx.tolist()
+        params = [params_text(member(records, i), index[i], digits)
+                  for i in range(len(records))]
     for i, text in enumerate(params):
         writer.writerow([text, format(int(records.b[i]), f"0{records.n}b")])
     return buf.getvalue()
@@ -116,14 +117,14 @@ def reference_records_from_csv(text):
         bases = np.array([[ensembles.CL2_BASES.index(ch) for ch in word]
                           for word in params], dtype=np.int8)
         return estimator.Records(kind, n, campaign_id, b, bases=bases), metadata
-    units = [from_params_text(kind, n, text) for text in params]
+    units, index = zip(*(from_params_text(kind, n, text) for text in params))
     if kind == KIND_GLOBAL_CL2:
         member_idx = np.array([ensembles.CL2_BASES.index(u.basis) for u in units])
         return estimator.Records(kind, n, campaign_id, b,
                                  member_idx=member_idx), metadata
     member_idx = None
     if kind == KIND_DISCRETE_SUBSAMPLE:
-        member_idx = np.array([u.index for u in units], dtype=np.int64)
+        member_idx = np.array(index, dtype=np.int64)
     return estimator.Records(
         kind, n, campaign_id, b, member_idx=member_idx,
         thetas=np.array([u.theta for u in units]),

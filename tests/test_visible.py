@@ -126,7 +126,7 @@ def test_family_table_entries_are_measured_basis_elements():
     and a shot's row of shot_rows is that table at its outcome."""
     n, rng = 3, np.random.default_rng(3)
     u = global_gates(n, rng)
-    got = (visible.family_table(u, n)[:, :, None]
+    got = (visible.axes_table(visible.bloch_axes(u), n)[:, :, None]
            * visible.family_signs(n)[None, :, :])
     basis = np.stack([visible.build_B(s) for s in visible.enumerate_sets(n)])
     dense = np.stack([qcore.kron_all([g] * n) for g in u])
@@ -151,7 +151,7 @@ def test_family_table_matches_power_formula(n):
     counts = np.array([s.counts for s in sets])
     scale = np.sqrt([s.size / (1 << n) for s in sets])
     want = scale * np.prod(m[:, None, :] ** counts[None, :, :], axis=2)
-    got = visible.family_table(u, n)
+    got = visible.axes_table(visible.bloch_axes(u), n)
     np.testing.assert_allclose(got, want, rtol=1e-15, atol=0)
     ones = (counts[:, 0] == 0) & (counts[:, 1] == 0)
     np.testing.assert_array_equal(got[-2:, ones],
@@ -182,7 +182,7 @@ def test_family_forms_reject_per_site_gates():
     with pytest.raises(ValueError, match="per row"):
         visible.rotated_diagonal(np.ones(38), u, 3)
     with pytest.raises(ValueError, match="per row"):
-        visible.family_table(u, 3)
+        visible.bloch_axes(u)
 
 
 @pytest.mark.parametrize("n", range(1, 6))
@@ -193,5 +193,6 @@ def test_axes_table_from_angles_matches_family_table(n):
     thetas = np.concatenate([thetas, [0.0, np.pi, 0.0, np.pi]])
     psis = np.concatenate([psis, [0.0, 0.0, 1.3, 4.0 * np.pi - 0.1]])
     got = visible.axes_table(ensembles.su2_axis(thetas, psis), n)
-    want = visible.family_table(ensembles.su2_matrix(thetas, 0.0, psis), n)
+    want = visible.axes_table(
+        visible.bloch_axes(ensembles.su2_matrix(thetas, 0.0, psis)), n)
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
