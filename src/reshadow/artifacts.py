@@ -1,4 +1,4 @@
-"""Metadata headers of the package's text artifacts.
+"""Metadata headers of the package's text artifacts, and their CSV writer.
 
 Every CSV artifact opens with ``# key=value`` lines (seed, config hash,
 library versions, ...) ahead of its column header.
@@ -6,10 +6,23 @@ library versions, ...) ahead of its column header.
 
 from __future__ import annotations
 
+import numpy as np
+
 
 def metadata_header(metadata: dict | None) -> str:
     """One ``# key=value`` line per item, in order, each ending in a newline."""
     return "".join(f"# {key}={value}\n" for key, value in (metadata or {}).items())
+
+
+def csv_text(metadata: dict | None, columns, rows) -> str:
+    """The metadata header, the column line, then one line per row. A float
+    cell (Python or numpy) is written as repr(float(x)), so it reads back bit
+    for bit; any other cell as str(x)."""
+    def cell(x):
+        return repr(float(x)) if isinstance(x, (float, np.floating)) else str(x)
+
+    return metadata_header(metadata) + "".join(
+        ",".join(map(cell, row)) + "\n" for row in (columns, *rows))
 
 
 def read_metadata_header(text: str) -> tuple[dict, str]:

@@ -20,7 +20,6 @@ is made of.
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass
 
@@ -114,14 +113,10 @@ def shots_at(r: BiasScanResult, epsilon: float, delta: float,
 
 def scan_to_csv(rows: list, epsilon: float, delta: float, m_observables: int,
                 metadata: dict | None = None, q_variant: str = "theorem") -> str:
-    buf = io.StringIO()
-    buf.write(artifacts.metadata_header(metadata))
-    buf.write("lambda_or_alpha,bias,var_bound,error_bound,shots_at\n")
-    for r in rows:
-        n_shots = shots_at(r, epsilon, delta, m_observables, q_variant)
-        buf.write(f"{r.lambda_or_alpha!r},{r.bias!r},{r.var_bound!r},"
-                  f"{r.error_bound!r},{n_shots}\n")
-    return buf.getvalue()
+    return artifacts.csv_text(
+        metadata, ("lambda_or_alpha", "bias", "var_bound", "error_bound", "shots_at"),
+        ((r.lambda_or_alpha, r.bias, r.var_bound, r.error_bound,
+          shots_at(r, epsilon, delta, m_observables, q_variant)) for r in rows))
 
 
 # ---------------------------------------------------------------------------
@@ -181,8 +176,7 @@ def ridge_scan(o: np.ndarray, ens: Ensemble, lambdas, shots: int,
 # ---------------------------------------------------------------------------
 
 
-def _minimize_alpha(o, a, sqrt_p, alpha, shots, m_observables, delta, y0,
-                    max_iter=MAX_ITER):
+def _minimize_alpha(o, a, sqrt_p, alpha, shots, m_observables, delta, y0):
     """Subgradient descent with backtracking on the convex alpha-cost over the
     family-row system (a, sqrt(p)) of estimator.stacked_system.
 
@@ -240,7 +234,7 @@ def _minimize_alpha(o, a, sqrt_p, alpha, shots, m_observables, delta, y0,
     f, r, var = pick(split_cost(y[None]), 0)
     best_y, best_f = y.copy(), f
     stall = 0
-    for _ in range(max_iter):
+    for _ in range(MAX_ITER):
         grad = gradient(y, r, var)
         gn2 = float(grad @ grad)
         if gn2 < 1e-24:
@@ -264,7 +258,7 @@ def _minimize_alpha(o, a, sqrt_p, alpha, shots, m_observables, delta, y0,
 
 
 def alpha_scan(o: np.ndarray, ens: Ensemble, shots: int, m_observables: int,
-               delta: float, alphas, max_iter: int = MAX_ITER) -> list:
+               delta: float, alphas) -> list:
     """Minimize the alpha-cost for each alpha; one row per alpha, in order.
 
     Registers above ALPHA_N_CAP qubits raise DimensionCapError before any
@@ -285,7 +279,7 @@ def alpha_scan(o: np.ndarray, ens: Ensemble, shots: int, m_observables: int,
     kernels = []
     for alpha in alphas:
         y, _, converged = _minimize_alpha(o, a, sqrt_p, float(alpha), shots,
-                                          m_observables, delta, y0, max_iter)
+                                          m_observables, delta, y0)
         kernels.append(estimator._kernel_from_y(ens, y, sqrt_p))
         if not converged:
             break
@@ -293,6 +287,6 @@ def alpha_scan(o: np.ndarray, ens: Ensemble, shots: int, m_observables: int,
             for alpha, k, bias in zip(alphas, kernels, kernel_biases(o, kernels))]
     if not converged:
         raise ConvergenceError(f"alpha={rows[-1].lambda_or_alpha}: no convergence "
-                               f"in {max_iter} iterations", best=rows[-1])
+                               f"in {MAX_ITER} iterations", best=rows[-1])
     return rows
 

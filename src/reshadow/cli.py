@@ -169,12 +169,7 @@ def _write(out_dir: pathlib.Path, name: str, content: str) -> None:
     print(f"wrote {path}")
 
 
-def _report_csv(rows: list, metadata: dict) -> str:
-    lines = [artifacts.metadata_header(metadata),
-             "check,observed,reference,tolerance,pass\n"]
-    for name, observed, reference, tol, ok in rows:
-        lines.append(f"{name},{observed!r},{reference!r},{tol!r},{ok}\n")
-    return "".join(lines)
+REPORT_COLUMNS = ("check", "observed", "reference", "tolerance", "pass")
 
 
 # ---------------------------------------------------------------------------
@@ -339,7 +334,7 @@ def cmd_channel_check(cfg, seed, out_dir, threads) -> int:
                  0.0, 5.0, bool(ratio.max() < 5.0)))
 
     _write(out_dir, "channel_check.csv",
-           _report_csv(rows, metadata_for(seed, cfg)))
+           artifacts.csv_text(metadata_for(seed, cfg), REPORT_COLUMNS, rows))
     return 0 if all(r[4] for r in rows) else 3
 
 
@@ -379,7 +374,8 @@ def cmd_basis_audit(cfg, seed, out_dir, threads) -> int:
     rows.append((f"invisibility_n{n}_{cfg['draws']}draws", float(worst), 0.0,
                  1e-10, worst < 1e-10))
 
-    _write(out_dir, "basis_audit.csv", _report_csv(rows, metadata_for(seed, cfg)))
+    _write(out_dir, "basis_audit.csv",
+           artifacts.csv_text(metadata_for(seed, cfg), REPORT_COLUMNS, rows))
     return 0 if all(r[4] for r in rows) else 3
 
 

@@ -37,9 +37,15 @@ from .ensembles import (
     Ensemble,
     SampledUnitary,
 )
-from .errors import NumericalDegeneracyError, RepresentabilityError
+from .errors import DimensionCapError, NumericalDegeneracyError, RepresentabilityError
 
 CHUNK = 4096
+# float64 entries of the largest family-row matrix M, F(n) x members x 2^n for
+# F(n) = visible.expected_set_count(n). A bias scan peaks at about 4.7 x M of
+# RSS (2.6 GB for the 534 MiB M of a 3-member Cl(2) scan at n = 10), so an
+# 8 GB host holds an M of at most 8e9 / 4.7 / 8 = 2.1e8 entries. 2^27 = 1.3e8
+# entries (1 GiB of M, a peak near 5 GB) leaves the rest of the host free.
+FAMILY_ROWS_CAP = 1 << 27
 
 
 # ---------------------------------------------------------------------------
@@ -193,9 +199,17 @@ def _family_rows(ens: Ensemble) -> tuple[np.ndarray, np.ndarray]:
 
     M[S, (j, b)] = sqrt(p_j) <b|V_j B_S V_j†|b>, so M @ (sqrt(p) K).ravel()
     holds tr(B_S O~) for the operator O~ that a kernel table K represents.
+    An M of more than FAMILY_ROWS_CAP entries raises DimensionCapError
+    before anything is allocated.
     """
     if not ens.is_discrete:
         raise ValueError("stacked system needs a discrete ensemble")
+    entries = visible.expected_set_count(ens.n) * len(ens.members) << ens.n
+    if entries > FAMILY_ROWS_CAP:
+        raise DimensionCapError(
+            f"the family-row system is capped at FAMILY_ROWS_CAP = "
+            f"{FAMILY_ROWS_CAP} float64 entries; n = {ens.n} with "
+            f"{len(ens.members)} members needs {entries} ({entries * 8 / 2**30:.2f} GiB)")
     sqrt_p = np.sqrt(ens.weights)
     w = visible.axes_table(visible.bloch_axes(_member_gates(ens)), ens.n)
     w *= sqrt_p[:, None]
@@ -292,13 +306,6 @@ def _born_tables(rho: np.ndarray, g: np.ndarray) -> np.ndarray:
     return probs
 
 
-def _su2_chunk(rho, n, count, rng):
-    thetas, _, psis = ensembles.haar_su2_angles(count, rng)
-    cdf = _born_tables(rho, ensembles.su2_matrix(thetas, 0.0, psis))
-    np.cumsum(cdf, axis=1, out=cdf)
-    return thetas, psis, qcore.sample_cdf(cdf, rng)
-
-
 _CL2_GATES = np.stack([ensembles.basis_rotation(ch) for ch in ensembles.CL2_BASES])
 
 
@@ -310,30 +317,20 @@ def _group(key: np.ndarray, size: int):
     return np.flatnonzero(seen), np.cumsum(seen)[key] - 1
 
 
-def _collapse(rho: np.ndarray, words: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Outcome of each shot: rho measured in its basis word, one site at a time.
+def _collapse(psi: np.ndarray, words: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Outcome of each shot: state vector psi measured in its basis word, one
+    site at a time.
 
     At each site the shots' distinct (basis, row) pairs become rows, keyed
     basis · r + row for the r rows live there, so they come out in an X, a Y
     and a Z block. Each block is rotated by its one gate (Z is the identity),
     then split into its outcome-0 and outcome-1 halves, weighted by squared
-    norm (a density matrix, run as the 2n-site row of gates.vectorized, keeps
-    its (b, b) blocks, weighted by trace). A shot goes to half 1 when
-    offset + p0 < u * total, which bisects the inverse-CDF search of
-    sample_bits bit by bit, and never enters a half of weight 0. Only the
-    chosen halves go on, so rows halve at every site.
+    norm. A shot goes to half 1 when offset + p0 < u * total, which bisects
+    the inverse-CDF search of sample_bits bit by bit, and never enters a half
+    of weight 0. Only the chosen halves go on, so rows halve at every site.
     """
     count, n = words.shape
-    density = rho.ndim == 2
-    if density:
-        t = gates.vectorized(rho)
-        # the diagonal of a vectorized m-site remainder sits at the first 2^m
-        # entries of trace: each site's (row, column) bit pair is 00 or 11
-        trace = np.zeros(1, dtype=np.intp)
-        for _ in range(n - 1):
-            trace = (4 * trace[:, None] + [0, 3]).ravel()
-    else:
-        t = np.asarray(rho, complex).reshape(1, -1)
+    t = np.asarray(psi, complex).reshape(1, -1)
     row = np.zeros(count, dtype=np.intp)  # row of t holding each shot's branch
     offset = np.zeros(count)
     b = np.zeros(count, dtype=np.intp)
@@ -342,18 +339,10 @@ def _collapse(rho: np.ndarray, words: np.ndarray, u: np.ndarray) -> np.ndarray:
         keys, parent = _group(r * words[:, site] + row, 3 * r)
         t = t[keys % r]
         x_end, y_end = np.searchsorted(keys, [r, 2 * r])
-        for block, g in ((t[:x_end], _CL2_GATES[:1]), (t[x_end:y_end], _CL2_GATES[1:2])):
-            gates.rotate_site(block, 0, g)
-            if density:
-                gates.rotate_site(block, 1, g.conj())
-        if density:
-            halves = t.reshape(len(t), 4, -1)[:, ::3]
-            w = halves[..., trace[: 1 << (n - site - 1)]].real.sum(axis=-1)
-        else:
-            halves = t.reshape(len(t), 2, -1)
-            w = np.square(halves.view(np.float64)).sum(axis=-1)
-        np.clip(w, 0.0, None, out=w)
-        p0, p1 = w[parent].T
+        gates.rotate_site(t[:x_end], 0, _CL2_GATES[:1])
+        gates.rotate_site(t[x_end:y_end], 0, _CL2_GATES[1:2])
+        halves = t.reshape(len(t), 2, -1)
+        p0, p1 = np.square(halves.view(np.float64)).sum(axis=-1)[parent].T
         if site == 0:
             target = u * (p0 + p1)
         one = (p0 <= 0.0) | ((offset + p0 < target) & (p1 > 0.0))
@@ -364,20 +353,16 @@ def _collapse(rho: np.ndarray, words: np.ndarray, u: np.ndarray) -> np.ndarray:
     return b
 
 
-def _local_clifford_chunk(rho, n, count, rng):
-    words = rng.integers(0, 3, size=(count, n))
-    return words.astype(np.int8), _collapse(rho, words, rng.random(count))
-
-
 def run_campaign(rho: np.ndarray, ens: Ensemble, shots: int, rng,
                  threads: int = 1) -> Records:
     """Simulate `shots` randomized measurements of rho under the ensemble.
 
-    ``rho`` may be a state vector or a density matrix. The result, with
-    campaign id "c0", is deterministic for a fixed generator state regardless
-    of ``threads``.
+    ``rho`` is a state vector or a density matrix, except for local random
+    Paulis, which measure a state vector only. The result, with campaign id
+    "c0", is deterministic for a fixed generator state regardless of
+    ``threads``.
     """
-    rng = np.random.default_rng(rng) if not isinstance(rng, np.random.Generator) else rng
+    rng = np.random.default_rng(rng)
     n = ens.n
     if qcore.num_qubits(rho) != n:
         raise ValueError("state/ensemble dimension mismatch")
@@ -393,13 +378,27 @@ def run_campaign(rho: np.ndarray, ens: Ensemble, shots: int, rng,
 
         def work(count, child):
             idx = child.choice(len(ens.members), size=count, p=ens.weights)
-            return idx, qcore.sample_cdf(np.cumsum(tables, axis=1), child, idx)
+            return {"member_idx": idx,
+                    "b": qcore.sample_cdf(np.cumsum(tables, axis=1), child, idx)}
 
-    elif ens.kind in (KIND_GLOBAL_SU2, KIND_LOCAL_CLIFFORD):
-        chunk = _su2_chunk if ens.kind == KIND_GLOBAL_SU2 else _local_clifford_chunk
+    elif ens.kind == KIND_GLOBAL_SU2:
 
         def work(count, child):
-            return chunk(rho, n, count, child)
+            thetas, _, psis = ensembles.haar_su2_angles(count, child)
+            cdf = _born_tables(rho, ensembles.su2_matrix(thetas, 0.0, psis))
+            np.cumsum(cdf, axis=1, out=cdf)
+            return {"thetas": thetas, "psis": psis,
+                    "b": qcore.sample_cdf(cdf, child)}
+
+    elif ens.kind == KIND_LOCAL_CLIFFORD:
+        if rho.ndim != 1:
+            raise ValueError("local random-Pauli campaigns measure a state "
+                             "vector, not a density matrix")
+
+        def work(count, child):
+            words = child.integers(0, 3, size=(count, n))
+            return {"bases": words.astype(np.int8),
+                    "b": _collapse(rho, words, child.random(count))}
 
     else:
         raise ValueError(f"cannot run campaigns over {ens.kind}")
@@ -409,20 +408,11 @@ def run_campaign(rho: np.ndarray, ens: Ensemble, shots: int, rng,
             results = list(pool.map(work, sizes, children))
     else:
         results = list(map(work, sizes, children))
-    columns = [np.concatenate(parts) for parts in zip(*results)]
-
-    if ens.is_discrete:
-        idx, b = columns
-        thetas = psis = None
-        if ens.kind == KIND_DISCRETE_SUBSAMPLE:
-            thetas, psis = (a[idx] for a in _member_angles(ens))
-        return Records(ens.kind, n, "c0", b, member_idx=idx,
-                       thetas=thetas, psis=psis)
-    if ens.kind == KIND_GLOBAL_SU2:
-        thetas, psis, b = columns
-        return Records(ens.kind, n, "c0", b, thetas=thetas, psis=psis)
-    bases, b = columns
-    return Records(ens.kind, n, "c0", b, bases=bases)
+    columns = {name: np.concatenate([r[name] for r in results]) for name in results[0]}
+    if ens.kind == KIND_DISCRETE_SUBSAMPLE:
+        columns["thetas"], columns["psis"] = (
+            a[columns["member_idx"]] for a in _member_angles(ens))
+    return Records(ens.kind, n, "c0", **columns)
 
 
 # ---------------------------------------------------------------------------

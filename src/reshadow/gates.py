@@ -72,11 +72,3 @@ def rows(g: np.ndarray, n: int, start: np.ndarray | None = None) -> np.ndarray:
         gate = _site_gates(g, site)[:, None, :, None, :]
         v = (v[:, :, None, :, None] * gate).reshape(len(g), 2 * d, 2 * d)
     return v
-
-
-def vectorized(a: np.ndarray) -> np.ndarray:
-    """vec(a) as one row of 2n sites: row bit, column bit, row bit, ..."""
-    n = a.shape[0].bit_length() - 1
-    row_col = np.arange(2 * n).reshape(2, n).T.ravel()
-    t = np.asarray(a, dtype=complex).reshape((2,) * 2 * n).transpose(row_col)
-    return t.reshape(1, -1)

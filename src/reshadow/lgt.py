@@ -26,7 +26,6 @@ the orderings are what the comparison is for.
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass
 
@@ -314,11 +313,8 @@ def energy_budget_comparison(lats, ens: Ensemble, epsilon: float = 0.1,
 
 
 def budget_to_csv(rows: list, metadata: dict | None = None) -> str:
-    buf = io.StringIO()
-    buf.write(artifacts.metadata_header(metadata))
-    buf.write("strategy,n_qubits,M_terms,epsilon,delta,var_bound_link,"
-              "Q_variant,N_shots\n")
-    for r in rows:
-        buf.write(f"{r.strategy},{r.n_qubits},{r.m_terms},{r.epsilon!r},"
-                  f"{r.delta!r},{r.var_bound_link!r},max_abs_k,{r.n_shots}\n")
-    return buf.getvalue()
+    return artifacts.csv_text(
+        metadata, ("strategy", "n_qubits", "M_terms", "epsilon", "delta",
+                   "var_bound_link", "Q_variant", "N_shots"),
+        ((r.strategy, r.n_qubits, r.m_terms, r.epsilon, r.delta, r.var_bound_link,
+          "max_abs_k", r.n_shots) for r in rows))

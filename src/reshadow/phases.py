@@ -12,7 +12,6 @@ linear function of the visible data can.
 
 from __future__ import annotations
 
-import io
 import json
 from dataclasses import dataclass
 from functools import lru_cache
@@ -372,7 +371,7 @@ def run_phase_classification(L: int = 2, depth: int = 0,
                              n_su2: int = 1_000, rng=None, threads: int = 1,
                              lam: float | None = None) -> PhaseRunResult:
     """Generate both phases, extract features, and project to 1-D."""
-    rng = np.random.default_rng(rng) if not isinstance(rng, np.random.Generator) else rng
+    rng = np.random.default_rng(rng)
     lat = EdgeLattice(L)
     bases = {TRIVIAL: product_state(L), TORIC: toric_ground(L)}
     labels = [TRIVIAL] * states_per_phase + [TORIC] * states_per_phase
@@ -404,11 +403,6 @@ def result_to_json(result: PhaseRunResult, metadata: dict | None = None) -> str:
 
 
 def kernel_to_csv(k: PhaseKernel, metadata: dict | None = None) -> str:
-    buf = io.StringIO()
-    buf.write(artifacts.metadata_header(metadata))
-    buf.write(f"# lambda={k.lam!r}\n")
-    s = k.matrix.shape[0]
-    buf.write(",".join(f"s{j}" for j in range(s)) + "\n")
-    for row in k.matrix:
-        buf.write(",".join(repr(float(x)) for x in row) + "\n")
-    return buf.getvalue()
+    metadata = {**(metadata or {}), "lambda": k.lam}
+    columns = [f"s{j}" for j in range(len(k.matrix))]
+    return artifacts.csv_text(metadata, columns, k.matrix)

@@ -252,9 +252,7 @@ def sample_cdf(cdf: np.ndarray, rng: np.random.Generator,
     count = cdf.shape[0] if rows is None else rows.size
     u = rng.random(count)
     out = np.empty(count, dtype=np.intp)
-    step = max(1, (1 << 18) // cdf.shape[1])
-    for start in range(0, count, step):
-        block = slice(start, start + step)
+    for block in blocks(count, cdf.shape[1]):
         table = cdf[block] if rows is None else cdf[rows[block]]
         out[block] = (table < u[block, None]).sum(axis=1)
     return out

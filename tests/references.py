@@ -19,6 +19,14 @@ import numpy as np
 from reshadow import biasvar, estimator, gates, qcore, visible
 
 
+def vectorized(a):
+    """vec(a) as one row of 2n sites: row bit, column bit, row bit, ..."""
+    n = a.shape[0].bit_length() - 1
+    row_col = np.arange(2 * n).reshape(2, n).T.ravel()
+    t = np.asarray(a, dtype=complex).reshape((2,) * 2 * n).transpose(row_col)
+    return t.reshape(1, -1)
+
+
 def measure_site(t, site, g):
     """Rotate `site` of vectorized rows t by g[r] and drop its off-diagonal half.
 
@@ -41,7 +49,7 @@ def diagonal(a, g):
     through in blocks of at most gates.BLOCK elements.
     """
     n = a.shape[0].bit_length() - 1
-    vec = gates.vectorized(a)
+    vec = vectorized(a)
     out = np.empty((len(g), 1 << n))
     for block in gates.blocks(len(g), vec.size):
         part = g[block]
@@ -90,8 +98,7 @@ def ridge_gram_solve(o, ens, lam):
     return values, estimator._residual(a @ y - b, unreached)
 
 
-def minimize_alpha_loop(o, a, sqrt_p, alpha, shots, m_observables, delta, y0,
-                        max_iter=biasvar.MAX_ITER):
+def minimize_alpha_loop(o, a, sqrt_p, alpha, shots, m_observables, delta, y0):
     """biasvar._minimize_alpha with one cost evaluation (and one eigvalsh)
     per trial step: the search halves the step until the Armijo test passes."""
     n = qcore.num_qubits(o)
@@ -125,7 +132,7 @@ def minimize_alpha_loop(o, a, sqrt_p, alpha, shots, m_observables, delta, y0,
     f, r, var = split_cost(y)
     best_y, best_f = y.copy(), f
     stall = 0
-    for _ in range(max_iter):
+    for _ in range(biasvar.MAX_ITER):
         grad = gradient(y, r, var)
         gn2 = float(grad @ grad)
         if gn2 < 1e-24:

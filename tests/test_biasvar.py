@@ -155,11 +155,12 @@ def test_alpha_scan_returns_one_row_per_alpha(link, ens):
     assert all(r.bias < qcore.spectral_norm(link) for r in rows)
 
 
-def test_alpha_scan_needs_alphas_and_iterations(link, ens):
+def test_alpha_scan_needs_alphas_and_iterations(link, ens, monkeypatch):
     with pytest.raises(ValueError):
         biasvar.alpha_scan(link, ens, 1000, 1, 0.1, ())
-    with pytest.raises(ConvergenceError):
-        biasvar.alpha_scan(link, ens, 1000, 1, 0.1, (1.0,), max_iter=1)
+    monkeypatch.setattr(biasvar, "MAX_ITER", 1)
+    with pytest.raises(ConvergenceError, match="in 1 iterations"):
+        biasvar.alpha_scan(link, ens, 1000, 1, 0.1, (1.0,))
 
 
 def scan_rows(link, ens):

@@ -220,6 +220,32 @@ def test_alpha_mode_above_its_cap_exits_2_before_any_system(tmp_path, capsys):
     assert peak < 4 * 2**20
 
 
+def test_family_rows_over_the_cap_exit_2_before_allocating(tmp_path, capsys):
+    # 4096 families x 2000 members x 256 outcomes: about 16 GB of M
+    cfg = write_config(tmp_path, "observable = XXXXXXXX+0.5*ZZZZZZZZ\n"
+                                 "members = 2000\n")
+    tracemalloc.start()
+    try:
+        rc = cli.main(["estimate", "--config", cfg, "--out", str(tmp_path)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"FAMILY_ROWS_CAP = {estimator.FAMILY_ROWS_CAP}" in err
+    assert "n = 8 with 2000 members" in err
+    assert peak < 8 * 2**20
+
+
+def test_eleven_letter_cl2_scan_exits_2_naming_the_cap(tmp_path, capsys):
+    # its M would take 2.41 GiB; the scan used to die allocating it
+    cfg = write_config(tmp_path, "observable = XXXXXXXXXXX+0.5*ZZZZZZZZZZZ\n"
+                                 "ensemble = global_cl2\nmode = lambda\n")
+    assert cli.main(["bias-scan", "--config", cfg, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "FAMILY_ROWS_CAP" in err and "2.41 GiB" in err
+
+
 @pytest.mark.parametrize("sub", ["estimate", "channel-check"])
 def test_negative_seed_exits_2(tmp_path, sub):
     assert cli.main([sub, "--seed", "-1", "--out", str(tmp_path)]) == 2

@@ -13,7 +13,6 @@ from reshadow.errors import NotVisibleError, RepresentabilityError
 
 from conftest import assert_same_text, random_hermitian
 import references
-from references import diagonal
 from test_records_csv import member
 
 
@@ -429,40 +428,35 @@ def test_su2_campaign_agrees_with_kernel_evaluate(n):
 CL2_GATES = np.stack([ensembles.basis_rotation(ch) for ch in ensembles.CL2_BASES])
 
 
-def table_sampler_probs(rho, words):
+def table_sampler_probs(psi, words):
     """Outcome distributions of the distinct words, the table that campaigns
     sampled from before sequential collapse: (probs, row of probs per shot)."""
     n = words.shape[1]
     distinct, row = np.unique(words, axis=0, return_inverse=True)
-    g = CL2_GATES[distinct]
-    if rho.ndim == 1:
-        probs = np.abs(gates.rows(g, n, rho)) ** 2
-    else:
-        probs = np.clip(diagonal(rho, g), 0.0, None)
+    probs = np.abs(gates.rows(CL2_GATES[distinct], n, psi)) ** 2
     probs /= probs.sum(axis=1, keepdims=True)
     return probs, row.ravel()
 
 
-def reference_local_clifford_chunk(rho, n, count, rng):
+def reference_local_clifford_chunk(psi, n, count, rng):
     """The per-shot algorithm: every shot rotates its own copy of the state."""
     words = rng.integers(0, 3, size=(count, n))
-    if rho.ndim == 1:
-        t = np.broadcast_to(rho.reshape((1,) + (2,) * n), (count,) + (2,) * n).copy()
-        for site in range(n):
-            u = CL2_GATES[words[:, site]]
-            moved = np.moveaxis(t, 1 + site, -1)
-            rotated = np.einsum("n...b,nab->n...a", moved, u)
-            t = np.moveaxis(rotated, -1, 1 + site)
-        probs = np.abs(t.reshape(count, -1)) ** 2
-    else:
-        probs = np.empty((count, rho.shape[0]))
-        for i in range(count):
-            u = qcore.kron_all(CL2_GATES[w] for w in words[i])
-            probs[i] = np.real(np.diag(u @ rho @ u.conj().T))
-        probs = np.clip(probs, 0.0, None)
+    t = np.broadcast_to(psi.reshape((1,) + (2,) * n), (count,) + (2,) * n).copy()
+    for site in range(n):
+        u = CL2_GATES[words[:, site]]
+        moved = np.moveaxis(t, 1 + site, -1)
+        rotated = np.einsum("n...b,nab->n...a", moved, u)
+        t = np.moveaxis(rotated, -1, 1 + site)
+    probs = np.abs(t.reshape(count, -1)) ** 2
     probs /= probs.sum(axis=1, keepdims=True)
     b = qcore.sample_bits(probs, rng)
     return words, b
+
+
+def campaign_child(seed):
+    """The generator that run_campaign draws a campaign of at most CHUNK
+    shots from: the one child it spawns from default_rng(seed)."""
+    return np.random.default_rng(seed).spawn(1)[0]
 
 
 def random_state(n, rng):
@@ -471,46 +465,40 @@ def random_state(n, rng):
 
 
 @pytest.mark.parametrize("n", [1, 3, 5])
-@pytest.mark.parametrize("density", [False, True])
 @pytest.mark.parametrize("count", [1, 700])
-def test_local_clifford_chunk_matches_per_shot_reference(n, density, count):
-    rng = np.random.default_rng(11 + n)
-    state = random_density(n, rng) if density else random_state(n, rng)
-    want_words, want_b = reference_local_clifford_chunk(
-        state, n, count, np.random.default_rng(4))
-    words, b = estimator._local_clifford_chunk(
-        state, n, count, np.random.default_rng(4))
-    assert words.dtype == np.int8
-    assert np.array_equal(words, want_words)
-    assert np.array_equal(b, want_b)
+def test_local_clifford_chunk_matches_per_shot_reference(n, count):
+    psi = random_state(n, np.random.default_rng(11 + n))
+    want_words, want_b = reference_local_clifford_chunk(psi, n, count, campaign_child(4))
+    records = estimator.run_campaign(psi, ensembles.local_clifford(n), count,
+                                     np.random.default_rng(4))
+    assert records.bases.dtype == np.int8
+    assert np.array_equal(records.bases, want_words)
+    assert np.array_equal(records.b, want_b)
 
 
 @pytest.mark.parametrize("n", [8, 10])
 def test_local_clifford_blocked_last_site_matches_per_shot_reference(n):
     # long rows: most shots have a branch of their own by the last sites
     psi = random_state(n, np.random.default_rng(n))
-    want_words, want_b = reference_local_clifford_chunk(
-        psi, n, 700, np.random.default_rng(5))
-    words, b = estimator._local_clifford_chunk(psi, n, 700, np.random.default_rng(5))
-    assert np.array_equal(words, want_words)
-    assert np.array_equal(b, want_b)
+    want_words, want_b = reference_local_clifford_chunk(psi, n, 700, campaign_child(5))
+    records = estimator.run_campaign(psi, ensembles.local_clifford(n), 700,
+                                     np.random.default_rng(5))
+    assert np.array_equal(records.bases, want_words)
+    assert np.array_equal(records.b, want_b)
 
 
 @settings(max_examples=25)
-@given(n=st.integers(1, 10), count=st.integers(1, 600), density=st.booleans(),
-       seed=st.integers(0, 2**32 - 1))
-def test_local_clifford_chunk_samples_like_gathered_table(n, count, density, seed):
+@given(n=st.integers(1, 10), count=st.integers(1, 600), seed=st.integers(0, 2**32 - 1))
+def test_local_clifford_chunk_samples_like_gathered_table(n, count, seed):
     """Sequential collapse draws what sample_bits draws on the per-shot table."""
-    n = min(n, 5) if density else n
-    rng = np.random.default_rng(seed)
-    state = random_density(n, rng) if density else random_state(n, rng)
+    psi = random_state(n, np.random.default_rng(seed))
     draw = np.random.default_rng(seed + 1)
     words = draw.integers(0, 3, size=(count, n))
-    probs, row = table_sampler_probs(state, words)
+    probs, row = table_sampler_probs(psi, words)
     want_b = qcore.sample_bits(probs[row], draw)
-    got_words, got_b = estimator._local_clifford_chunk(
-        state, n, count, np.random.default_rng(seed + 1))
-    assert np.array_equal(got_words, words)
+    draw = np.random.default_rng(seed + 1)  # words, then uniforms, as run_campaign
+    got_b = estimator._collapse(psi, draw.integers(0, 3, size=(count, n)),
+                                draw.random(count))
     assert np.array_equal(got_b, want_b)
 
 
@@ -525,20 +513,8 @@ def test_local_clifford_probs_match_dense_rotation():
     np.testing.assert_allclose(probs[row], want, rtol=0, atol=1e-14)
 
 
-def test_local_clifford_pure_density_matches_vector():
-    n = 4
-    psi = random_state(n, np.random.default_rng(6))
-    ens = ensembles.local_clifford(n)
-    vec = estimator.run_campaign(psi, ens, 3000, np.random.default_rng(2))
-    rho = estimator.run_campaign(qcore.pure_density(psi), ens, 3000,
-                                 np.random.default_rng(2))
-    assert np.array_equal(vec.bases, rho.bases)
-    assert np.array_equal(vec.b, rho.b)
-
-
-@pytest.mark.parametrize("density", [False, True])
 @pytest.mark.parametrize("n", [1, 4])
-def test_local_clifford_collapse_never_draws_zero_weight_outcome(n, density):
+def test_local_clifford_collapse_never_draws_zero_weight_outcome(n):
     # all-Z words: |0...0> has one outcome, GHZ two; the uniforms include the
     # ends of [0, 1) and the GHZ split point
     u = np.concatenate([[0.0, 0.5, 0.5 - 2**-53, 1.0 - 2**-53],
@@ -547,9 +523,15 @@ def test_local_clifford_collapse_never_draws_zero_weight_outcome(n, density):
     ghz = np.zeros(1 << n)
     ghz[[0, -1]] = np.sqrt(0.5)
     for psi, allowed in ((qcore.basis_state(n, 0), {0}), (ghz, {0, (1 << n) - 1})):
-        state = qcore.pure_density(psi) if density else psi
-        b = estimator._collapse(state, words, u)
+        b = estimator._collapse(psi, words, u)
         assert set(b.tolist()) <= allowed
+
+
+def test_local_clifford_campaign_refuses_density_matrix():
+    rho = qcore.pure_density(qcore.basis_state(2, 0))
+    with pytest.raises(ValueError, match="state vector"):
+        estimator.run_campaign(rho, ensembles.local_clifford(2), 10,
+                               np.random.default_rng(0))
 
 
 def _digests(records):
@@ -565,13 +547,6 @@ def test_local_clifford_toric_campaign_records_are_frozen():
     records = estimator.run_campaign(state, ensembles.local_clifford(8), 2500,
                                      np.random.default_rng(3))
     assert _digests(records) == ("f8f5696fffe6b77e", "28827603373dfbba")
-
-
-def test_local_clifford_density_campaign_records_are_frozen():
-    rho = random_density(5, np.random.default_rng(21))
-    records = estimator.run_campaign(rho, ensembles.local_clifford(5), 4096,
-                                     np.random.default_rng(4))
-    assert _digests(records) == ("4268f01230362887", "03c32717a4e18a85")
 
 
 @settings(max_examples=200)

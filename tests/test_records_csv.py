@@ -265,6 +265,12 @@ def test_metadata_header_round_trips():
     assert artifacts.metadata_header(None) == ""
 
 
+def test_csv_text_writes_floats_by_repr():
+    rows = [(np.float64(0.1), 0.25, np.int64(3), True, "x")]
+    text = artifacts.csv_text({"seed": 0}, ("a", "b", "c", "d", "e"), rows)
+    assert text == "# seed=0\na,b,c,d,e\n0.1,0.25,3,True,x\n"
+
+
 # ---------------------------------------------------------------------------
 # Rejection of malformed records
 # ---------------------------------------------------------------------------
