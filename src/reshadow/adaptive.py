@@ -38,7 +38,7 @@ def reweight(k: KernelTable, q: np.ndarray) -> KernelTable:
     ratio = np.zeros_like(p)
     np.divide(p, q, out=ratio, where=~dead)
     ens_q = replace(k.ens, weights=q)
-    return KernelTable(ens_q, values=values * ratio[:, None], residual=k.residual)
+    return KernelTable(ens_q, values=values * ratio[:, None])
 
 
 def _normalized(w: np.ndarray) -> np.ndarray:

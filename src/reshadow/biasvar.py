@@ -102,21 +102,21 @@ def _assemble(param: float, k: KernelTable, bias: float, shots: int,
 
 
 def shots_at(r: BiasScanResult, epsilon: float, delta: float,
-             m_observables: int, q_variant: str = "theorem") -> float:
+             m_observables: int) -> float:
     """Measurement count the error-budget formula demands for this kernel."""
     if r.bias >= epsilon:
         return math.inf
-    q = estimator.kernel_q(r.kernel, variant=q_variant)
+    q = estimator.kernel_q(r.kernel)
     return estimator.theorem1_shots(Budget(
         m_observables, epsilon, delta, (r.var_bound,), (q,), biases=(r.bias,)))
 
 
 def scan_to_csv(rows: list, epsilon: float, delta: float, m_observables: int,
-                metadata: dict | None = None, q_variant: str = "theorem") -> str:
+                metadata: dict | None = None) -> str:
     return artifacts.csv_text(
         metadata, ("lambda_or_alpha", "bias", "var_bound", "error_bound", "shots_at"),
         ((r.lambda_or_alpha, r.bias, r.var_bound, r.error_bound,
-          shots_at(r, epsilon, delta, m_observables, q_variant)) for r in rows))
+          shots_at(r, epsilon, delta, m_observables)) for r in rows))
 
 
 # ---------------------------------------------------------------------------
@@ -151,11 +151,10 @@ def ridge_bias(o: np.ndarray, ens: Ensemble, lam: float,
         raise ValueError("ridge parameter must be non-negative")
     a, b, sqrt_p, unreached, s, vt, projected = factors or _ridge_factors(o, ens)
     if lam == 0.0:
-        y, residual = estimator._solve_min_norm(a, b, unreached)
+        y, _ = estimator._solve_min_norm(a, b, unreached)
     else:
         y = vt.T @ (s / (s * s + lam) * projected)
-        residual = estimator._residual(a @ y - b, unreached)
-    return estimator._kernel_from_y(ens, y, sqrt_p, residual)
+    return estimator._kernel_from_y(ens, y, sqrt_p)
 
 
 def ridge_kernels(o: np.ndarray, ens: Ensemble, lambdas) -> list:
@@ -232,13 +231,12 @@ def _minimize_alpha(o, a, sqrt_p, alpha, shots, m_observables, delta, y0):
 
     y = y0.copy()
     f, r, var = pick(split_cost(y[None]), 0)
-    best_y, best_f = y.copy(), f
     stall = 0
     for _ in range(MAX_ITER):
         grad = gradient(y, r, var)
         gn2 = float(grad @ grad)
         if gn2 < 1e-24:
-            return best_y, best_f, True
+            return y, f, True
         steps = 1.0 / math.sqrt(gn2) * halvings
         trials = y - steps[:, None] * grad
         evaluated = split_cost(trials)
@@ -247,14 +245,12 @@ def _minimize_alpha(o, a, sqrt_p, alpha, shots, m_observables, delta, y0):
             f_t, r, var = pick(evaluated, passed[0])
             change = (f - f_t) / max(abs(f), 1e-30)
             y, f = trials[passed[0]].copy(), f_t
-            if f < best_f:
-                best_y, best_f = y.copy(), f
         else:
             change = 0.0
         stall = stall + 1 if change < STOP_REL_CHANGE else 0
         if stall >= STOP_PATIENCE:
-            return best_y, best_f, True
-    return best_y, best_f, False
+            return y, f, True
+    return y, f, False
 
 
 def alpha_scan(o: np.ndarray, ens: Ensemble, shots: int, m_observables: int,

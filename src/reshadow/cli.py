@@ -359,15 +359,16 @@ def cmd_basis_audit(cfg, seed, out_dir, threads) -> int:
     dev = np.abs(gram - np.eye(len(mats))).max()
     rows.append((f"orthonormal_n{n}", float(dev), 0.0, 1e-10, dev < 1e-10))
 
-    projectors = []  # |row><row| of every draw, flattened
+    projectors = []  # V†|b><b|V of every draw, flattened
     for _ in range(cfg["draws"]):
         theta, _, psi = (float(x[0]) for x in ensembles.haar_su2_angles(1, rng))
-        v = gates.rows(ensembles.su2_matrix(theta, 0.0, psi)[None], n)[0]
-        row = v[int(rng.integers(dim)), :]
-        projectors.append(np.outer(row.conj(), row).ravel())
+        u = ensembles.su2_matrix(theta, 0.0, psi)
+        col = gates.rows(u.conj().T[None], n,
+                         qcore.basis_state(n, int(rng.integers(dim))))[0]  # V†|b>
+        projectors.append(np.outer(col, col.conj()).ravel())
     projectors = np.array(projectors).T
     worst = 0.0
-    for s in sets_n:  # <row| Bperp |row> of one family's Bperp for every draw
+    for s in sets_n:  # <b|V Bperp V†|b> of one family's Bperp for every draw
         perps = [visible.build_Bperp(s, k).ravel() for k in range(1, s.size)]
         if perps:
             worst = max(worst, float(np.abs(np.array(perps) @ projectors).max()))
@@ -384,7 +385,16 @@ def cmd_basis_audit(cfg, seed, out_dir, threads) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _check_confidence(m_observables: int, delta: float) -> None:
+    """estimator.check_confidence as a config error."""
+    try:
+        estimator.check_confidence(m_observables, delta)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
 def cmd_estimate(cfg, seed, out_dir, threads) -> int:
+    _check_confidence(cfg["m_observables"], cfg["delta"])
     rng = np.random.default_rng(seed)
     obs = build_observable(cfg["observable"], cfg["g"], cfg["alpha"])
     n = qcore.num_qubits(obs)
@@ -442,8 +452,7 @@ def cmd_bias_scan(cfg, seed, out_dir, threads) -> int:
         rows = biasvar.alpha_scan(obs, ens, cfg["shots"], cfg["m_observables"],
                                   cfg["delta"], grid)
     csv = biasvar.scan_to_csv(rows, cfg["epsilon"], cfg["delta"],
-                              cfg["m_observables"], metadata_for(seed, cfg),
-                              q_variant=cfg["q_variant"])
+                              cfg["m_observables"], metadata_for(seed, cfg))
     _write(out_dir, "bias_scan.csv", csv)
     best = min(rows, key=lambda r: r.error_bound)
     print(f"best {cfg['mode']}={best.lambda_or_alpha:g} "
@@ -458,6 +467,8 @@ def cmd_bias_scan(cfg, seed, out_dir, threads) -> int:
 
 def cmd_lgt_energy(cfg, seed, out_dir, threads) -> int:
     lats = [lgt.TriLattice(t, cfg["s_max"]) for t in cfg["triangles"]]
+    for lat in lats:
+        _check_confidence(lat.n_terms, cfg["delta"])
     link = build_observable("link", cfg["g"], cfg["alpha"])
     tri = build_observable("triangle", cfg["g"], cfg["alpha"])
     ens = build_ensemble(cfg["ensemble"], 3, cfg["members"],
@@ -530,7 +541,7 @@ SCHEMAS = {
                              fold_case=True), "subsample_su2"),
         "members": (_at_least(1), 25),
         "ensemble_seed": (_at_least(0), 0),
-        "shots": (_at_least(1), 10_000),
+        "shots": (_at_least(1, estimator.SHOTS_CAP), 10_000),
         "method": (_choice("mean", "median_of_means"), "median_of_means"),
         "m_observables": (_at_least(1), 1),
         "delta": (_probability, 0.1),
@@ -550,7 +561,6 @@ SCHEMAS = {
         "m_observables": (_at_least(1), 1),
         "epsilon": (_probability, 0.1),
         "delta": (_probability, 0.1),
-        "q_variant": (_choice("theorem", "max_abs_k"), "theorem"),
     },
     "lgt-energy": {
         "triangles": (_triangle_counts, (2,)),
@@ -568,8 +578,8 @@ SCHEMAS = {
         "L": (_at_least(2), 2),
         "depth": (_at_least(0), 0),
         "states_per_phase": (_at_least(1), 10),
-        "n_rp": (_at_least(1), 10_000),
-        "n_su2": (_at_least(1), 1000),
+        "n_rp": (_at_least(1, estimator.SHOTS_CAP), 10_000),
+        "n_su2": (_at_least(1, estimator.SHOTS_CAP), 1000),
         "lam": (_non_negative, 0.0),
     },
 }

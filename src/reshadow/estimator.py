@@ -22,6 +22,7 @@ chunks.
 from __future__ import annotations
 
 import math
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -46,6 +47,17 @@ CHUNK = 4096
 # 8 GB host holds an M of at most 8e9 / 4.7 / 8 = 2.1e8 entries. 2^27 = 1.3e8
 # entries (1 GiB of M, a peak near 5 GB) leaves the rest of the host free.
 FAMILY_ROWS_CAP = 1 << 27
+# largest shot count of one campaign (`estimate` shots, `phase-classify` n_rp
+# and n_su2). Peak RSS grows by about 192 bytes a shot in `estimate` on the
+# default 25-member subsample (408 MB at 2e6 shots, 774 MB at 4e6): 32 bytes
+# of records columns (b, member_idx, thetas, psis), their per-chunk copies
+# before the concatenation, and about 120 bytes of record-CSV byte table and
+# text. A patch's n_su2 campaign grows by 360 bytes a shot (its (shots, 38)
+# feature values), the n_rp campaign by 226. 2^22 shots stay below 1.6 GB.
+SHOTS_CAP = 1 << 22
+# largest m_observables: the confidence factors divide M as a float, which
+# holds every integer up to 2^53 exactly
+M_OBSERVABLES_CAP = 1 << 53
 
 
 # ---------------------------------------------------------------------------
@@ -131,7 +143,6 @@ class KernelTable:
     ens: Ensemble
     values: np.ndarray | None = None
     amps: np.ndarray | None = None
-    residual: float = 0.0
 
     @property
     def density(self) -> np.ndarray:
@@ -246,11 +257,9 @@ def _solve_min_norm(a: np.ndarray, b: np.ndarray, unreached: float):
     return y, _residual(a @ y - b, unreached)
 
 
-def _kernel_from_y(ens: Ensemble, y: np.ndarray, sqrt_p: np.ndarray,
-                   residual: float = 0.0) -> KernelTable:
+def _kernel_from_y(ens: Ensemble, y: np.ndarray, sqrt_p: np.ndarray) -> KernelTable:
     """The kernel table K = y / sqrt(p) of a family-row solution y."""
-    values = y.reshape(len(ens.members), -1) / sqrt_p[:, None]
-    return KernelTable(ens, values=values, residual=residual)
+    return KernelTable(ens, values=y.reshape(len(ens.members), -1) / sqrt_p[:, None])
 
 
 def representability_residual(o: np.ndarray, ens: Ensemble) -> float:
@@ -267,7 +276,7 @@ def kernel_least_squares(o: np.ndarray, ens: Ensemble) -> KernelTable:
         raise RepresentabilityError(
             f"operator is not representable by this unitary set "
             f"(residual {residual:.3e})", residual=residual)
-    return _kernel_from_y(ens, y, sqrt_p, residual)
+    return _kernel_from_y(ens, y, sqrt_p)
 
 
 def kernel_cs(o: np.ndarray, ens: Ensemble) -> KernelTable:
@@ -485,6 +494,7 @@ class Budget:
             raise ValueError("epsilon and delta must lie in (0, 1]")
         if self.m_observables < 1:
             raise ValueError("need at least one observable")
+        check_confidence(self.m_observables, self.delta)
         if self.delta >= self.m_observables / 2.0:
             raise ValueError(f"delta={self.delta} must be below M/2 = "
                              f"{self.m_observables / 2.0:g}: the factor "
@@ -519,6 +529,18 @@ def theorem1_shots(b: Budget) -> int:
 def confidence_log(m_observables: int, delta: float) -> float:
     """ln(M / 2 delta), the confidence factor of the shot-count formula."""
     return math.log(m_observables / (2.0 * delta))
+
+
+def check_confidence(m_observables: int, delta: float) -> None:
+    """ValueError unless M is at most M_OBSERVABLES_CAP and 2M / delta is
+    finite, so that confidence_log and default_batches are."""
+    if m_observables > M_OBSERVABLES_CAP:
+        raise ValueError(f"m_observables = {m_observables} is above the cap "
+                         f"2^53 = {M_OBSERVABLES_CAP}")
+    if not math.isfinite(2.0 * m_observables / delta):
+        raise ValueError(f"delta = {delta!r} overflows 2M / delta at M = "
+                         f"{m_observables}: the smallest usable delta is "
+                         f"{2.0 * m_observables / sys.float_info.max:.3g}")
 
 
 # ---------------------------------------------------------------------------

@@ -4,9 +4,9 @@ Every implementable unitary of the package is a product of few-qubit gates:
 a global rotation puts one 2x2 gate on every site, a random-Pauli word one
 gate per site, and a low-depth circuit 4x4 gates on site pairs. They act in
 place on (rows, 2^n) tables, one gate per row, site 0 being the most
-significant bit of a column index. A dense V is formed only where its
-entries are needed, by Kronecker doubling: a (rows, d, d) stack times the
-next site's (rows, 2, 2) gates gives (rows, 2d, 2d).
+significant bit of a column index. No dense V is formed: a row <b|V that
+is needed is the conjugate of V†|b>, the table of one basis state rotated
+by the conjugate-transposed gates.
 """
 
 from __future__ import annotations
@@ -42,10 +42,6 @@ def rotate_pair(t: np.ndarray, a: int, b: int, gate: np.ndarray) -> None:
     v[...] = np.einsum("abcd,...cd->...ab", gate.reshape(2, 2, 2, 2), v)
 
 
-def _site_gates(g: np.ndarray, site: int) -> np.ndarray:
-    return g if g.ndim == 3 else g[:, site]
-
-
 def blocks(count: int, size: int):
     """Slices over `count` rows of `size` elements each, at most BLOCK
     elements (and at least one row) per slice."""
@@ -53,22 +49,10 @@ def blocks(count: int, size: int):
     return (slice(start, start + step) for start in range(0, count, step))
 
 
-def rows(g: np.ndarray, n: int, start: np.ndarray | None = None) -> np.ndarray:
-    """Product rotations V_r = g[r, 0] ⊗ ... ⊗ g[r, n-1], one per row of g.
-
-    g is (rows, n, 2, 2), or (rows, 2, 2) for the same gate on every site.
-    With ``start`` (a 2^n state, or one per row) the result is the
-    (rows, 2^n) table of V_r start_r; without, the (rows, 2^n, 2^n) stack of
-    the V_r themselves.
-    """
-    if start is not None:
-        t = np.array(np.broadcast_to(start, (len(g), 1 << n)), dtype=complex)
-        for site in range(n):
-            rotate_site(t, site, _site_gates(g, site))
-        return t
-    v = np.ones((len(g), 1, 1), dtype=complex)
+def rows(g: np.ndarray, n: int, start: np.ndarray) -> np.ndarray:
+    """The (rows, 2^n) table of V_r start_r for V_r = g[r]^{⊗n}, one (2, 2)
+    gate per row of g; ``start`` is a 2^n state, or one per row."""
+    t = np.array(np.broadcast_to(start, (len(g), 1 << n)), dtype=complex)
     for site in range(n):
-        d = v.shape[1]
-        gate = _site_gates(g, site)[:, None, :, None, :]
-        v = (v[:, :, None, :, None] * gate).reshape(len(g), 2 * d, 2 * d)
-    return v
+        rotate_site(t, site, g)
+    return t

@@ -76,8 +76,6 @@ class HamTerm:
     kind: str  # "triangle" | "link"
     sites: tuple
     operator: np.ndarray  # dense on the sites, in `sites` order
-    g: float
-    alpha: float
 
 
 def triangle_local(g: float) -> np.ndarray:
@@ -103,10 +101,10 @@ def build_terms(lat: TriLattice, g: float = 1.0, alpha: float = 1.0) -> list:
     for s in range(lat.s_max):
         for t in range(lat.n_triangles):
             sites = tuple(lat.qubit_id(c, s) for c in lat.triangle_columns(t))
-            terms.append(HamTerm("triangle", sites, tri_op, g, alpha))
+            terms.append(HamTerm("triangle", sites, tri_op))
         for j in range(lat.n_columns):
             sites = (lat.qubit_id(j, s), lat.qubit_id(j, s + 1))
-            terms.append(HamTerm("link", sites, link_op, g, alpha))
+            terms.append(HamTerm("link", sites, link_op))
     assert len(terms) == lat.n_terms
     return terms
 

@@ -13,13 +13,15 @@ linear function of the visible data can.
 from __future__ import annotations
 
 import json
+import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from . import artifacts, channels, ensembles, estimator, gates, qcore, visible
-from .errors import NumericalDegeneracyError
+from .errors import ConfigError, NumericalDegeneracyError
 
 
 # ---------------------------------------------------------------------------
@@ -310,6 +312,13 @@ def build_kernel(features, lam: float | None = None) -> PhaseKernel:
     if lam is None:
         lam = default_lambda(f)
     inner = np.einsum("spf,tpf->stp", f, f)
+    # exp(lam o.o') and its sum over patches stay below float max / 2, so
+    # the symmetrization below is finite too; o.o' is at most the largest |o|^2
+    top = float(inner.max())
+    limit = math.log(sys.float_info.max / (2 * f.shape[1]))
+    if top > 0 and lam > limit / top:
+        raise ConfigError(f"lam = {float(lam)!r} overflows exp(lam o.o'): the largest "
+                          f"usable value for these features is {limit / top!r}")
     k = np.exp(lam * inner).mean(axis=2)
     k = 0.5 * (k + k.T)
     d = np.sqrt(np.diag(k))

@@ -1,10 +1,10 @@
 """Dense and site-by-site references that the package's closed forms replaced.
 
-`diagonal` is the measured diagonal diag(V A V†) of product rotations,
+`diagonal` is the measured diagonal diag(V A V†) of global rotations,
 computed by rotating vec(A) one site at a time; `stacked_system` is the
 real/imaginary-stacked least-squares system whose columns are the dense
-outcome projectors sqrt(p_j) vec(V_j†|b><b|V_j). Both work for any product
-rotation, so they check the family forms of `reshadow.visible` and
+outcome projectors sqrt(p_j) vec(V_j†|b><b|V_j). Neither goes through the
+visible family basis, so they check the family forms of `reshadow.visible` and
 `reshadow.estimator` from outside. `channel_contributions` is the dense
 V†diag(K)V of the channel Monte Carlo, `ridge_gram_solve` the
 per-lambda normal-equation solve that the one-SVD ridge grid replaced, and
@@ -40,8 +40,7 @@ def measure_site(t, site, g):
 
 
 def diagonal(a, g):
-    """Real part of diag(V_r a V_r†) for each product rotation of g (as in
-    gates.rows: (rows, 2, 2) for a global rotation, (rows, n, 2, 2) per site).
+    """Real part of diag(V_r a V_r†) for each global rotation V_r = g[r]^{⊗n}.
 
     vec(a) runs as 2n sites with each site's row and column bit side by side
     (g on the row bit, conj(g) on the column bit). Once a site is rotated
@@ -55,7 +54,7 @@ def diagonal(a, g):
         part = g[block]
         t = np.repeat(vec, len(part), axis=0)
         for site in range(n):
-            t = measure_site(t, site, part if part.ndim == 3 else part[:, site])
+            t = measure_site(t, site, part)
         out[block] = t.real
     return out
 
@@ -64,7 +63,8 @@ def stacked_system(o, ens):
     """Real-stacked system A y = o_vec with columns sqrt(p) vec(V†|b><b|V)."""
     n = ens.n
     sqrt_p = np.sqrt(ens.weights)
-    v = gates.rows(estimator._member_gates(ens), n)  # row b of V_j is <b|V_j
+    v = np.stack([qcore.kron_all([u] * n)  # row b of V_j is <b|V_j
+                  for u in estimator._member_gates(ens)])
     cols = v.conj()[:, :, :, None] * v[:, :, None, :]
     cols *= sqrt_p[:, None, None, None]
     cols = cols.reshape(-1, 1 << 2 * n)
@@ -83,19 +83,19 @@ def least_squares_kernel(o, ens):
 
 def channel_contributions(a, u):
     """Dense V†diag(<b|V a V†|b>)V for each global rotation V = u[r]^{⊗n}."""
-    v = gates.rows(u, a.shape[0].bit_length() - 1)  # row b of V is <b|V
+    n = a.shape[0].bit_length() - 1
+    v = np.stack([qcore.kron_all([g] * n) for g in u])  # row b of V is <b|V
     diag = np.einsum("rbi,ij,rbj->rb", v, a, v.conj())
     return np.einsum("rb,rbi,rbj->rij", diag, v.conj(), v)
 
 
 def ridge_gram_solve(o, ens, lam):
-    """(K table, residual) of (M^T M + lam I) y = M^T c on the family rows."""
-    a, b, sqrt_p, unreached = estimator.stacked_system(o, ens)
+    """K table of (M^T M + lam I) y = M^T c on the family rows."""
+    a, b, sqrt_p, _ = estimator.stacked_system(o, ens)
     gram = a.T @ a
     gram[np.diag_indices_from(gram)] += lam
     y = np.linalg.solve(gram, a.T @ b)
-    values = y.reshape(len(ens.members), 1 << ens.n) / sqrt_p[:, None]
-    return values, estimator._residual(a @ y - b, unreached)
+    return y.reshape(len(ens.members), 1 << ens.n) / sqrt_p[:, None]
 
 
 def minimize_alpha_loop(o, a, sqrt_p, alpha, shots, m_observables, delta, y0):

@@ -10,7 +10,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from reshadow import biasvar, cli, ensembles, estimator, gates, qcore
+from reshadow import biasvar, cli, ensembles, estimator, qcore
 from reshadow.errors import ConfigError
 
 from conftest import assert_same_text, random_hermitian
@@ -98,10 +98,12 @@ def test_unknown_key_exits_2(tmp_path):
 
 
 @pytest.mark.parametrize("sub, key", [("estimate", "epsilon"), ("estimate", "n"),
-                                      ("lgt-energy", "q_variant")])
+                                      ("lgt-energy", "q_variant"),
+                                      ("bias-scan", "q_variant")])
 def test_keys_no_subcommand_reads_exit_2_as_unknown(tmp_path, capsys, sub, key):
     # estimate never read epsilon and takes its register size from the
-    # observable; lgt-energy always prices Q as max|K|
+    # observable; lgt-energy always prices Q as max|K|, bias-scan as
+    # max|K| + ||O~||_inf
     cfg = write_config(tmp_path, f"{key} = 0.1\n")
     assert cli.main([sub, "--config", cfg, "--out", str(tmp_path)]) == 2
     assert f"unknown config keys for {sub}: {key}" in capsys.readouterr().err
@@ -146,7 +148,6 @@ def test_unrepresentable_subsample_exits_3(tmp_path):
     ("channel-check", "n = 5\n"),
     ("channel-check", "n = 7\n"),
     ("estimate", "method = foo\n"),
-    ("bias-scan", "q_variant = foo\n"),
     ("lgt-energy", "ensemble = global_cl2\n"),
     ("estimate", "g = 0\n"),
     ("bias-scan", "g = 1e-200\n"),
@@ -183,11 +184,49 @@ def test_unrepresentable_subsample_exits_3(tmp_path):
     ("estimate", "observable = XXXXXXXXXXXXXX\n"),    # 14 letters, 4 GiB
     ("bias-scan", "observable = 0.5*ZZZZZZZZZZZZZ\n"),
     ("bias-scan", "observable = YYYYYYYYYYYYYY\n"),
+    ("estimate", "method = mean\ndelta = 1e-310\n"),  # 2M / delta overflows
+    ("bias-scan", "delta = 1e-310\n"),
+    pytest.param("estimate", f"m_observables = {10**400}\n",
+                 id="estimate-m_observables = 10^400"),
+    ("estimate", "shots = 100000000\n"),
+    ("phase-classify", "n_rp = 100000000\n"),
+    ("phase-classify", "n_su2 = 100000000\n"),
+    ("phase-classify", "states_per_phase = 1\nn_rp = 100\nn_su2 = 100\nlam = 1e300\n"),
 ])
 def test_out_of_range_values_exit_2(tmp_path, sub, text):
     cfg = write_config(tmp_path, text)
     rc = cli.main([sub, "--config", cfg, "--out", str(tmp_path)])
     assert rc == 2
+
+
+@pytest.mark.parametrize("sub, text, named", [
+    ("estimate", "delta = 1e-310\n", "delta = 1e-310 overflows 2M / delta at M = 1"),
+    ("bias-scan", "mode = alpha\ndelta = 1e-310\n", "smallest usable delta is 1.11e-308"),
+    ("lgt-energy", "delta = 1e-310\n", "delta = 1e-310 overflows 2M / delta at M = 10"),
+    ("bias-scan", f"m_observables = {10**400}\n", f"m_observables = {10**400} is above"),
+], ids=["estimate-delta", "alpha-delta", "lgt-delta", "bias-scan-m"])
+def test_overflowing_confidence_factor_exits_2_naming_the_value(tmp_path, capsys, sub,
+                                                                text, named):
+    cfg = write_config(tmp_path, text)
+    assert cli.main([sub, "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert named in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("sub, key", [("estimate", "shots"), ("phase-classify", "n_rp"),
+                                      ("phase-classify", "n_su2")])
+def test_campaign_over_the_shot_cap_exits_2_before_allocating(tmp_path, capsys, sub, key):
+    # 2^22 + 1 shots: several hundred MB of records and tables were they drawn
+    cfg = write_config(tmp_path, f"{key} = {estimator.SHOTS_CAP + 1}\n")
+    tracemalloc.start()
+    try:
+        rc = cli.main([sub, "--config", cfg, "--out", str(tmp_path)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 2
+    assert (f"bad value for {key!r}: '{estimator.SHOTS_CAP + 1}' "
+            f"(must be at most {estimator.SHOTS_CAP})") in capsys.readouterr().err
+    assert peak < 4 * 2**20
 
 
 @pytest.mark.parametrize("spec", ["X" * 13, "0.5*" + "Z" * 14, "XX+" + "Y" * 14])
@@ -477,7 +516,8 @@ def mc_msu2_whole_chunks(a, samples, rng):
     while done < samples:
         count = min(cli.CHANNEL_CHUNK, samples - done)
         thetas, _, psis = ensembles.haar_su2_angles(count, rng)
-        big = gates.rows(ensembles.su2_matrix(thetas, 0.0, psis), n)
+        big = np.stack([qcore.kron_all([u] * n)
+                        for u in ensembles.su2_matrix(thetas, 0.0, psis)])
         diag = np.einsum("nbi,ij,nbj->nb", big, a, big.conj())
         contrib = np.einsum("nb,nbi,nbj->nij", diag, big.conj(), big)
         s1 += contrib.sum(axis=0)

@@ -49,32 +49,16 @@ def test_rotate_pair_matches_dense_embedding(n):
             np.testing.assert_allclose(t, want, rtol=0, atol=1e-12)
 
 
-def rows_by_rotating_identity(g, n):
-    """V_r = V_r I: the row bits (the first n of 2n sites) of vec(I) rotated
-    one site at a time, as `rows` used to build dense rotations."""
-    dim = 1 << n
-    t = np.tile(np.eye(dim, dtype=complex).ravel(), (len(g), 1))
-    for site in range(n):
-        gates.rotate_site(t, site, g if g.ndim == 3 else g[:, site])
-    return t.reshape(-1, dim, dim)
-
-
 @settings(max_examples=60)
-@given(n=st.integers(1, 6), count=st.integers(1, 5), per_site=st.booleans(),
-       shared=st.booleans(), seed=st.integers(0, 2**32 - 1))
-def test_rows_and_diagonal_match_dense(n, count, per_site, shared, seed):
-    """per_site: one gate per site, else one gate on every site; shared: the
-    same rotation for every row (a read-only broadcast view)."""
+@given(n=st.integers(1, 6), count=st.integers(1, 5), shared=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+def test_rows_and_diagonal_match_dense(n, count, shared, seed):
+    """shared: the same rotation for every row (a read-only broadcast view)."""
     rng = np.random.default_rng(seed)
-    shape = (1 if shared else count,) + ((n,) if per_site else ())
-    g = random_unitaries(shape, rng)
+    g = random_unitaries((1 if shared else count,), rng)
     if shared:
-        g = np.broadcast_to(g, (count,) + g.shape[1:])
-    dense = np.stack([qcore.kron_all(g[r] if per_site else [g[r]] * n)
-                      for r in range(count)])
-
-    np.testing.assert_allclose(gates.rows(g, n), dense, rtol=0, atol=1e-12)
-    assert np.array_equal(gates.rows(g, n), rows_by_rotating_identity(g, n))
+        g = np.broadcast_to(g, (count, 2, 2))
+    dense = np.stack([qcore.kron_all([g[r]] * n) for r in range(count)])
 
     dim = 1 << n
     psi = rng.normal(size=dim) + 1j * rng.normal(size=dim)

@@ -90,7 +90,7 @@ def test_visibility_gate_is_relative_to_the_term():
     visible space; the relative gate calls it visible, a B-perp term not."""
     big = visible.project_visible(random_hermitian(3, np.random.default_rng(0), 1e8))
     bperp = visible.build_Bperp(visible.FixedIdSet(3, 0, 1, 1, 1), 2)
-    report = lgt.check_visibility([lgt.HamTerm("triangle", (0, 1, 2), op, 1.0, 1.0)
+    report = lgt.check_visibility([lgt.HamTerm("triangle", (0, 1, 2), op)
                                    for op in (big, 1e-3 * bperp, 1e8 * bperp)])
     assert report[0].invisible_norm > 1e-10
     assert [r.visible for r in report] == [True, False, False]

@@ -165,8 +165,7 @@ def random_local_term(n, rng, diagonal):
     """A random (or random diagonal) operator on 1..min(n, 4) ordered sites."""
     sites = tuple(int(s) for s in rng.permutation(n)[:rng.integers(1, min(n, 4) + 1)])
     op = random_operator(len(sites), rng)
-    return lgt.HamTerm("link", sites, np.diag(np.diag(op)) if diagonal else op,
-                       1.0, 1.0)
+    return lgt.HamTerm("link", sites, np.diag(np.diag(op)) if diagonal else op)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from reshadow import channels, ensembles, estimator, phases, qcore, visible
-from reshadow.errors import NumericalDegeneracyError
+from reshadow.errors import ConfigError, NumericalDegeneracyError
 
 from test_gates import embed_two
 
@@ -328,6 +328,17 @@ def test_identical_features_give_flat_kernel():
     feats = np.tile(np.linspace(0.1, 0.5, 38), (4, 2, 1))
     k = phases.build_kernel(feats)
     np.testing.assert_allclose(k.matrix, 1.0, atol=1e-12)
+
+
+def test_build_kernel_rejects_overflowing_lambda(rng):
+    feats = rng.normal(size=(6, 4, 38)) * 0.3
+    with pytest.raises(ConfigError, match="lam = 1e\\+300 .* largest usable value") as err:
+        phases.build_kernel(feats, lam=1e300)
+    largest = float(str(err.value).rsplit(" ", 1)[1])
+    k = phases.build_kernel(feats, lam=largest)  # no overflow warning
+    assert np.isfinite(k.matrix).all()
+    with pytest.raises(ConfigError):
+        phases.build_kernel(feats, lam=np.nextafter(largest, np.inf))
 
 
 def test_build_kernel_validates_shape():
