@@ -184,7 +184,10 @@ def _minimize_alpha(o, a, sqrt_p, alpha, shots, m_observables, delta, y0):
     eigvalsh. Each backtracking search evaluates all HALVINGS trial points
     y - 2^-k step grad at once and takes the first k that passes the Armijo
     test: scaling by 2^-k is exact, so these are the points, and this is the
-    choice, of a search that halves the step one trial at a time.
+    choice, of a search that halves the step one trial at a time. A search
+    that no trial passes ends the descent at once: nothing moves, so every
+    later iteration would repeat it, and the flag is the one those
+    repetitions would reach.
     """
     n = qcore.num_qubits(o)
     dim = 1 << n
@@ -232,7 +235,7 @@ def _minimize_alpha(o, a, sqrt_p, alpha, shots, m_observables, delta, y0):
     y = y0.copy()
     f, r, var = pick(split_cost(y[None]), 0)
     stall = 0
-    for _ in range(MAX_ITER):
+    for it in range(MAX_ITER):
         grad = gradient(y, r, var)
         gn2 = float(grad @ grad)
         if gn2 < 1e-24:
@@ -241,12 +244,14 @@ def _minimize_alpha(o, a, sqrt_p, alpha, shots, m_observables, delta, y0):
         trials = y - steps[:, None] * grad
         evaluated = split_cost(trials)
         passed = np.flatnonzero(evaluated[0] < f - 1e-4 * steps * gn2)
-        if passed.size:
-            f_t, r, var = pick(evaluated, passed[0])
-            change = (f - f_t) / max(abs(f), 1e-30)
-            y, f = trials[passed[0]].copy(), f_t
-        else:
-            change = 0.0
+        if not passed.size:
+            # y, r and var stay as they are, so every later iteration repeats
+            # this failed search, adding one to stall, until STOP_PATIENCE or
+            # MAX_ITER ends the loop
+            return y, f, stall + 1 + (MAX_ITER - 1 - it) >= STOP_PATIENCE
+        f_t, r, var = pick(evaluated, passed[0])
+        change = (f - f_t) / max(abs(f), 1e-30)
+        y, f = trials[passed[0]].copy(), f_t
         stall = stall + 1 if change < STOP_REL_CHANGE else 0
         if stall >= STOP_PATIENCE:
             return y, f, True

@@ -52,8 +52,10 @@ FAMILY_ROWS_CAP = 1 << 27
 # default 25-member subsample (408 MB at 2e6 shots, 774 MB at 4e6): 32 bytes
 # of records columns (b, member_idx, thetas, psis), their per-chunk copies
 # before the concatenation, and about 120 bytes of record-CSV byte table and
-# text. A patch's n_su2 campaign grows by 360 bytes a shot (its (shots, 38)
-# feature values), the n_rp campaign by 226. 2^22 shots stay below 1.6 GB.
+# text. The n_rp campaign grows by 226 bytes a shot. One state's n_su2 pass
+# (phases.patch_features) grows by about 129 bytes a shot, 32 for each of the
+# four patches at L = 2: the angles, uniform and outcome of the shot, whose
+# readings are summed as they come. 2^22 shots stay below 1.6 GB.
 SHOTS_CAP = 1 << 22
 # largest m_observables: the confidence factors divide M as a float, which
 # holds every integer up to 2^53 exactly
@@ -298,6 +300,18 @@ def kernel_cs(o: np.ndarray, ens: Ensemble) -> KernelTable:
 # ---------------------------------------------------------------------------
 
 
+def _born_rows(probs: np.ndarray) -> np.ndarray:
+    """In place: check that every row of an outcome table sums to 1 within
+    1e-8, clip its negative entries and renormalize it; probs is returned."""
+    total = probs.sum(axis=1)
+    worst = int(np.abs(total - 1.0).argmax())
+    if abs(total[worst] - 1.0) > 1e-8:
+        raise NumericalDegeneracyError(f"outcome probabilities sum to {total[worst]}")
+    np.clip(probs, 0.0, None, out=probs)
+    probs /= probs.sum(axis=1, keepdims=True)
+    return probs
+
+
 def _born_tables(rho: np.ndarray, g: np.ndarray) -> np.ndarray:
     """P(b | V) rows of a state vector or density matrix for the global
     rotations V = g[j]^{⊗n} of a (rows, 2, 2) gate table."""
@@ -306,13 +320,72 @@ def _born_tables(rho: np.ndarray, g: np.ndarray) -> np.ndarray:
         probs = np.abs(gates.rows(g, n, rho)) ** 2
     else:
         probs = visible.rotated_diagonal(visible.family_coefficients(rho).real, g, n)
-    total = probs.sum(axis=1)
-    worst = int(np.abs(total - 1.0).argmax())
-    if abs(total[worst] - 1.0) > 1e-8:
-        raise NumericalDegeneracyError(f"outcome probabilities sum to {total[worst]}")
-    np.clip(probs, 0.0, None, out=probs)
-    probs /= probs.sum(axis=1, keepdims=True)
-    return probs
+    return _born_rows(probs)
+
+
+def chunk_sizes(shots: int) -> list:
+    """Shot counts of a campaign's chunks: CHUNK each, then the remainder."""
+    if shots < 1:
+        raise ValueError("need at least one shot")
+    return [CHUNK] * (shots // CHUNK) + ([shots % CHUNK] if shots % CHUNK else [])
+
+
+def su2_shots(state: np.ndarray, n: int, sizes: list, children: list,
+              read: np.ndarray | None = None):
+    """Global-SU(2) shots of one or more states, drawn chunk by chunk.
+
+    ``state`` is a state vector, or a (states, families) table whose rows
+    are the real family amplitudes Re tr(B_S rho) of density matrices. Each
+    state is measured in chunks of ``sizes`` shots, and chunk i of state s
+    draws from its own generator children[s * len(sizes) + i]: the Haar
+    angles of its shots, then one uniform per shot, which picks the shot's
+    outcome from the running sums of its Born row (qcore.invert_cdf).
+
+    Shots go through in blocks of at most gates.BLOCK table entries, a row
+    of ``state`` wide. A shot's rotation, Bloch axes and axes table are
+    formed once; they give its Born row and, with ``read``, a (families, k)
+    table of real family amplitudes of density-matrix states, its reading
+    visible.outcome_rows @ read.
+
+    Returns (thetas, psis, b) over every shot, state after state, and the
+    (states, k) sums of each state's readings, or None without ``read``.
+    The readings are added shot after shot, as numpy's axis-0 sum adds the
+    rows of a table: a sum of block sums would round differently.
+    """
+    states, per_state = len(children) // len(sizes), sum(sizes)
+    thetas, psis, uniform = (np.empty(states * per_state) for _ in range(3))
+    offset = 0
+    for count, child in zip(sizes * states, children):
+        chunk = slice(offset, offset + count)
+        thetas[chunk], _, psis[chunk] = ensembles.haar_su2_angles(count, child)
+        child.random(out=uniform[chunk])
+        offset += count
+    b = np.empty(len(thetas), dtype=np.intp)
+    sums = None if read is None else np.full((states, read.shape[1]), -0.0)
+    for blk in gates.blocks(len(b), state.shape[-1]):
+        start, stop = blk.start, min(blk.stop, len(b))
+        # (state, rows of the block) of every state the block reaches
+        parts = [(s, slice(max(s * per_state, start) - start,
+                           min(s * per_state + per_state, stop) - start))
+                 for s in range(start // per_state, (stop - 1) // per_state + 1)]
+        u = ensembles.su2_matrix(thetas[blk], 0.0, psis[blk])
+        if state.ndim == 1:
+            probs = np.abs(gates.rows(u, n, state)) ** 2
+        else:
+            w = visible.axes_table(visible.bloch_axes(u), n)
+            probs = np.concatenate([visible.axes_diagonal(w[rows], state[s], n)
+                                    for s, rows in parts])
+        cdf = _born_rows(probs)
+        np.cumsum(cdf, axis=1, out=cdf)
+        b[blk] = qcore.invert_cdf(cdf, uniform[blk])
+        if read is None:
+            continue
+        values = visible.outcome_rows(w, b[blk], n) @ read
+        for s, rows in parts:
+            part = values[rows]
+            part[0] += sums[s]  # -0.0 + x is x, so a first part starts exactly
+            sums[s] = np.add.reduce(part, axis=0)
+    return thetas, psis, b, sums
 
 
 _CL2_GATES = np.stack([ensembles.basis_rotation(ch) for ch in ensembles.CL2_BASES])
@@ -375,11 +448,7 @@ def run_campaign(rho: np.ndarray, ens: Ensemble, shots: int, rng,
     n = ens.n
     if qcore.num_qubits(rho) != n:
         raise ValueError("state/ensemble dimension mismatch")
-    if shots < 1:
-        raise ValueError("need at least one shot")
-    sizes = [CHUNK] * (shots // CHUNK)
-    if shots % CHUNK:
-        sizes.append(shots % CHUNK)
+    sizes = chunk_sizes(shots)
     children = rng.spawn(len(sizes))
 
     if ens.is_discrete:
@@ -391,13 +460,11 @@ def run_campaign(rho: np.ndarray, ens: Ensemble, shots: int, rng,
                     "b": qcore.sample_cdf(np.cumsum(tables, axis=1), child, idx)}
 
     elif ens.kind == KIND_GLOBAL_SU2:
+        state = rho if rho.ndim == 1 else visible.family_coefficients(rho).real[None]
 
         def work(count, child):
-            thetas, _, psis = ensembles.haar_su2_angles(count, child)
-            cdf = _born_tables(rho, ensembles.su2_matrix(thetas, 0.0, psis))
-            np.cumsum(cdf, axis=1, out=cdf)
-            return {"thetas": thetas, "psis": psis,
-                    "b": qcore.sample_cdf(cdf, child)}
+            thetas, psis, b, _ = su2_shots(state, n, [count], [child])
+            return {"thetas": thetas, "psis": psis, "b": b}
 
     elif ens.kind == KIND_LOCAL_CLIFFORD:
         if rho.ndim != 1:

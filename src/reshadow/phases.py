@@ -8,6 +8,12 @@ SU(2) measurements, compare states through an exponentiated inner-product
 kernel averaged over patches, and project onto the top principal axis of the
 centered kernel. The 1-D coordinate separates the phases even though no
 linear function of the visible data can.
+
+Each state's patches go through the SU(2) stage together: one stacked PSD
+projection, then one pass (estimator.su2_shots) that draws every patch's
+campaign from its own chunk generators, spawned patch after patch, and sums
+each patch's shot readings as it goes. The features are those of one
+run_campaign per patch read by estimator.su2_shot_values, bit for bit.
 """
 
 from __future__ import annotations
@@ -213,8 +219,8 @@ def _patch_snapshots() -> np.ndarray:
 
 
 def patch_rdms(lat: EdgeLattice, state: np.ndarray, n_rp: int,
-               rng, threads: int = 1) -> list:
-    """3-qubit RDM estimates for every patch from one random-Pauli campaign.
+               rng, threads: int = 1) -> np.ndarray:
+    """(patches, 8, 8) 3-qubit RDM estimates from one random-Pauli campaign.
 
     Each shot's snapshot of a patch takes one of 6^3 values, so a patch's
     estimate is its histogram of those values times their table.
@@ -229,23 +235,21 @@ def patch_rdms(lat: EdgeLattice, state: np.ndarray, n_rp: int,
     combo = code[:, patches] @ np.array([36, 6, 1]) + 216 * np.arange(len(patches))
     counts = np.bincount(combo.ravel(), minlength=216 * len(patches))
     rhos = (counts.reshape(-1, 216) @ _patch_snapshots()).reshape(-1, 8, 8)
-    out = []
-    for rho in rhos:
-        rho /= len(records)
-        rho = 0.5 * (rho + rho.conj().T)
-        rho /= np.trace(rho).real
-        out.append(rho)
-    return out
+    rhos /= len(records)
+    rhos = 0.5 * (rhos + rhos.conj().mT)
+    rhos /= np.trace(rhos, axis1=1, axis2=2).real[:, None, None]
+    return rhos
 
 
 def psd_project(rho: np.ndarray) -> np.ndarray:
-    """Clip negative eigenvalues and renormalize the trace to 1."""
-    evals, evecs = np.linalg.eigh(0.5 * (rho + rho.conj().T))
+    """Clip negative eigenvalues and renormalize the trace to 1, of one
+    matrix or of every matrix of a (..., d, d) stack (one eigh call)."""
+    evals, evecs = np.linalg.eigh(0.5 * (rho + rho.conj().mT))
     evals = np.clip(evals, 0.0, None)
-    total = evals.sum()
-    if total <= 0:
+    total = evals.sum(axis=-1, keepdims=True)
+    if (total <= 0).any():
         raise NumericalDegeneracyError("density estimate has no positive weight")
-    return (evecs * (evals / total)) @ evecs.conj().T
+    return (evecs * (evals / total)[..., None, :]) @ evecs.conj().mT
 
 
 # ---------------------------------------------------------------------------
@@ -270,18 +274,26 @@ def _patch_inverse_amps(n: int) -> np.ndarray:
     return inv
 
 
-def patch_features(rdm: np.ndarray, n_su2: int, rng,
-                   threads: int = 1) -> np.ndarray:
-    """Estimates of tr(rho B_S) for all 38 visible basis elements of a patch.
+def patch_features(rdms: np.ndarray, n_su2: int, rng) -> np.ndarray:
+    """Estimates of tr(rho B_S) for all visible basis elements of each patch.
 
-    One global-SU(2) campaign is shared by every feature; each shot is read
-    by the shadow kernels of all M^{-1}(B_S) at once.
+    ``rdms`` is a (patches, d, d) stack of raw patch RDMs, or one RDM. Each
+    is PSD-projected and measured by its own global-SU(2) campaign of n_su2
+    shots, whose chunk generators are spawned from ``rng`` patch after patch
+    as run_campaign spawns them. The campaigns run as one pass
+    (estimator.su2_shots): each shot is sampled and read by the shadow
+    kernels of all M^{-1}(B_S) at once, from one table of its rotation, and
+    each patch's readings are summed as they come. Returns (patches,
+    families) means, or one row for one RDM.
     """
-    n = qcore.num_qubits(rdm)
-    rho = psd_project(rdm)
-    ens = ensembles.global_su2(n)
-    records = estimator.run_campaign(rho, ens, n_su2, rng, threads=threads)
-    return estimator.su2_shot_values(records, _patch_inverse_amps(n)).mean(axis=0)
+    rhos = psd_project(np.reshape(rdms, (-1,) + np.shape(rdms)[-2:]))
+    n = qcore.num_qubits(rhos[0])
+    rng = np.random.default_rng(rng)
+    sizes = estimator.chunk_sizes(n_su2)
+    children = [child for _ in rhos for child in rng.spawn(len(sizes))]
+    amps = np.stack([visible.family_coefficients(rho).real for rho in rhos])
+    sums = estimator.su2_shots(amps, n, sizes, children, _patch_inverse_amps(n))[3]
+    return (sums / n_su2).reshape(np.shape(rdms)[:-2] + (-1,))
 
 
 # ---------------------------------------------------------------------------
@@ -391,9 +403,7 @@ def run_phase_classification(L: int = 2, depth: int = 0,
         if depth > 0:
             psi = random_lowdepth_circuit(lat, depth, state_rng, psi)
         rdms = patch_rdms(lat, psi, n_rp, state_rng, threads=threads)
-        feats = np.stack([patch_features(r, n_su2, state_rng, threads=threads)
-                          for r in rdms])
-        all_feats.append(feats)
+        all_feats.append(patch_features(rdms, n_su2, state_rng))
     features = np.stack(all_feats)
     kernel = build_kernel(features, lam=lam)
     coords = kernel_pca_1d(kernel)

@@ -248,11 +248,17 @@ def sample_cdf(cdf: np.ndarray, rng: np.random.Generator,
     names: the same draws as ``sample_bits(probs[rows], rng)``, without the
     per-entry copy of the table.
     """
+    return invert_cdf(cdf, rng.random(len(cdf) if rows is None else rows.size), rows)
+
+
+def invert_cdf(cdf: np.ndarray, u: np.ndarray,
+               rows: np.ndarray | None = None) -> np.ndarray:
+    """Outcome of each uniform u[j]: the number of entries of its table row
+    (row j, or row rows[j]) below u[j] once the running sums of every row
+    are normalized, here in place, to end at 1."""
     cdf /= cdf[:, -1:].copy()  # a view of cdf would make numpy copy all of cdf
-    count = cdf.shape[0] if rows is None else rows.size
-    u = rng.random(count)
-    out = np.empty(count, dtype=np.intp)
-    for block in blocks(count, cdf.shape[1]):
+    out = np.empty(u.size, dtype=np.intp)
+    for block in blocks(u.size, cdf.shape[1]):
         table = cdf[block] if rows is None else cdf[rows[block]]
         out[block] = (table < u[block, None]).sum(axis=1)
     return out

@@ -22,7 +22,8 @@ and the family's free (non-identity) mask F,
 
 so diag(V A V†) is one Walsh-Hadamard transform over F of the sums of
 W_S tr(B_S A) over the families with free mask F, and only the visible part
-of A enters. A measured shot (V, b) is read as its row of them (``shot_rows``).
+of A enters (``axes_diagonal``). A measured shot (V, b) is read as its row of
+them (``shot_rows``).
 """
 
 from __future__ import annotations
@@ -293,29 +294,44 @@ def family_signs(n: int) -> np.ndarray:
     return 1.0 - 2.0 * qcore.parity(free[:, None] & np.arange(1 << n))
 
 
-def shot_rows(u: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
-    """(shots, families) table <b_j|V_j B_S V_j†|b_j> of shots measuring b_j after
-    V_j = u_j^{⊗n}: axes_table row j times (-1)^{popcount(b_j & F_S)}."""
+def outcome_rows(w: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
+    """In place: row j of the axes_table w of V_j times (-1)^{popcount(b_j & F_S)},
+    so that it holds <b_j|V_j B_S V_j†|b_j> for the outcome b_j; w is returned."""
     _, _, free, _ = _family_layout(n)
-    w = axes_table(bloch_axes(u), n)
     parity = qcore.parity(np.asarray(b)[:, None] & free).view(np.int8)
     w *= 1 - 2 * parity  # in int8: forming 1.0 - 2.0 * p from uint8 is slow
     return w
 
 
+def shot_rows(u: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
+    """(shots, families) table <b_j|V_j B_S V_j†|b_j> of shots measuring b_j after
+    V_j = u_j^{⊗n}: axes_table row j times (-1)^{popcount(b_j & F_S)}."""
+    return outcome_rows(axes_table(bloch_axes(u), n), b, n)
+
+
+def _mask_sums(w: np.ndarray, amps: np.ndarray, n: int) -> np.ndarray:
+    """(rows, 2^n) sums of w[j, S] amps[S] over the families of each free mask."""
+    _, _, _, starts = _family_layout(n)
+    # identity masks ascend, so their complements, the free masks, descend
+    return np.add.reduceat(w * amps, starts, axis=1)[:, ::-1]
+
+
+def axes_diagonal(w: np.ndarray, amps: np.ndarray, n: int) -> np.ndarray:
+    """Re <b|V_j a V_j†|b> for every outcome b, from the axes_table w of the
+    V_j and amps = Re tr(B_S a). Each row's sums over the families of every
+    free mask go through one Walsh-Hadamard transform, which turns masks
+    into outcomes."""
+    return qcore._fwht(np.ascontiguousarray(_mask_sums(w, amps, n)))
+
+
 def rotated_diagonal(amps: np.ndarray, u: np.ndarray, n: int) -> np.ndarray:
     """Re <b|V_j a V_j†|b> for V_j = u_j^{⊗n}, from amps = Re tr(B_S a).
 
-    Rows go through in blocks of at most gates.BLOCK table entries: each
-    block sums W[j, S] amps[S] over the families of every free mask, and one
+    Rows go through in blocks of at most gates.BLOCK table entries, and one
     Walsh-Hadamard transform of the (rows, 2^n) result turns masks into
-    outcomes.
+    outcomes, as in axes_diagonal.
     """
-    _, _, _, starts = _family_layout(n)
     out = np.empty((len(u), 1 << n))
     for block in gates.blocks(len(u), amps.size):
-        w = axes_table(bloch_axes(u[block]), n)
-        w *= amps
-        # identity masks ascend, so their complements, the free masks, descend
-        out[block] = np.add.reduceat(w, starts, axis=1)[:, ::-1]
+        out[block] = _mask_sums(axes_table(bloch_axes(u[block]), n), amps, n)
     return qcore._fwht(out)

@@ -224,6 +224,25 @@ def test_one_eigvalsh_per_backtracking_search(link, ens, monkeypatch):
     assert calls["eigvalsh"] == calls["eigh"] + len(alphas)
 
 
+def test_failed_search_ends_the_descent(link, ens, monkeypatch):
+    """At alpha = 10 the unbiased start is optimal and no trial of the first
+    search passes: the descent stops after that one gradient (one eigh)
+    where it used to repeat it until STOP_PATIENCE, and calls it converged."""
+    a, b, sqrt_p, unreached = estimator.stacked_system(link, ens)
+    y0, _ = estimator._solve_min_norm(a, b, unreached)
+    calls = []
+    inner = np.linalg.eigh
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    y, _, converged = biasvar._minimize_alpha(link, a, sqrt_p, 10.0, 1000, 1, 0.1, y0)
+    assert len(calls) == 1
+    assert converged and np.array_equal(y, y0)
+
+
 # ---------------------------------------------------------------------------
 # Kernels of operators embedded in a larger register
 # ---------------------------------------------------------------------------

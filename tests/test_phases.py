@@ -1,6 +1,7 @@
 """Torus lattice, stabilizer states, patch features, and the phase classifier."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -240,6 +241,16 @@ def test_psd_projection_rejects_negative_mass():
         phases.psd_project(-np.eye(4))
 
 
+def test_stacked_psd_projection_matches_one_at_a_time(lat, toric):
+    rdms = phases.patch_rdms(lat, toric, 1500, np.random.default_rng(3))
+    got = phases.psd_project(rdms)
+    assert got.shape == (4, 8, 8)
+    for raw, proj in zip(rdms, got):
+        assert np.array_equal(proj, phases.psd_project(raw))
+    with pytest.raises(NumericalDegeneracyError):
+        phases.psd_project(np.stack([rdms[0], -np.eye(8), rdms[1]]))
+
+
 # ---------------------------------------------------------------------------
 # Patch features
 # ---------------------------------------------------------------------------
@@ -284,6 +295,51 @@ def test_patch_features_match_per_feature_einsum(lat, toric):
     want = [np.real(np.einsum("ni,ij,nj->n", phi.conj(), op, phi)).mean()
             for op in phases._patch_inverse_ops(3)]
     np.testing.assert_allclose(feats, want, rtol=0, atol=1e-12)
+
+
+def per_patch_features(rdms, n_su2, rng):
+    """One global-SU(2) campaign per patch, each read as a whole: the
+    features as they were computed before the per-state pass."""
+    inv = phases._patch_inverse_amps(3)
+    return np.stack([
+        estimator.su2_shot_values(
+            estimator.run_campaign(phases.psd_project(r), ensembles.global_su2(3),
+                                   n_su2, rng), inv).mean(axis=0)
+        for r in rdms])
+
+
+@pytest.mark.parametrize("n_su2", [400, 5000])
+def test_batched_features_match_per_patch_campaigns(lat, toric, n_su2):
+    """One pass over a state's patches draws and reads every shot as the
+    per-patch campaigns do (5000 shots are two chunks per patch, and their
+    blocks straddle the chunk and patch boundaries), bit for bit."""
+    psi = phases.random_lowdepth_circuit(lat, 1, np.random.default_rng(4), toric)
+    rdms = phases.patch_rdms(lat, psi, 2500, np.random.default_rng(6))
+    got = phases.patch_features(rdms, n_su2, np.random.default_rng(8))
+    assert got.shape == (4, 38)
+    assert np.array_equal(got, per_patch_features(rdms, n_su2, np.random.default_rng(8)))
+    # the generator goes on as after the per-patch campaigns
+    after = np.random.default_rng(8)
+    per_patch_features(rdms, n_su2, after)
+    rng = np.random.default_rng(8)
+    phases.patch_features(rdms, n_su2, rng)
+    assert rng.spawn(1)[0].random() == after.spawn(1)[0].random()
+
+
+def test_feature_pass_memory_stays_below_one_patch_campaign(lat, toric):
+    """At 2^16 shots a patch, one state's pass peaks below one patch's
+    campaign read as a whole, which holds a (shots, 38) table of readings."""
+    rdms = phases.patch_rdms(lat, toric, 2000, np.random.default_rng(1))
+    peaks = []
+    for run in (lambda: phases.patch_features(rdms, 1 << 16, np.random.default_rng(2)),
+                lambda: per_patch_features(rdms[:1], 1 << 16, np.random.default_rng(2))):
+        tracemalloc.start()
+        try:
+            run()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] < peaks[1]
 
 
 def test_features_track_exact_patch_values(lat, toric):
@@ -402,6 +458,16 @@ def test_pipeline_deterministic():
     r2 = phases.run_phase_classification(rng=np.random.default_rng(9), **kw)
     assert np.array_equal(r1.coords, r2.coords)
     assert np.array_equal(r1.features, r2.features)
+
+
+def test_features_do_not_depend_on_threads():
+    """At n_rp = 5000 the random-Pauli campaign is two chunks, which two
+    threads draw at once."""
+    kw = dict(L=2, depth=1, states_per_phase=1, n_rp=5000, n_su2=200)
+    r1 = phases.run_phase_classification(rng=np.random.default_rng(3), threads=1, **kw)
+    r2 = phases.run_phase_classification(rng=np.random.default_rng(3), threads=2, **kw)
+    assert np.array_equal(r1.features, r2.features)
+    assert np.array_equal(r1.kernel.matrix, r2.kernel.matrix)
 
 
 def test_result_serialization(mini_run):
