@@ -73,8 +73,8 @@ def kernel_biases(o: np.ndarray, kernels: list) -> list:
     o_vec = np.asarray(o, dtype=complex).ravel()
     biases = []
     for blk in gates.blocks(len(kernels), o_vec.size):
-        approx = np.stack([visible.visible_from_family_coefficients(
-            k.n, m @ (sqrt_p[:, None] * k.values).ravel()).ravel() for k in kernels[blk]])
+        approx = np.stack([estimator._represented(k, m, sqrt_p).ravel()
+                           for k in kernels[blk]])
         biases += _residual_norms(o_vec, approx)[0].tolist()
     return biases
 

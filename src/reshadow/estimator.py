@@ -173,12 +173,17 @@ class KernelTable:
 
 
 def su2_shot_values(records: Records, amps: np.ndarray) -> np.ndarray:
-    """<b_j|V_j A V_j†|b_j> per global-SU(2) shot j: its visible.shot_rows row
-    times the real family amplitudes ``amps`` of A (one column per A if 2-D)."""
-    u = ensembles.su2_matrix(records.thetas, 0.0, records.psis)
+    """<b_j|V_j A V_j†|b_j> per global-SU(2) shot j: its visible.outcome_rows
+    row times the real family amplitudes ``amps`` of A (one column per A if
+    2-D). Shots go through in blocks of at most gates.BLOCK table entries,
+    and each block's rotations, axes table and outcome rows are formed as
+    su2_shots forms them."""
+    n = records.n
     out = np.empty((len(records),) + amps.shape[1:])
     for blk in gates.blocks(len(records), len(amps)):
-        out[blk] = visible.shot_rows(u[blk], records.b[blk], records.n) @ amps
+        u = ensembles.su2_matrix(records.thetas[blk], 0.0, records.psis[blk])
+        w = visible.axes_table(visible.bloch_axes(u), n)
+        out[blk] = visible.outcome_rows(w, records.b[blk], n) @ amps
     return out
 
 
@@ -370,12 +375,11 @@ def su2_shots(state: np.ndarray, n: int, sizes: list, children: list,
                  for s in range(start // per_state, (stop - 1) // per_state + 1)]
         u = ensembles.su2_matrix(thetas[blk], 0.0, psis[blk])
         if state.ndim == 1:
-            probs = np.abs(gates.rows(u, n, state)) ** 2
+            cdf = _born_tables(state, u)
         else:
             w = visible.axes_table(visible.bloch_axes(u), n)
-            probs = np.concatenate([visible.axes_diagonal(w[rows], state[s], n)
-                                    for s, rows in parts])
-        cdf = _born_rows(probs)
+            cdf = _born_rows(np.concatenate([visible.axes_diagonal(w[rows], state[s], n)
+                                             for s, rows in parts]))
         np.cumsum(cdf, axis=1, out=cdf)
         b[blk] = qcore.invert_cdf(cdf, uniform[blk])
         if read is None:
@@ -456,8 +460,8 @@ def run_campaign(rho: np.ndarray, ens: Ensemble, shots: int, rng,
 
         def work(count, child):
             idx = child.choice(len(ens.members), size=count, p=ens.weights)
-            return {"member_idx": idx,
-                    "b": qcore.sample_cdf(np.cumsum(tables, axis=1), child, idx)}
+            return {"member_idx": idx, "b": qcore.invert_cdf(
+                np.cumsum(tables, axis=1), child.random(count), idx)}
 
     elif ens.kind == KIND_GLOBAL_SU2:
         state = rho if rho.ndim == 1 else visible.family_coefficients(rho).real[None]
@@ -651,11 +655,17 @@ def reconstruct(k: KernelTable) -> np.ndarray:
     amplitudes M @ (sqrt(p) K) of the family-row system.
     """
     if k.values is None:
-        amps = channels.msu2_amplitudes(k.n, k.amps, False)
-    else:
-        m, sqrt_p = _family_rows(k.ens)
-        amps = m @ (sqrt_p[:, None] * k.values).ravel()
-    return visible.visible_from_family_coefficients(k.n, amps)
+        return visible.visible_from_family_coefficients(
+            k.n, channels.msu2_amplitudes(k.n, k.amps, False))
+    return _represented(k, *_family_rows(k.ens))
+
+
+def _represented(k: KernelTable, m: np.ndarray, sqrt_p: np.ndarray) -> np.ndarray:
+    """The operator O~ a discrete kernel table represents, from the family-row
+    matrix M and sqrt(p) of its ensemble (_family_rows): sum_S tr(B_S O~) B_S
+    for the family amplitudes M @ (sqrt(p) K)."""
+    return visible.visible_from_family_coefficients(
+        k.n, m @ (sqrt_p[:, None] * k.values).ravel())
 
 
 # ---------------------------------------------------------------------------

@@ -44,9 +44,14 @@ def rotate_pair(t: np.ndarray, a: int, b: int, gate: np.ndarray) -> None:
 
 def blocks(count: int, size: int):
     """Slices over `count` rows of `size` elements each, at most BLOCK
-    elements (and at least one row) per slice."""
+    elements (and at least one row) per slice. A last slice of one row takes
+    a second from the slice before when that one keeps two: numpy rounds a
+    one-row product differently from the same row in a larger block."""
     step = max(1, BLOCK // size)
-    return (slice(start, start + step) for start in range(0, count, step))
+    starts = list(range(0, count, step))
+    if step >= 3 and count > step and count % step == 1:
+        starts[-1] -= 1
+    return (slice(start, stop) for start, stop in zip(starts, starts[1:] + [count]))
 
 
 def rows(g: np.ndarray, n: int, start: np.ndarray) -> np.ndarray:

@@ -12,8 +12,9 @@ linear function of the visible data can.
 Each state's patches go through the SU(2) stage together: one stacked PSD
 projection, then one pass (estimator.su2_shots) that draws every patch's
 campaign from its own chunk generators, spawned patch after patch, and sums
-each patch's shot readings as it goes. The features are those of one
-run_campaign per patch read by estimator.su2_shot_values, bit for bit.
+each patch's shot readings as it goes. For every n_su2 >= 2 the features
+are those of one run_campaign per patch read by estimator.su2_shot_values,
+bit for bit: both read shots in blocks of at least two rows (gates.blocks).
 """
 
 from __future__ import annotations
@@ -277,23 +278,23 @@ def _patch_inverse_amps(n: int) -> np.ndarray:
 def patch_features(rdms: np.ndarray, n_su2: int, rng) -> np.ndarray:
     """Estimates of tr(rho B_S) for all visible basis elements of each patch.
 
-    ``rdms`` is a (patches, d, d) stack of raw patch RDMs, or one RDM. Each
-    is PSD-projected and measured by its own global-SU(2) campaign of n_su2
+    ``rdms`` is a (patches, d, d) stack of raw patch RDMs. Each is
+    PSD-projected and measured by its own global-SU(2) campaign of n_su2
     shots, whose chunk generators are spawned from ``rng`` patch after patch
     as run_campaign spawns them. The campaigns run as one pass
     (estimator.su2_shots): each shot is sampled and read by the shadow
     kernels of all M^{-1}(B_S) at once, from one table of its rotation, and
-    each patch's readings are summed as they come. Returns (patches,
-    families) means, or one row for one RDM.
+    each patch's readings are summed as they come. Returns the (patches,
+    families) means.
     """
-    rhos = psd_project(np.reshape(rdms, (-1,) + np.shape(rdms)[-2:]))
+    rhos = psd_project(rdms)
     n = qcore.num_qubits(rhos[0])
     rng = np.random.default_rng(rng)
     sizes = estimator.chunk_sizes(n_su2)
     children = [child for _ in rhos for child in rng.spawn(len(sizes))]
     amps = np.stack([visible.family_coefficients(rho).real for rho in rhos])
     sums = estimator.su2_shots(amps, n, sizes, children, _patch_inverse_amps(n))[3]
-    return (sums / n_su2).reshape(np.shape(rdms)[:-2] + (-1,))
+    return sums / n_su2
 
 
 # ---------------------------------------------------------------------------

@@ -237,18 +237,7 @@ def born_probabilities(rho: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 def sample_bits(probs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Vectorized sampling: one outcome per row of a (batch, dim) prob table."""
-    return sample_cdf(np.cumsum(probs, axis=1), rng)
-
-
-def sample_cdf(cdf: np.ndarray, rng: np.random.Generator,
-               rows: np.ndarray | None = None) -> np.ndarray:
-    """sample_bits on the running sums of the table, normalized here in place.
-
-    With ``rows``, one outcome per entry of ``rows`` from the table row it
-    names: the same draws as ``sample_bits(probs[rows], rng)``, without the
-    per-entry copy of the table.
-    """
-    return invert_cdf(cdf, rng.random(len(cdf) if rows is None else rows.size), rows)
+    return invert_cdf(np.cumsum(probs, axis=1), rng.random(len(probs)))
 
 
 def invert_cdf(cdf: np.ndarray, u: np.ndarray,

@@ -22,12 +22,13 @@ and the family's free (non-identity) mask F,
 
 so diag(V A V†) is one Walsh-Hadamard transform over F of the sums of
 W_S tr(B_S A) over the families with free mask F, and only the visible part
-of A enters (``axes_diagonal``). A measured shot (V, b) is read as its row of
-them (``shot_rows``).
+of A enters (``axes_diagonal``). A measured shot (V, b) is read as its row
+of the table W_S (-1)^{popcount(b & F)} (``outcome_rows``).
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -73,27 +74,12 @@ class FixedIdSet:
         free_sites = [i for i in range(self.n) if not (self.r_mask >> (self.n - 1 - i) & 1)]
         letters = "X" * self.n_x + "Y" * self.n_y + "Z" * self.n_z
         out = []
-        for perm in _multiset_permutations(sorted(letters)):
+        for perm in sorted(set(itertools.permutations(letters))):
             word = ["I"] * self.n
             for site, ch in zip(free_sites, perm):
                 word[site] = ch
             out.append(PauliString.from_word("".join(word)))
         return out
-
-
-def _multiset_permutations(items: list[str]):
-    """Distinct permutations of a sorted list, in lexicographic order."""
-    if not items:
-        yield []
-        return
-    seen = set()
-    for i, item in enumerate(items):
-        if item in seen:
-            continue
-        seen.add(item)
-        rest = items[:i] + items[i + 1 :]
-        for tail in _multiset_permutations(rest):
-            yield [item] + tail
 
 
 def classify(p: PauliString) -> FixedIdSet:
@@ -303,35 +289,22 @@ def outcome_rows(w: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
     return w
 
 
-def shot_rows(u: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
-    """(shots, families) table <b_j|V_j B_S V_j†|b_j> of shots measuring b_j after
-    V_j = u_j^{⊗n}: axes_table row j times (-1)^{popcount(b_j & F_S)}."""
-    return outcome_rows(axes_table(bloch_axes(u), n), b, n)
-
-
-def _mask_sums(w: np.ndarray, amps: np.ndarray, n: int) -> np.ndarray:
-    """(rows, 2^n) sums of w[j, S] amps[S] over the families of each free mask."""
-    _, _, _, starts = _family_layout(n)
-    # identity masks ascend, so their complements, the free masks, descend
-    return np.add.reduceat(w * amps, starts, axis=1)[:, ::-1]
-
-
 def axes_diagonal(w: np.ndarray, amps: np.ndarray, n: int) -> np.ndarray:
     """Re <b|V_j a V_j†|b> for every outcome b, from the axes_table w of the
     V_j and amps = Re tr(B_S a). Each row's sums over the families of every
     free mask go through one Walsh-Hadamard transform, which turns masks
     into outcomes."""
-    return qcore._fwht(np.ascontiguousarray(_mask_sums(w, amps, n)))
+    _, _, _, starts = _family_layout(n)
+    # identity masks ascend, so their complements, the free masks, descend
+    sums = np.add.reduceat(w * amps, starts, axis=1)[:, ::-1]
+    return qcore._fwht(np.ascontiguousarray(sums))
 
 
 def rotated_diagonal(amps: np.ndarray, u: np.ndarray, n: int) -> np.ndarray:
-    """Re <b|V_j a V_j†|b> for V_j = u_j^{⊗n}, from amps = Re tr(B_S a).
-
-    Rows go through in blocks of at most gates.BLOCK table entries, and one
-    Walsh-Hadamard transform of the (rows, 2^n) result turns masks into
-    outcomes, as in axes_diagonal.
-    """
+    """Re <b|V_j a V_j†|b> for V_j = u_j^{⊗n}, from amps = Re tr(B_S a): the
+    axes_diagonal of the rotations, in blocks of at most gates.BLOCK table
+    entries."""
     out = np.empty((len(u), 1 << n))
     for block in gates.blocks(len(u), amps.size):
-        out[block] = _mask_sums(axes_table(bloch_axes(u[block]), n), amps, n)
-    return qcore._fwht(out)
+        out[block] = axes_diagonal(axes_table(bloch_axes(u[block]), n), amps, n)
+    return out

@@ -376,6 +376,36 @@ def test_estimate_seed_changes_records(tmp_path):
     assert a[0] != b[0]
 
 
+@pytest.mark.parametrize("observable, ensemble", [
+    ("link", "subsample_su2"), ("triangle", "global_su2"),
+    ("XXX+0.5*ZZZ", "global_cl2")])
+def test_estimate_on_the_maximally_mixed_state(tmp_path, observable, ensemble):
+    """state = mixed samples from density-matrix Born tables: 5000 shots (two
+    chunks) estimate the traceless observable within 6 sigma of its exact 0,
+    with the same artifact bytes at one and two threads."""
+    lines = (f"observable = {observable}\nensemble = {ensemble}\nstate = mixed\n"
+             "shots = 5000\nmethod = mean\n")
+    cfg = write_config(tmp_path, lines)
+    artifacts = []
+    for threads in (1, 2):
+        out = tmp_path / f"threads{threads}"
+        assert cli.main(["estimate", "--config", cfg, "--seed", "4", "--out", str(out),
+                         "--threads", str(threads)]) == 0
+        artifacts.append([(out / name).read_bytes()
+                          for name in ("records.csv", "estimate.json")])
+    assert artifacts[0] == artifacts[1]
+    doc = json.loads(artifacts[0][1])
+    assert doc["exact"] == 0.0
+    cfg = cli.coerce_config(cli.parse_config_text(lines), cli.SCHEMAS["estimate"],
+                            "estimate")
+    obs = cli.build_observable(cfg["observable"], cfg["g"], cfg["alpha"])
+    n = qcore.num_qubits(obs)
+    ens = cli.build_ensemble(cfg["ensemble"], n, cfg["members"], cfg["ensemble_seed"],
+                             targets=(obs,))
+    var = estimator.var_under_state(cli.solve_kernel(obs, ens), cli.build_state("mixed", n))
+    assert abs(doc["estimate"]) < 6.0 * np.sqrt(var / 5000)
+
+
 @pytest.mark.parametrize("lines", [
     "observable = link\nensemble = subsample_su2\nmembers = 25\nstate = ghz\n",
     "observable = triangle\nensemble = global_su2\nstate = ghz\n",

@@ -601,6 +601,25 @@ def test_su2_density_campaign_memory_is_bounded(n):
     assert peak < 32 * 2**20
 
 
+def test_su2_shot_reading_memory_is_bounded():
+    # shots are read block by block, so no (shots, 2, 2) table of rotations
+    # spans the campaign: at 200000 shots it alone would take 12.8 MB
+    n, shots, rng = 3, 200_000, np.random.default_rng(7)
+    thetas, _, psis = ensembles.haar_su2_angles(shots, rng)
+    records = estimator.Records(ensembles.KIND_GLOBAL_SU2, n, "c0",
+                                rng.integers(0, 1 << n, size=shots),
+                                thetas=thetas, psis=psis)
+    o = visible.project_visible(random_hermitian(n, rng))
+    k = estimator.kernel_cs(o, ensembles.global_su2(n))
+    tracemalloc.start()
+    try:
+        k.evaluate_records(records)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * 2**20
+
+
 def test_su2_density_campaign_records_are_frozen():
     # outcomes drawn from the family-form Born tables equal those drawn from
     # the site-by-site rotations of vec(rho) that they replaced

@@ -258,7 +258,7 @@ def test_stacked_psd_projection_matches_one_at_a_time(lat, toric):
 
 def test_identity_feature_is_exact(rng):
     rho = np.eye(8) / 8.0
-    feats = phases.patch_features(rho, 50, rng)
+    feats = phases.patch_features(rho[None], 50, rng)[0]
     idx = [i for i, s in enumerate(visible.enumerate_sets(3))
            if s.counts == (0, 0, 0)]
     assert len(idx) == 1
@@ -268,7 +268,7 @@ def test_identity_feature_is_exact(rng):
 def test_maximally_mixed_features_vanish(rng):
     rho = np.eye(8) / 8.0
     n_shots = 4000
-    feats = phases.patch_features(rho, n_shots, rng)
+    feats = phases.patch_features(rho[None], n_shots, rng)[0]
     ens = ensembles.global_su2(3)
     sets = list(visible.enumerate_sets(3))
     for i in (1, 9, 20, 37):
@@ -281,7 +281,7 @@ def test_maximally_mixed_features_vanish(rng):
 
 def test_patch_features_match_per_feature_einsum(lat, toric):
     rdm = phases.patch_rdms(lat, toric, 800, np.random.default_rng(1))[0]
-    feats = phases.patch_features(rdm, 300, np.random.default_rng(5))
+    feats = phases.patch_features(rdm[None], 300, np.random.default_rng(5))[0]
     records = estimator.run_campaign(phases.psd_project(rdm),
                                      ensembles.global_su2(3), 300,
                                      np.random.default_rng(5))
@@ -308,12 +308,17 @@ def per_patch_features(rdms, n_su2, rng):
         for r in rdms])
 
 
-@pytest.mark.parametrize("n_su2", [400, 5000])
-def test_batched_features_match_per_patch_campaigns(lat, toric, n_su2):
+@pytest.mark.parametrize("n_su2, circuit_seed", [
+    pytest.param(n_su2, seed, id=str(n_su2))
+    for n_su2, seed in [(400, 4), (5000, 4), (1725, 4), (3449, 0)]])
+def test_batched_features_match_per_patch_campaigns(lat, toric, n_su2, circuit_seed):
     """One pass over a state's patches draws and reads every shot as the
     per-patch campaigns do (5000 shots are two chunks per patch, and their
-    blocks straddle the chunk and patch boundaries), bit for bit."""
-    psi = phases.random_lowdepth_circuit(lat, 1, np.random.default_rng(4), toric)
+    blocks straddle the chunk and patch boundaries), bit for bit. At 1725 and
+    3449 shots a patch campaign's blocks of 1724 rows would leave its last
+    shot alone in a block."""
+    psi = phases.random_lowdepth_circuit(lat, 1, np.random.default_rng(circuit_seed),
+                                         toric)
     rdms = phases.patch_rdms(lat, psi, 2500, np.random.default_rng(6))
     got = phases.patch_features(rdms, n_su2, np.random.default_rng(8))
     assert got.shape == (4, 38)
@@ -345,7 +350,7 @@ def test_feature_pass_memory_stays_below_one_patch_campaign(lat, toric):
 def test_features_track_exact_patch_values(lat, toric):
     exact_rdm = qcore.partial_trace(qcore.pure_density(toric), lat.patch(0), 8)
     n_shots = 4000
-    feats = phases.patch_features(exact_rdm, n_shots, np.random.default_rng(2))
+    feats = phases.patch_features(exact_rdm[None], n_shots, np.random.default_rng(2))[0]
     ens = ensembles.global_su2(3)
     sets = list(visible.enumerate_sets(3))
     checked = 0

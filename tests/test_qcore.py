@@ -111,11 +111,12 @@ def test_spectral_norm_matches_largest_singular_value():
 
 @given(rows=st.integers(1, 9), dim_bits=st.integers(1, 12),
        shots=st.integers(1, 3000), seed=st.integers(0, 2**32 - 1))
-def test_sample_cdf_with_rows_matches_gathered_table(rows, dim_bits, shots, seed):
+def test_invert_cdf_with_rows_matches_gathered_table(rows, dim_bits, shots, seed):
     rng = np.random.default_rng(seed)
     probs = rng.random((rows, 1 << dim_bits)) ** 4
     probs /= probs.sum(axis=1, keepdims=True)
     pick = rng.integers(0, rows, size=shots)
     want = qcore.sample_bits(probs[pick], np.random.default_rng(9))
-    got = qcore.sample_cdf(np.cumsum(probs, axis=1), np.random.default_rng(9), pick)
+    got = qcore.invert_cdf(np.cumsum(probs, axis=1),
+                           np.random.default_rng(9).random(shots), pick)
     assert np.array_equal(got, want)

@@ -123,7 +123,7 @@ def test_rotated_diagonal_runs_in_blocks():
 
 def test_family_table_entries_are_measured_basis_elements():
     """W[j, S] (-1)^{popcount(b & F_S)} = <b|V_j B_S V_j†|b>, signs included,
-    and a shot's row of shot_rows is that table at its outcome."""
+    and a shot's row of outcome_rows is that table at its outcome."""
     n, rng = 3, np.random.default_rng(3)
     u = global_gates(n, rng)
     got = (visible.axes_table(visible.bloch_axes(u), n)[:, :, None]
@@ -133,7 +133,8 @@ def test_family_table_entries_are_measured_basis_elements():
     want = np.real(np.einsum("rbi,sij,rbj->rsb", dense, basis, dense.conj()))
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
     b = rng.integers(0, 1 << n, size=len(u))  # one measured outcome per row
-    assert np.array_equal(visible.shot_rows(u, b, n), got[np.arange(len(u)), :, b])
+    rows = visible.outcome_rows(visible.axes_table(visible.bloch_axes(u), n), b, n)
+    assert np.array_equal(rows, got[np.arange(len(u)), :, b])
 
 
 @pytest.mark.parametrize("n", range(1, 9))
