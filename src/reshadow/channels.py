@@ -75,7 +75,8 @@ def _su2_blocks(n: int):
 
 
 def msu2_amplitudes(n: int, amps: np.ndarray, inverse: bool) -> np.ndarray:
-    """tr(B_S M(a)), or tr(B_S M^{-1}(a)) if ``inverse``, from amps = tr(B_S a)."""
+    """tr(B_S M(a)), or tr(B_S M^{-1}(a)) if ``inverse``, from amps = tr(B_S a).
+    A 2-D ``amps`` holds one column per operator a."""
     blocks, inverses = _su2_blocks(n)
     out = np.zeros_like(amps)
     for (ids, sub), inv in zip(blocks, inverses):

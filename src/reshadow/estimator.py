@@ -55,7 +55,8 @@ FAMILY_ROWS_CAP = 1 << 27
 # text. The n_rp campaign grows by 226 bytes a shot. One state's n_su2 pass
 # (phases.patch_features) grows by about 129 bytes a shot, 32 for each of the
 # four patches at L = 2: the angles, uniform and outcome of the shot, whose
-# readings are summed as they come. 2^22 shots stay below 1.6 GB.
+# outcome row is summed as it comes (98 964 KiB more peak RSS from 2^18 to
+# 2^20 shots). 2^22 shots stay below 1.6 GB.
 SHOTS_CAP = 1 << 22
 # largest m_observables: the confidence factors divide M as a float, which
 # holds every integer up to 2^53 exactly
@@ -174,16 +175,17 @@ class KernelTable:
 
 def su2_shot_values(records: Records, amps: np.ndarray) -> np.ndarray:
     """<b_j|V_j A V_j†|b_j> per global-SU(2) shot j: its visible.outcome_rows
-    row times the real family amplitudes ``amps`` of A (one column per A if
-    2-D). Shots go through in blocks of at most gates.BLOCK table entries,
-    and each block's rotations, axes table and outcome rows are formed as
-    su2_shots forms them."""
+    row against the real family amplitudes ``amps`` of A. Shots go through
+    in blocks of at most gates.BLOCK table entries, each block's rotations,
+    axes table and outcome rows formed as su2_shots forms them. A row is
+    summed by einsum's own loop, not by a BLAS product, so a shot's value
+    does not depend on where its block starts."""
     n = records.n
-    out = np.empty((len(records),) + amps.shape[1:])
+    out = np.empty(len(records))
     for blk in gates.blocks(len(records), len(amps)):
         u = ensembles.su2_matrix(records.thetas[blk], 0.0, records.psis[blk])
         w = visible.axes_table(visible.bloch_axes(u), n)
-        out[blk] = visible.outcome_rows(w, records.b[blk], n) @ amps
+        out[blk] = np.einsum("sf,f->s", visible.outcome_rows(w, records.b[blk], n), amps)
     return out
 
 
@@ -336,7 +338,7 @@ def chunk_sizes(shots: int) -> list:
 
 
 def su2_shots(state: np.ndarray, n: int, sizes: list, children: list,
-              read: np.ndarray | None = None):
+              moments: bool = False):
     """Global-SU(2) shots of one or more states, drawn chunk by chunk.
 
     ``state`` is a state vector, or a (states, families) table whose rows
@@ -348,15 +350,18 @@ def su2_shots(state: np.ndarray, n: int, sizes: list, children: list,
 
     Shots go through in blocks of at most gates.BLOCK table entries, a row
     of ``state`` wide. A shot's rotation, Bloch axes and axes table are
-    formed once; they give its Born row and, with ``read``, a (families, k)
-    table of real family amplitudes of density-matrix states, its reading
-    visible.outcome_rows @ read.
+    formed once; they give its Born row and, with ``moments`` (density-matrix
+    states only), its visible.outcome_rows row <b|V B_S V†|b>.
 
-    Returns (thetas, psis, b) over every shot, state after state, and the
-    (states, k) sums of each state's readings, or None without ``read``.
-    The readings are added shot after shot, as numpy's axis-0 sum adds the
-    rows of a table: a sum of block sums would round differently.
+    Returns (thetas, psis, b) over every shot, state after state, and with
+    ``moments`` the (states, families) sums of each state's outcome rows,
+    else None. The rows are added shot after shot, as numpy's axis-0 sum
+    adds the rows of a C-ordered table: a sum of block sums would round
+    differently.
     """
+    if moments and state.ndim == 1:
+        raise ValueError("outcome-row sums need the (states, families) table of "
+                         "real family amplitudes, not a state vector")
     states, per_state = len(children) // len(sizes), sum(sizes)
     thetas, psis, uniform = (np.empty(states * per_state) for _ in range(3))
     offset = 0
@@ -366,9 +371,9 @@ def su2_shots(state: np.ndarray, n: int, sizes: list, children: list,
         child.random(out=uniform[chunk])
         offset += count
     b = np.empty(len(thetas), dtype=np.intp)
-    sums = None if read is None else np.full((states, read.shape[1]), -0.0)
+    sums = np.full(state.shape, -0.0) if moments else None
     for blk in gates.blocks(len(b), state.shape[-1]):
-        start, stop = blk.start, min(blk.stop, len(b))
+        start, stop = blk.start, blk.stop
         # (state, rows of the block) of every state the block reaches
         parts = [(s, slice(max(s * per_state, start) - start,
                            min(s * per_state + per_state, stop) - start))
@@ -382,11 +387,12 @@ def su2_shots(state: np.ndarray, n: int, sizes: list, children: list,
                                              for s, rows in parts]))
         np.cumsum(cdf, axis=1, out=cdf)
         b[blk] = qcore.invert_cdf(cdf, uniform[blk])
-        if read is None:
+        if not moments:
             continue
-        values = visible.outcome_rows(w, b[blk], n) @ read
+        # axes_table is F-ordered, and numpy reduces a contiguous axis pairwise
+        outcomes = np.ascontiguousarray(visible.outcome_rows(w, b[blk], n))
         for s, rows in parts:
-            part = values[rows]
+            part = outcomes[rows]
             part[0] += sums[s]  # -0.0 + x is x, so a first part starts exactly
             sums[s] = np.add.reduce(part, axis=0)
     return thetas, psis, b, sums

@@ -44,14 +44,9 @@ def rotate_pair(t: np.ndarray, a: int, b: int, gate: np.ndarray) -> None:
 
 def blocks(count: int, size: int):
     """Slices over `count` rows of `size` elements each, at most BLOCK
-    elements (and at least one row) per slice. A last slice of one row takes
-    a second from the slice before when that one keeps two: numpy rounds a
-    one-row product differently from the same row in a larger block."""
+    elements (and at least one row) per slice."""
     step = max(1, BLOCK // size)
-    starts = list(range(0, count, step))
-    if step >= 3 and count > step and count % step == 1:
-        starts[-1] -= 1
-    return (slice(start, stop) for start, stop in zip(starts, starts[1:] + [count]))
+    return (slice(start, min(start + step, count)) for start in range(0, count, step))
 
 
 def rows(g: np.ndarray, n: int, start: np.ndarray) -> np.ndarray:

@@ -12,9 +12,10 @@ linear function of the visible data can.
 Each state's patches go through the SU(2) stage together: one stacked PSD
 projection, then one pass (estimator.su2_shots) that draws every patch's
 campaign from its own chunk generators, spawned patch after patch, and sums
-each patch's shot readings as it goes. For every n_su2 >= 2 the features
-are those of one run_campaign per patch read by estimator.su2_shot_values,
-bit for bit: both read shots in blocks of at least two rows (gates.blocks).
+each patch's outcome rows as it goes. A classical-shadow estimate is the
+inverse channel of the mean snapshot, so one msu2_amplitudes call per state
+turns the mean rows into features. For every n_su2 they equal, bit for bit,
+those of one run_campaign per patch whose outcome rows are summed in order.
 """
 
 from __future__ import annotations
@@ -267,14 +268,6 @@ def _patch_inverse_ops(n: int = 3) -> np.ndarray:
     return ops
 
 
-@lru_cache(maxsize=4)
-def _patch_inverse_amps(n: int) -> np.ndarray:
-    """Column S: the real family amplitudes of M^{-1}(B_S) (read-only)."""
-    inv = channels.msu2_amplitudes(n, np.eye(visible.expected_set_count(n)), True)
-    inv.flags.writeable = False
-    return inv
-
-
 def patch_features(rdms: np.ndarray, n_su2: int, rng) -> np.ndarray:
     """Estimates of tr(rho B_S) for all visible basis elements of each patch.
 
@@ -282,10 +275,10 @@ def patch_features(rdms: np.ndarray, n_su2: int, rng) -> np.ndarray:
     PSD-projected and measured by its own global-SU(2) campaign of n_su2
     shots, whose chunk generators are spawned from ``rng`` patch after patch
     as run_campaign spawns them. The campaigns run as one pass
-    (estimator.su2_shots): each shot is sampled and read by the shadow
-    kernels of all M^{-1}(B_S) at once, from one table of its rotation, and
-    each patch's readings are summed as they come. Returns the (patches,
-    families) means.
+    (estimator.su2_shots) that sums each patch's outcome rows
+    <b|V B_S V†|b> as they come; the inverse channel, which is linear, then
+    maps each patch's mean row to its shadow estimate. Returns the
+    (patches, families) estimates.
     """
     rhos = psd_project(rdms)
     n = qcore.num_qubits(rhos[0])
@@ -293,8 +286,8 @@ def patch_features(rdms: np.ndarray, n_su2: int, rng) -> np.ndarray:
     sizes = estimator.chunk_sizes(n_su2)
     children = [child for _ in rhos for child in rng.spawn(len(sizes))]
     amps = np.stack([visible.family_coefficients(rho).real for rho in rhos])
-    sums = estimator.su2_shots(amps, n, sizes, children, _patch_inverse_amps(n))[3]
-    return sums / n_su2
+    sums = estimator.su2_shots(amps, n, sizes, children, moments=True)[3]
+    return channels.msu2_amplitudes(n, sums.T / n_su2, True).T
 
 
 # ---------------------------------------------------------------------------

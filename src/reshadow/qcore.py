@@ -29,9 +29,6 @@ from .gates import blocks
 N_CAP = 14
 
 I2 = np.eye(2, dtype=complex)
-X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
-Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / np.sqrt(2.0)
 S_GATE = np.array([[1.0, 0.0], [0.0, 1.0j]], dtype=complex)
 

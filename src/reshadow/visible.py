@@ -245,7 +245,9 @@ def bloch_axes(u: np.ndarray) -> np.ndarray:
         raise ValueError("family forms need one 2x2 rotation per row, shared by "
                          f"every site; got gates of shape {u.shape}")
     a, b = u[:, 0, 0], u[:, 0, 1]  # <0|u = (a, b)
-    ab = a * b.conj()
+    # not a * b.conj(): numpy multiplies a temporary of 16384 or more
+    # entries in place, in the other order, which rounds differently
+    ab = np.multiply(a, b.conj())
     return np.stack([2.0 * ab.real, 2.0 * ab.imag, abs(a) ** 2 - abs(b) ** 2])
 
 

@@ -434,6 +434,28 @@ def test_su2_campaign_agrees_with_kernel_evaluate(n):
         assert vals[i] == pytest.approx(want, abs=1e-12)
 
 
+def test_su2_shot_values_do_not_depend_on_block_position():
+    # each of the first 200 shots of a triangle/ghz campaign read alone, in a
+    # block of one row, equals its value read with the whole campaign
+    n = 3
+    ens = ensembles.global_su2(n)
+    k = estimator.kernel_cs(lgt.triangle_local(1.0), ens)
+    ghz = (qcore.basis_state(n, 0) + qcore.basis_state(n, (1 << n) - 1)) / np.sqrt(2.0)
+    records = estimator.run_campaign(ghz, ens, 5000, np.random.default_rng(0))
+    whole = k.evaluate_records(records)
+    alone = [estimator.su2_shot_values(
+        estimator.Records(records.kind, n, "c0", records.b[j:j + 1],
+                          thetas=records.thetas[j:j + 1], psis=records.psis[j:j + 1]),
+        k.amps)[0] for j in range(200)]
+    assert np.array_equal(alone, whole[:200])
+
+
+def test_su2_shot_moments_need_family_amplitudes():
+    with pytest.raises(ValueError, match="family amplitudes"):
+        estimator.su2_shots(qcore.basis_state(2, 0), 2, [4], [np.random.default_rng(0)],
+                            moments=True)
+
+
 CL2_GATES = np.stack([ensembles.basis_rotation(ch) for ch in ensembles.CL2_BASES])
 
 

@@ -96,13 +96,3 @@ def test_blocks_cover_rows_within_budget():
         assert [i for s in spans for i in s] == list(range(count))
         assert all(len(s) * size <= max(gates.BLOCK, size) for s in spans)
     assert len(list(gates.blocks(448, 4096))) == 28  # the n = 6 quadrature
-
-
-def test_last_block_takes_a_second_row_when_the_one_before_keeps_two():
-    def sizes(count, size):
-        return [len(range(count)[b]) for b in gates.blocks(count, size)]
-
-    assert sizes(1725, 38) == [1723, 2]  # 1724-row blocks at n = 3
-    assert sizes(3449, 38) == [1724, 1723, 2]
-    assert sizes(1, 38) == [1]
-    assert sizes(5, gates.BLOCK // 2) == [2, 2, 1]  # a 2-row block keeps both

@@ -298,25 +298,28 @@ def test_patch_features_match_per_feature_einsum(lat, toric):
 
 
 def per_patch_features(rdms, n_su2, rng):
-    """One global-SU(2) campaign per patch, each read as a whole: the
-    features as they were computed before the per-state pass."""
-    inv = phases._patch_inverse_amps(3)
-    return np.stack([
-        estimator.su2_shot_values(
-            estimator.run_campaign(phases.psd_project(r), ensembles.global_su2(3),
-                                   n_su2, rng), inv).mean(axis=0)
-        for r in rdms])
+    """One global-SU(2) campaign per patch: its outcome rows as one C-ordered
+    table, summed over axis 0, and the inverse channel of every patch's mean
+    row in one stacked call."""
+    sums = []
+    for r in rdms:
+        records = estimator.run_campaign(phases.psd_project(r), ensembles.global_su2(3),
+                                         n_su2, rng)
+        u = ensembles.su2_matrix(records.thetas, 0.0, records.psis)
+        w = visible.axes_table(visible.bloch_axes(u), 3)
+        sums.append(np.ascontiguousarray(visible.outcome_rows(w, records.b, 3)).sum(axis=0))
+    return channels.msu2_amplitudes(3, np.stack(sums).T / n_su2, True).T
 
 
 @pytest.mark.parametrize("n_su2, circuit_seed", [
     pytest.param(n_su2, seed, id=str(n_su2))
     for n_su2, seed in [(400, 4), (5000, 4), (1725, 4), (3449, 0)]])
 def test_batched_features_match_per_patch_campaigns(lat, toric, n_su2, circuit_seed):
-    """One pass over a state's patches draws and reads every shot as the
-    per-patch campaigns do (5000 shots are two chunks per patch, and their
-    blocks straddle the chunk and patch boundaries), bit for bit. At 1725 and
-    3449 shots a patch campaign's blocks of 1724 rows would leave its last
-    shot alone in a block."""
+    """One pass over a state's patches draws every shot and sums its outcome
+    row as the per-patch campaigns do (5000 shots are two chunks per patch,
+    and their blocks straddle the chunk and patch boundaries), bit for bit.
+    At 1725 and 3449 shots a patch's last shot sits alone in a 1724-row block
+    of its campaign, and alone among its patch's rows in a block of the pass."""
     psi = phases.random_lowdepth_circuit(lat, 1, np.random.default_rng(circuit_seed),
                                          toric)
     rdms = phases.patch_rdms(lat, psi, 2500, np.random.default_rng(6))
@@ -333,7 +336,7 @@ def test_batched_features_match_per_patch_campaigns(lat, toric, n_su2, circuit_s
 
 def test_feature_pass_memory_stays_below_one_patch_campaign(lat, toric):
     """At 2^16 shots a patch, one state's pass peaks below one patch's
-    campaign read as a whole, which holds a (shots, 38) table of readings."""
+    campaign read as a whole, which holds a (shots, 38) table of outcome rows."""
     rdms = phases.patch_rdms(lat, toric, 2000, np.random.default_rng(1))
     peaks = []
     for run in (lambda: phases.patch_features(rdms, 1 << 16, np.random.default_rng(2)),

@@ -186,6 +186,15 @@ def test_family_forms_reject_per_site_gates():
         visible.bloch_axes(u)
 
 
+def test_bloch_axes_do_not_depend_on_table_length():
+    # a table of 20000 rotations (a full block at n = 1 holds 16384) gives
+    # every row the axes it gets in a table of its own
+    thetas, _, psis = ensembles.haar_su2_angles(20000, np.random.default_rng(3))
+    u = ensembles.su2_matrix(thetas, 0.0, psis)
+    alone = np.concatenate([visible.bloch_axes(u[j:j + 1]) for j in range(len(u))], axis=1)
+    assert np.array_equal(visible.bloch_axes(u), alone)
+
+
 @pytest.mark.parametrize("n", range(1, 6))
 def test_axes_table_from_angles_matches_family_table(n):
     """The channel Monte Carlo's table from the Bloch axes of its angles
