@@ -10,8 +10,16 @@ import numpy as np
 
 
 def metadata_header(metadata: dict | None) -> str:
-    """One ``# key=value`` line per item, in order, each ending in a newline."""
-    return "".join(f"# {key}={value}\n" for key, value in (metadata or {}).items())
+    """One ``# key=value`` line per item, in order, each ending in a newline.
+
+    A key or value holding a line break would read back as more than one
+    line, so it raises ValueError.
+    """
+    lines = [f"{key}={value}" for key, value in (metadata or {}).items()]
+    for line in lines:
+        if "\n" in line or "\r" in line:
+            raise ValueError(f"metadata line {line!r} holds a line break")
+    return "".join(f"# {line}\n" for line in lines)
 
 
 def csv_text(metadata: dict | None, columns, rows) -> str:
@@ -25,8 +33,9 @@ def csv_text(metadata: dict | None, columns, rows) -> str:
         ",".join(map(cell, row)) + "\n" for row in (columns, *rows))
 
 
-def read_metadata_header(text: str) -> tuple[dict, str]:
-    """The leading ``#`` lines of text as a dict, and the text after them.
+def read_metadata_header(text: str) -> tuple[dict, int]:
+    """The leading ``#`` lines of text as a dict, and the index in text of
+    the first character after them (the text itself is not copied).
 
     Blank lines among the header lines are skipped. Keys are stripped;
     values keep everything after the first ``=`` except trailing space. A key
@@ -47,4 +56,4 @@ def read_metadata_header(text: str) -> tuple[dict, str]:
                 raise ValueError(f"header key {key!r} appears twice")
             metadata[key] = value
         pos = end + 1
-    return metadata, text[pos:]
+    return metadata, min(pos, len(text))

@@ -25,7 +25,7 @@ import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -48,15 +48,15 @@ CHUNK = 4096
 # entries (1 GiB of M, a peak near 5 GB) leaves the rest of the host free.
 FAMILY_ROWS_CAP = 1 << 27
 # largest shot count of one campaign (`estimate` shots, `phase-classify` n_rp
-# and n_su2). Peak RSS grows by about 192 bytes a shot in `estimate` on the
-# default 25-member subsample (408 MB at 2e6 shots, 774 MB at 4e6): 32 bytes
-# of records columns (b, member_idx, thetas, psis), their per-chunk copies
-# before the concatenation, and about 120 bytes of record-CSV byte table and
-# text. The n_rp campaign grows by 226 bytes a shot. One state's n_su2 pass
-# (phases.patch_features) grows by about 129 bytes a shot, 32 for each of the
-# four patches at L = 2: the angles, uniform and outcome of the shot, whose
-# outcome row is summed as it comes (98 964 KiB more peak RSS from 2^18 to
-# 2^20 shots). 2^22 shots stay below 1.6 GB.
+# and n_su2). Peak RSS grows by about 108 bytes a shot in `estimate` on the
+# default 25-member subsample (256 MB at 2e6 shots, 472 MB at 4e6): 32 bytes
+# of records columns (b, member_idx, thetas, psis), and 80 for the 40-byte
+# rows of the record CSV twice, in the writer's byte buffer and in the text
+# decoded from it. The n_rp campaign grows by 226 bytes a shot. One state's
+# n_su2 pass (phases.patch_features) grows by about 129 bytes a shot, 32 for
+# each of the four patches at L = 2: the angles, uniform and outcome of the
+# shot, whose outcome row is summed as it comes (98 964 KiB more peak RSS
+# from 2^18 to 2^20 shots). 2^22 shots stay below 1.6 GB.
 SHOTS_CAP = 1 << 22
 # largest m_observables: the confidence factors divide M as a float, which
 # holds every integer up to 2^53 exactly
@@ -688,12 +688,14 @@ def _represented(k: KernelTable, m: np.ndarray, sqrt_p: np.ndarray) -> np.ndarra
 # ``struct.unpack(">d", bytes.fromhex(cell))[0]``. The member index is
 # zero-padded to the digits of the largest index in the records. Every row of
 # a file therefore has one width, and both directions work on one
-# (rows, width) byte table, column slice by column slice.
+# (rows, width) byte table, column slice by column slice. That table is the
+# file's only full-size copy in either direction: every other temporary is
+# one digit column or a block of rows of at most gates.BLOCK bytes.
 
 RECORD_COLUMNS = "v_params,b"
 RECORD_KEYS = ("n", "campaign_id", "ensemble_kind", "shots")
 
-_NEWLINE, _COMMA, _SEMICOLON, _ZERO, _ONE = b"\n,;01"
+_NEWLINE, _COMMA, _SEMICOLON, _ZERO = b"\n,;0"
 
 _HEX_ANGLE = ("16 lowercase hex digits of its big-endian IEEE-754 bits, as "
               "struct.pack('>d', x).hex()")
@@ -712,29 +714,40 @@ _HEX_BYTE = np.full(1 << 16, 256, dtype=np.uint16)
 _HEX_BYTE[_HEX_PAIRS] = np.arange(256)
 
 
-def _hex_cells(values: np.ndarray) -> np.ndarray:
-    """(rows, 16) table of the big-endian IEEE-754 bits of each float in hex."""
+def _hex_cells(values: np.ndarray, out: np.ndarray) -> None:
+    """Writes the big-endian IEEE-754 bits of each float as 16 hex digits
+    into its row of the (rows, 16) byte table out."""
     octets = np.asarray(values, dtype=">f8").view(np.uint8).reshape(-1, 8)
-    return np.take(_HEX_PAIRS, octets).view(np.uint8)
+    out[...] = np.take(_HEX_PAIRS, octets).view(np.uint8)
 
 
-def _index_cells(values: np.ndarray) -> np.ndarray:
-    """Decimal digits of non-negative integers, zero-padded to the largest."""
+@lru_cache(maxsize=8)
+def _outcome_digits(n: int) -> np.ndarray:
+    """Read-only (2^n, n) table of the binary digits of every outcome as
+    ASCII bytes, site 0 first."""
+    digits = (_site_bits(np.arange(1 << n), n) + _ZERO).astype(np.uint8)
+    digits.flags.writeable = False
+    return digits
+
+
+def _index_cells(values: np.ndarray, out: np.ndarray) -> None:
+    """Writes non-negative integers as decimal digits into the (rows, digits)
+    byte table out, zero-padded to its width."""
     values = np.asarray(values, dtype=np.int64)
-    if values.min() < 0:
-        raise ValueError("member indices must be non-negative")
-    cells = np.empty((values.size, len(str(int(values.max())))), dtype=np.uint8)
-    for j in range(cells.shape[1] - 1, -1, -1):  # numpy divides by a scalar fastest
+    for j in range(out.shape[1] - 1, -1, -1):  # numpy divides by a scalar fastest
         rest = values // 10
-        cells[:, j] = values - 10 * rest + _ZERO
+        out[:, j] = values - 10 * rest + _ZERO
         values = rest
-    return cells
 
 
 def records_to_csv(records: Records, metadata: dict | None = None) -> str:
     """The record CSV of `records` under the ``# key=value`` lines of
-    `metadata`, which may not use a key of RECORD_KEYS nor two keys that read
-    back equal (the reader cuts a key at its first ``=`` and strips it)."""
+    `metadata`, which may not use a key of RECORD_KEYS, two keys that read
+    back equal (the reader cuts a key at its first ``=`` and strips it), nor
+    a key or value holding a line break.
+
+    The encoded header and the (rows, width) table share one byte buffer,
+    filled in place block of rows by block of rows and decoded once."""
     n, count = records.n, len(records)
     if not count:
         raise ValueError("no records to write: a record CSV holds at least one row")
@@ -749,40 +762,95 @@ def records_to_csv(records: Records, metadata: dict | None = None) -> str:
     if repeated:
         raise ValueError(f"metadata keys {repeated} would read back twice")
     metadata.update(zip(RECORD_KEYS, (n, records.campaign_id, records.kind, count)))
+    head = (artifacts.metadata_header(metadata) + f"{RECORD_COLUMNS}\n").encode()
 
-    def mark(code):
-        return np.full((count, 1), code, dtype=np.uint8)
+    kind, digits = records.kind, 0
+    if kind == KIND_DISCRETE_SUBSAMPLE:
+        if records.member_idx.min() < 0:
+            raise ValueError("member indices must be non-negative")
+        digits = len(str(int(records.member_idx.max())))
+    # v_params fill the row up to ',', b and '\n'
+    comma = {KIND_LOCAL_CLIFFORD: n, KIND_GLOBAL_CL2: 1, KIND_GLOBAL_SU2: 33,
+             KIND_DISCRETE_SUBSAMPLE: digits + 34}[kind]
+    width = comma + n + 2
+    buf = np.empty(len(head) + count * width, dtype=np.uint8)
+    buf[:len(head)] = np.frombuffer(head, dtype=np.uint8)
+    table = buf[len(head):].reshape(count, width)
+    table[:, comma] = _COMMA
+    table[:, -1] = _NEWLINE
+    if kind in (KIND_GLOBAL_SU2, KIND_DISCRETE_SUBSAMPLE):
+        table[:, comma - 17] = _SEMICOLON
+    if kind == KIND_DISCRETE_SUBSAMPLE:
+        table[:, digits] = _SEMICOLON
+    for blk in gates.blocks(count, width):
+        rows = table[blk]
+        rows[:, comma + 1:-1] = np.take(_outcome_digits(n), records.b[blk], axis=0)
+        if kind == KIND_LOCAL_CLIFFORD:
+            rows[:, :n] = np.take(_BASIS_CODES, records.bases[blk])
+        elif kind == KIND_GLOBAL_CL2:
+            rows[:, 0] = np.take(_BASIS_CODES, records.member_idx[blk])
+        else:
+            _hex_cells(records.thetas[blk], rows[:, comma - 33:comma - 17])
+            _hex_cells(records.psis[blk], rows[:, comma - 16:comma])
+        if kind == KIND_DISCRETE_SUBSAMPLE:
+            _index_cells(records.member_idx[blk], rows[:, :digits])
+    return str(buf, "utf-8")
 
-    if records.kind == KIND_LOCAL_CLIFFORD:
-        params = [_BASIS_CODES[records.bases]]
-    elif records.kind == KIND_GLOBAL_CL2:
-        params = [_BASIS_CODES[records.member_idx][:, None]]
-    else:
-        params = [_hex_cells(records.thetas), mark(_SEMICOLON), _hex_cells(records.psis)]
-        if records.kind == KIND_DISCRETE_SUBSAMPLE:
-            params = [_index_cells(records.member_idx), mark(_SEMICOLON), *params]
-    bits = (_site_bits(records.b, n) + _ZERO).astype(np.uint8)
-    table = np.concatenate([*params, mark(_COMMA), bits, mark(_NEWLINE)], axis=1)
-    return (artifacts.metadata_header(metadata) + f"{RECORD_COLUMNS}\n"
-            + table.tobytes().decode("ascii"))
+
+def _column_is(column: np.ndarray, code: int) -> bool:
+    """Whether every byte of a table column is `code`: two reductions over
+    the strided column, no temporary of its size."""
+    return column.min() == code == column.max()
+
+
+def _lookup(table: np.ndarray, cells: np.ndarray) -> np.ndarray:
+    """table[cells] for a byte table cells, in blocks of rows, so that the
+    intp copy numpy makes of the indices stays within gates.BLOCK entries."""
+    out = np.empty(cells.shape, dtype=table.dtype)
+    for blk in gates.blocks(len(cells), cells[0].size):
+        out[blk] = np.take(table, cells[blk])
+    return out
+
+
+def _digit_values(cells: np.ndarray, base: int) -> np.ndarray | None:
+    """Integers from a (rows, digits) byte table of ASCII digits in `base`,
+    most significant first, read one strided digit column at a time; None if
+    a byte is not such a digit. At most 18 decimal digits: every column adds
+    its digit plus the code of '0', which stays below 2^63."""
+    out = np.zeros(len(cells), dtype=np.int64)
+    for column in cells.T:
+        if column.min() < _ZERO or column.max() >= _ZERO + base:
+            return None
+        out *= base
+        out += column
+    out -= _ZERO * ((base ** cells.shape[1] - 1) // (base - 1))
+    return out
 
 
 def _hex_floats(cells: np.ndarray, kind: str) -> np.ndarray:
-    """Floats from a (rows, 16) table of hex bit patterns."""
-    octets = np.take(_HEX_BYTE, np.ascontiguousarray(cells).view(np.uint16))
-    if (octets > 255).any():
-        raise ValueError(f"{kind} angles must each be {_HEX_ANGLE}")
-    return octets.astype(np.uint8).view(">f8").ravel().astype(np.float64)
+    """Floats from a (rows, 16) table of hex bit patterns, in blocks of rows."""
+    out = np.empty(len(cells))
+    pairs = cells.view(np.uint16)
+    for blk in gates.blocks(len(cells), cells.shape[1]):
+        octets = np.take(_HEX_BYTE, pairs[blk])
+        if octets.max() > 255:
+            raise ValueError(f"{kind} angles must each be {_HEX_ANGLE}")
+        out[blk] = octets.astype(np.uint8).view(">f8")[:, 0]
+    return out
 
 
-def _member_indices(cells: np.ndarray) -> np.ndarray:
-    """Non-negative integers from a (rows, digits) table of decimal digits."""
-    if cells.shape[1] > 18:
-        raise ValueError("member index has more than 18 digits")
-    digits = cells.astype(np.int64) - _ZERO
-    if ((digits < 0) | (digits > 9)).any():
-        raise ValueError("member index must be decimal digits")
-    return digits @ 10 ** np.arange(cells.shape[1] - 1, -1, -1)
+def _first_ragged_row(raw: np.ndarray, width: int) -> int | None:
+    """The number (from 1) of the first newline-ended line of raw that is
+    not `width` bytes long, searched gates.BLOCK bytes at a time."""
+    last, row = -1, 1
+    for blk in gates.blocks(raw.size, 1):
+        ends = np.flatnonzero(raw[blk] == _NEWLINE) + blk.start
+        ragged = np.flatnonzero(np.diff(ends, prepend=last) != width)
+        if ragged.size:
+            return row + int(ragged[0])
+        if ends.size:
+            row, last = row + ends.size, ends[-1]
+    return None
 
 
 def records_from_csv(text: str) -> tuple[Records, dict]:
@@ -794,11 +862,16 @@ def records_from_csv(text: str) -> tuple[Records, dict]:
     that does not fit the kind's layout (decimal angles among them), a row of
     another width than the first, a row count other than ``shots``, outcomes
     that are not n binary digits, and malformed v_params.
+
+    The text is encoded once, and the rows are read as a (rows, width) view
+    of that buffer.
     """
     if "\r" in text:
         text = text.replace("\r\n", "\n")
-    metadata, body = artifacts.read_metadata_header(text)
-    header, _, body = body.partition("\n")
+    metadata, pos = artifacts.read_metadata_header(text)
+    end = text.find("\n", pos)
+    end = len(text) if end < 0 else end
+    header = text[pos:end]
     if header.rstrip() != RECORD_COLUMNS:
         raise ValueError(f"record CSV columns must be {RECORD_COLUMNS!r}, "
                          f"not {header.rstrip()!r}")
@@ -811,15 +884,19 @@ def records_from_csv(text: str) -> tuple[Records, dict]:
         raise ValueError(f"record CSV has n={n}, outside 1..{qcore.N_CAP}")
     if kind not in KINDS:
         raise ValueError(f"unknown ensemble kind {kind!r}")
-    if not body:
+    if end + 1 >= len(text):
         raise ValueError("record CSV holds a header but no records")
-    if not body.endswith("\n"):
-        body += "\n"
-    raw = np.frombuffer(body.encode("ascii"), dtype=np.uint8)
-    if not raw.all():
+    data = text.encode()
+    if not data.endswith(b"\n"):
+        data += b"\n"
+    start = len(text[:end + 1].encode())
+    raw = np.frombuffer(data, dtype=np.uint8, offset=start)
+    if not text.isascii() and raw.max() > 127:
+        raise ValueError("record rows must be ASCII")
+    if data.find(b"\0", start) >= 0:
         raise ValueError("record CSV holds a NUL byte")
 
-    width = body.index("\n") + 1
+    width = data.index(b"\n", start) - start + 1
     comma = width - n - 2  # v_params fill the row up to ',', b and '\n'
     fits = {KIND_LOCAL_CLIFFORD: comma == n, KIND_GLOBAL_CL2: comma == 1,
             KIND_GLOBAL_SU2: comma == 33, KIND_DISCRETE_SUBSAMPLE: comma >= 35}
@@ -828,42 +905,44 @@ def records_from_csv(text: str) -> tuple[Records, dict]:
                          f"digits and v_params {_ROW_LAYOUTS[kind]}")
     rows = raw.size // width
     table = raw[:rows * width].reshape(rows, width)
-    if rows * width != raw.size or (table[:, -1] != _NEWLINE).any():
-        lengths = np.diff(np.flatnonzero(raw == _NEWLINE), prepend=-1)
-        row = int(np.flatnonzero(lengths != width)[0]) + 1
+    if rows * width != raw.size or not _column_is(table[:, -1], _NEWLINE):
         raise ValueError(f"record rows must all be as wide as the first "
-                         f"({width - 1} characters); row {row} is not")
+                         f"({width - 1} characters); row "
+                         f"{_first_ragged_row(raw, width)} is not")
     if str(rows) != shots:
         raise ValueError(f"record CSV holds {rows} rows, its header says "
                          f"shots={shots}")
-    if (table[:, comma] != _COMMA).any():
+    if not _column_is(table[:, comma], _COMMA):
         raise ValueError(f"each record row must end in ',' and the {n} digits of b")
-    bits = table[:, comma + 1:-1]
-    if not ((bits == _ZERO) | (bits == _ONE)).all():
+    b = _digit_values(table[:, comma + 1:-1], 2)
+    if b is None:
         raise ValueError(f"b must be {n} binary digits")
-    b = (bits == _ONE) @ (1 << np.arange(n - 1, -1, -1))
     params = table[:, :comma]
 
     if kind == KIND_LOCAL_CLIFFORD:
-        bases = _BASIS_OF_CODE[params]
-        if (bases < 0).any():
+        bases = _lookup(_BASIS_OF_CODE, params)
+        if bases.min() < 0:
             raise ValueError("per-site words use letters outside X, Y, Z")
         return Records(kind, n, campaign_id, b, bases=bases), metadata
     if kind == KIND_GLOBAL_CL2:
-        member_idx = _BASIS_OF_CODE[params[:, 0]]
-        if (member_idx < 0).any():
+        member_idx = _lookup(_BASIS_OF_CODE, params[:, 0])
+        if member_idx.min() < 0:
             raise ValueError("Cl(2) bases must be X, Y or Z")
         return Records(kind, n, campaign_id, b,
                        member_idx=member_idx.astype(np.int64)), metadata
 
     # [index;]theta;psi: the angles fill the last 33 characters
     semis = [comma - 17] + ([comma - 34] if kind == KIND_DISCRETE_SUBSAMPLE else [])
-    if (params[:, semis] != _SEMICOLON).any():
+    if not all(_column_is(params[:, at], _SEMICOLON) for at in semis):
         raise ValueError(f"{kind} v_params must be {_ROW_LAYOUTS[kind]}")
     thetas, psis = (_hex_floats(params[:, at:at + 16], kind)
                     for at in (comma - 33, comma - 16))
     member_idx = None
     if kind == KIND_DISCRETE_SUBSAMPLE:
-        member_idx = _member_indices(params[:, :comma - 34])
+        if comma - 34 > 18:
+            raise ValueError("member index has more than 18 digits")
+        member_idx = _digit_values(params[:, :comma - 34], 10)
+        if member_idx is None:
+            raise ValueError("member index must be decimal digits")
     return Records(kind, n, campaign_id, b, member_idx=member_idx, thetas=thetas,
                    psis=psis), metadata

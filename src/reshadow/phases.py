@@ -163,7 +163,8 @@ def two_qubit_cliffords() -> np.ndarray:
         cand = np.matmul(gens[None], frontier[:, None]).reshape(-1, 4, 4)
         flat = cand.reshape(len(cand), 16)
         lead = flat[np.arange(len(flat)), np.argmax(np.abs(flat) > 1e-8, axis=1)]
-        cand *= np.array([np.conj(x) / abs(x) for x in lead])[:, None, None]
+        # hypot, not np.abs: it rounds as the scalar abs(x) of a complex x
+        cand *= (np.conj(lead) / np.hypot(lead.real, lead.imag))[:, None, None]
         fresh = []
         for i, key in enumerate(_matrix_keys(cand)):
             if key not in seen:

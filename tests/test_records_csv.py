@@ -4,6 +4,7 @@ and rejection of malformed headers and rows."""
 import csv
 import io
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -259,10 +260,68 @@ def test_metadata_header_round_trips():
     meta = {"seed": 3, "config_hash": "ab12", "versions": "x=1 y=2"}
     text = artifacts.metadata_header(meta) + "a,b\n1,2\n"
     assert text.startswith("# seed=3\n# config_hash=ab12\n# versions=x=1 y=2\n")
-    back, rest = artifacts.read_metadata_header(text)
+    back, pos = artifacts.read_metadata_header(text)
     assert back == {"seed": "3", "config_hash": "ab12", "versions": "x=1 y=2"}
-    assert rest == "a,b\n1,2\n"
+    assert text[pos:] == "a,b\n1,2\n"
+    assert artifacts.read_metadata_header("# a=1\n# b=2") == ({"a": "1", "b": "2"}, 11)
     assert artifacts.metadata_header(None) == ""
+
+
+def shot_records(kind, count, n, rng):
+    """`count` random shots of one kind, subsample indices below 25."""
+    b = rng.integers(0, 1 << n, size=count)
+    if kind == KIND_LOCAL_CLIFFORD:
+        bases = rng.integers(0, 3, size=(count, n)).astype(np.int8)
+        return estimator.Records(kind, n, "c0", b, bases=bases)
+    if kind == KIND_GLOBAL_CL2:
+        return estimator.Records(kind, n, "c0", b, member_idx=rng.integers(0, 3, size=count))
+    member_idx = rng.integers(0, 25, size=count) if kind == KIND_DISCRETE_SUBSAMPLE else None
+    return estimator.Records(kind, n, "c0", b, member_idx=member_idx,
+                             thetas=rng.uniform(0.0, np.pi, count),
+                             psis=rng.uniform(0.0, 2 * np.pi, count))
+
+
+@pytest.mark.parametrize("kind", estimator.KINDS)
+def test_writer_and_reader_hold_one_full_size_copy(kind):
+    # the writer: its byte buffer and the str decoded from it; the reader:
+    # the bytes it encodes, beside the arrays it returns. Every other
+    # temporary is a block of rows (within the MiB of slack).
+    records = shot_records(kind, 200_000, 3, np.random.default_rng(6))
+    tracemalloc.start()
+    try:
+        text = estimator.records_to_csv(records, {"seed": 6})
+        written = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        held = tracemalloc.get_traced_memory()[0]
+        back, _ = estimator.records_from_csv(text)
+        read = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert_same_records(back, records)
+    returned = sum(a.nbytes for a in (back.b, back.bases, back.member_idx,
+                                      back.thetas, back.psis) if a is not None)
+    assert written <= 2.2 * len(text) + 2**20
+    assert read - returned <= 1.3 * len(text) + 2**20
+
+
+@pytest.mark.parametrize("metadata", [{"note": "a\n# extra=1"}, {"note": "a\nb"},
+                                      {"note": "a\rb"}, {"a\nb": 0}])
+def test_writer_rejects_metadata_with_line_breaks(metadata):
+    # "a\n# extra=1" would read back as two keys, "a\nb" as a row
+    records = shot_records(KIND_GLOBAL_CL2, 2, 2, np.random.default_rng(0))
+    with pytest.raises(ValueError, match="line break"):
+        estimator.records_to_csv(records, metadata)
+
+
+def test_reader_finds_the_rows_after_a_non_ascii_header():
+    # the rows start at a byte offset past the header's UTF-8 bytes
+    records = shot_records(KIND_DISCRETE_SUBSAMPLE, 5, 2, np.random.default_rng(1))
+    text = estimator.records_to_csv(records, {"note": "café ∑"})
+    back, meta = estimator.records_from_csv(text)
+    assert meta == {"note": "café ∑"}
+    assert_same_records(back, records)
+    with pytest.raises(ValueError, match="rows must be ASCII"):
+        estimator.records_from_csv(text.replace(";", "é", 1))
 
 
 def test_csv_text_writes_floats_by_repr():
