@@ -462,12 +462,14 @@ def run_campaign(rho: np.ndarray, ens: Ensemble, shots: int, rng,
     children = rng.spawn(len(sizes))
 
     if ens.is_discrete:
-        tables = _born_tables(rho, _member_gates(ens))
+        # normalized here, once, so that invert_cdf only reads the shared table
+        cdf = np.cumsum(_born_tables(rho, _member_gates(ens)), axis=1)
+        cdf /= cdf[:, -1:].copy()
 
         def work(count, child):
             idx = child.choice(len(ens.members), size=count, p=ens.weights)
-            return {"member_idx": idx, "b": qcore.invert_cdf(
-                np.cumsum(tables, axis=1), child.random(count), idx)}
+            return {"member_idx": idx,
+                    "b": qcore.invert_cdf(cdf, child.random(count), idx)}
 
     elif ens.kind == KIND_GLOBAL_SU2:
         state = rho if rho.ndim == 1 else visible.family_coefficients(rho).real[None]
@@ -695,7 +697,7 @@ def _represented(k: KernelTable, m: np.ndarray, sqrt_p: np.ndarray) -> np.ndarra
 RECORD_COLUMNS = "v_params,b"
 RECORD_KEYS = ("n", "campaign_id", "ensemble_kind", "shots")
 
-_NEWLINE, _COMMA, _SEMICOLON, _ZERO = b"\n,;0"
+_NEWLINE, _RETURN, _COMMA, _SEMICOLON, _ZERO = b"\n\r,;0"
 
 _HEX_ANGLE = ("16 lowercase hex digits of its big-endian IEEE-754 bits, as "
               "struct.pack('>d', x).hex()")
@@ -864,10 +866,9 @@ def records_from_csv(text: str) -> tuple[Records, dict]:
     that are not n binary digits, and malformed v_params.
 
     The text is encoded once, and the rows are read as a (rows, width) view
-    of that buffer.
+    of that buffer. Rows end in CRLF if the first row does, else in LF; a
+    file that mixes the two has ragged rows.
     """
-    if "\r" in text:
-        text = text.replace("\r\n", "\n")
     metadata, pos = artifacts.read_metadata_header(text)
     end = text.find("\n", pos)
     end = len(text) if end < 0 else end
@@ -887,9 +888,11 @@ def records_from_csv(text: str) -> tuple[Records, dict]:
     if end + 1 >= len(text):
         raise ValueError("record CSV holds a header but no records")
     data = text.encode()
-    if not data.endswith(b"\n"):
-        data += b"\n"
     start = len(text[:end + 1].encode())
+    first = data.find(b"\n", start)
+    crlf = first > start and data[first - 1] == _RETURN
+    if not data.endswith(b"\n"):
+        data += b"\r\n" if crlf else b"\n"
     raw = np.frombuffer(data, dtype=np.uint8, offset=start)
     if not text.isascii() and raw.max() > 127:
         raise ValueError("record rows must be ASCII")
@@ -897,7 +900,7 @@ def records_from_csv(text: str) -> tuple[Records, dict]:
         raise ValueError("record CSV holds a NUL byte")
 
     width = data.index(b"\n", start) - start + 1
-    comma = width - n - 2  # v_params fill the row up to ',', b and '\n'
+    comma = width - n - 2 - crlf  # v_params fill the row up to ',', b and the line end
     fits = {KIND_LOCAL_CLIFFORD: comma == n, KIND_GLOBAL_CL2: comma == 1,
             KIND_GLOBAL_SU2: comma == 33, KIND_DISCRETE_SUBSAMPLE: comma >= 35}
     if not fits[kind]:
@@ -905,16 +908,19 @@ def records_from_csv(text: str) -> tuple[Records, dict]:
                          f"digits and v_params {_ROW_LAYOUTS[kind]}")
     rows = raw.size // width
     table = raw[:rows * width].reshape(rows, width)
-    if rows * width != raw.size or not _column_is(table[:, -1], _NEWLINE):
+    if (rows * width != raw.size or not _column_is(table[:, -1], _NEWLINE)
+            or crlf and not _column_is(table[:, -2], _RETURN)):
+        row = _first_ragged_row(raw, width)
+        if row is None:  # every line is as long as the first, one ends in LF alone
+            row = 1 + int(np.argmax(table[:, -2] != _RETURN))
         raise ValueError(f"record rows must all be as wide as the first "
-                         f"({width - 1} characters); row "
-                         f"{_first_ragged_row(raw, width)} is not")
+                         f"({width - 1 - crlf} characters); row {row} is not")
     if str(rows) != shots:
         raise ValueError(f"record CSV holds {rows} rows, its header says "
                          f"shots={shots}")
     if not _column_is(table[:, comma], _COMMA):
         raise ValueError(f"each record row must end in ',' and the {n} digits of b")
-    b = _digit_values(table[:, comma + 1:-1], 2)
+    b = _digit_values(table[:, comma + 1:comma + 1 + n], 2)
     if b is None:
         raise ValueError(f"b must be {n} binary digits")
     params = table[:, :comma]

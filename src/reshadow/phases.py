@@ -137,10 +137,17 @@ def toric_ground(L: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _matrix_keys(u: np.ndarray) -> list:
-    """Bytes of each 4x4 matrix of the stack u, rounded to 9 decimals."""
-    # adding 0.0 collapses -0.0 to +0.0 so rounded duplicates share bytes
-    return [key.tobytes() for key in np.round(u, 9) + 0.0]
+def _clifford_keys(u: np.ndarray) -> np.ndarray:
+    """One complex key per phase-fixed Clifford of the stack u (16 entries
+    each): every real and imaginary part must round (9 decimals) to 0, ±1/2,
+    ±1/√2 or ±1, its digit is 4x + 4, and 16 base-9 digits make one float64
+    exactly (9^16 < 2^53). Keys are equal exactly when rounded matrices are."""
+    x = u.view(float).reshape(len(u), 32)
+    d = (4 * x + 4.5).astype(np.uint8)
+    grid = np.round([-1, -0.5 ** 0.5, -0.5, np.nan, 0, np.nan, 0.5, 0.5 ** 0.5, 1], 9)
+    if not np.array_equal(np.round(x, 9), np.take(grid, d, mode="clip")):
+        raise ValueError("a generator is not a Clifford: an entry is off the Clifford grid")
+    return (d.reshape(-1, 2, 16) @ 9.0 ** np.arange(16)).view(complex).ravel()
 
 
 @lru_cache(maxsize=1)
@@ -150,30 +157,33 @@ def two_qubit_cliffords() -> np.ndarray:
     Breadth first from the identity: each level is every generator times
     every new element of the level before, phase-fixed (first entry of
     modulus > 1e-8 made real positive) and kept on first occurrence in
-    (element, generator) order. Returns a read-only (11520, 4, 4) array.
+    (element, generator) order, 256 elements at a time against the sorted
+    keys of all so far. Returns a read-only (11520, 4, 4) array.
     """
     h, s, eye2 = qcore.HADAMARD, qcore.S_GATE, np.eye(2)
     cz = np.diag([1.0, 1.0, 1.0, -1.0]).astype(complex)
     gens = np.stack([np.kron(h, eye2), np.kron(eye2, h), np.kron(s, eye2),
                      np.kron(eye2, s), cz])
-    frontier = np.eye(4, dtype=complex)[None]
-    seen = set(_matrix_keys(frontier))
-    levels = [frontier]
-    while len(frontier):
-        cand = np.matmul(gens[None], frontier[:, None]).reshape(-1, 4, 4)
-        flat = cand.reshape(len(cand), 16)
-        lead = flat[np.arange(len(flat)), np.argmax(np.abs(flat) > 1e-8, axis=1)]
-        # hypot, not np.abs: it rounds as the scalar abs(x) of a complex x
-        cand *= (np.conj(lead) / np.hypot(lead.real, lead.imag))[:, None, None]
-        fresh = []
-        for i, key in enumerate(_matrix_keys(cand)):
-            if key not in seen:
-                seen.add(key)
-                fresh.append(i)
-        frontier = cand[fresh]
-        levels.append(frontier)
-    members = np.concatenate(levels)
-    assert len(members) == 11520
+    members = np.empty((11520, 4, 4), dtype=complex)
+    members[0] = np.eye(4)
+    seen = _clifford_keys(members[:1])  # the sorted keys of members[:stop]
+    start, stop = 0, 1
+    while start < stop:
+        level, start = members[start:stop], stop
+        for lo in range(0, len(level), 256):
+            flat = np.matmul(gens[None], level[lo:lo + 256, None]).reshape(-1, 16)
+            lead = flat[np.arange(len(flat)), np.argmax(np.abs(flat) > 1e-8, axis=1)]
+            # hypot, not np.abs: it rounds as the scalar abs(x) of a complex x
+            flat *= (np.conj(lead) / np.hypot(lead.real, lead.imag))[:, None]
+            keys, first = np.unique(_clifford_keys(flat), return_index=True)
+            pos = np.searchsorted(seen, keys)
+            new = np.take(seen, pos, mode="clip") != keys
+            seen = np.insert(seen, pos[new], keys[new])
+            fresh = flat[np.sort(first[new])].reshape(-1, 4, 4)
+            members[stop:stop + len(fresh)] = fresh
+            stop += len(fresh)
+    if stop != len(members):
+        raise ValueError(f"the generators give {stop} Cliffords, not {len(members)}")
     members.flags.writeable = False
     return members
 

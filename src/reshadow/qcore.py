@@ -241,8 +241,10 @@ def invert_cdf(cdf: np.ndarray, u: np.ndarray,
                rows: np.ndarray | None = None) -> np.ndarray:
     """Outcome of each uniform u[j]: the number of entries of its table row
     (row j, or row rows[j]) below u[j] once the running sums of every row
-    are normalized, here in place, to end at 1."""
-    cdf /= cdf[:, -1:].copy()  # a view of cdf would make numpy copy all of cdf
+    are normalized, here in place, to end at 1. A table whose rows all end
+    at 1 is only read, so threads may share it."""
+    if (cdf[:, -1] != 1.0).any():
+        cdf /= cdf[:, -1:].copy()  # a view of cdf would make numpy copy all of cdf
     out = np.empty(u.size, dtype=np.intp)
     for block in blocks(u.size, cdf.shape[1]):
         table = cdf[block] if rows is None else cdf[rows[block]]

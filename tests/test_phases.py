@@ -141,7 +141,7 @@ def test_two_qubit_clifford_group_size():
     assert group.shape == (11520, 4, 4)
     assert not group.flags.writeable
     assert np.array_equal(group[0], np.eye(4))
-    assert len(set(phases._matrix_keys(group))) == 11520
+    assert len({_matrix_key(u) for u in group}) == 11520
     rng = np.random.default_rng(0)
     for idx in rng.integers(0, 11520, size=5):
         u = group[idx]
@@ -153,6 +153,31 @@ def test_two_qubit_cliffords_match_one_at_a_time_closure():
     want = reference_two_qubit_cliffords()
     assert np.array_equal(group, want)
     assert group.tobytes() == want.tobytes()  # signed zeros too
+
+
+def test_clifford_build_stays_below_8_mib():
+    # the (11520, 4, 4) table is 2.81 MiB; a block of 256 elements' candidates
+    # and their keys fit in the rest
+    tracemalloc.start()
+    try:
+        group = phases.two_qubit_cliffords.__wrapped__()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert group.tobytes() == phases.two_qubit_cliffords().tobytes()
+    assert peak < 8 * 2**20
+
+
+def test_clifford_build_stops_at_a_non_clifford_generator(monkeypatch):
+    # with T for S the group is infinite; H T H has entries (1 ± e^{iπ/4})/2,
+    # off the Clifford grid, so the build raises within its first levels
+    keys = phases._clifford_keys
+    rows = []
+    monkeypatch.setattr(phases, "_clifford_keys", lambda u: rows.append(len(u)) or keys(u))
+    monkeypatch.setattr(qcore, "S_GATE", np.diag([1.0, np.exp(0.25j * np.pi)]))
+    with pytest.raises(ValueError, match="off the Clifford grid"):
+        phases.two_qubit_cliffords.__wrapped__()
+    assert sum(rows) < 1000
 
 
 def dense_lowdepth_state(lat, depth, rng, psi):

@@ -249,6 +249,14 @@ def test_reader_accepts_crlf_and_a_missing_final_newline():
     assert records.words == ["XY", "ZZ"] and records.b.tolist() == [1, 2]
 
 
+@pytest.mark.parametrize("rows, bad", [("XY,01\r\nZZ,10\n", 2), ("XY,01\nZZ,10\r\n", 2),
+                                       ("XY,01\r\nZZ,100\n", 2)])
+def test_reader_rejects_rows_that_mix_lf_and_crlf(rows, bad):
+    text = head("LocalClifford", 2) + rows
+    with pytest.raises(ValueError, match=f"as wide as the first .5 characters.; row {bad} is not"):
+        estimator.records_from_csv(text)
+
+
 def test_campaign_id_may_start_with_hash():
     records = estimator.Records(KIND_GLOBAL_CL2, 1, "#7", np.array([0, 1]),
                                 member_idx=np.array([2, 0]))
@@ -302,6 +310,22 @@ def test_writer_and_reader_hold_one_full_size_copy(kind):
                                       back.thetas, back.psis) if a is not None)
     assert written <= 2.2 * len(text) + 2**20
     assert read - returned <= 1.3 * len(text) + 2**20
+
+
+def test_crlf_rows_cost_the_reader_no_more_than_lf_rows():
+    # CRLF rows are read in place, with the '\r' column checked like '\n'
+    records = shot_records(KIND_DISCRETE_SUBSAMPLE, 200_000, 2, np.random.default_rng(7))
+    lf = estimator.records_to_csv(records)
+    peaks = []
+    for text in (lf, lf.replace("\n", "\r\n")):
+        tracemalloc.start()
+        try:
+            back, _ = estimator.records_from_csv(text)
+            peaks.append(tracemalloc.get_traced_memory()[1] / len(text))
+        finally:
+            tracemalloc.stop()
+        assert_same_records(back, records)
+    assert peaks[1] <= peaks[0] + 0.1
 
 
 @pytest.mark.parametrize("metadata", [{"note": "a\n# extra=1"}, {"note": "a\nb"},
